@@ -238,6 +238,7 @@ class TestRouting:
 
 
 class TestEndToEndGradient:
+    @pytest.mark.slow
     def test_tiny_policy_full_gradcheck(self, world):
         scene, task, data, windows = world
         variant = ds.SupervisionVariant()
