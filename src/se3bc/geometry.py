@@ -174,10 +174,6 @@ def se3(rotation: np.ndarray, translation) -> np.ndarray:
     return t
 
 
-def se3_identity() -> np.ndarray:
-    return np.eye(4)
-
-
 def exp_so3(theta) -> np.ndarray:
     """Rodrigues exponential map from axis-angle to a rotation matrix.
 
@@ -301,14 +297,6 @@ def project_pinhole(p_cam, intr: CameraIntrinsic):
 # --- rotation chart conversions (all routed through the matrix form) ---
 
 
-def axis_angle_to_matrix(theta) -> np.ndarray:
-    return exp_so3(theta)
-
-
-def matrix_to_axis_angle(r: np.ndarray) -> np.ndarray:
-    return log_so3(r)
-
-
 def quat_to_matrix(q) -> np.ndarray:
     q = np.asarray(q, dtype=float).reshape(-1)
     if q.shape != (4,):
@@ -395,14 +383,14 @@ def matrix_to_euler(r: np.ndarray) -> np.ndarray:
 
 
 _TO_MATRIX = {
-    "axis_angle": axis_angle_to_matrix,
+    "axis_angle": exp_so3,
     "quaternion": quat_to_matrix,
     "euler": euler_to_matrix,
     "matrix": check_rotation,
 }
 
 _FROM_MATRIX = {
-    "axis_angle": matrix_to_axis_angle,
+    "axis_angle": log_so3,
     "quaternion": matrix_to_quat,
     "euler": matrix_to_euler,
     "matrix": lambda r: r,

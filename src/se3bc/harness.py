@@ -1,11 +1,14 @@
 """Training, closed-loop evaluation, baselines, studies, and reports.
 
-Evaluation is chunked: the policy predicts once, the simulator executes the
-whole action chunk (or a receding-horizon prefix), and prediction repeats
-until success or the horizon. Paired comparisons (learned decoder vs the
-hardcoded geometric pipeline) consume identical episode seeds and identical
-perturbation draws, both derived from the root seed by counter-based
-splitting.
+Evaluation has one seeded episode loop, `_drive`, and two controllers it
+steps: `_Learned` (the policy's own decoder, behind `rollout`) and
+`_ClosedForm` (the hardcoded geometric pipeline, behind
+`closed_form_baseline`). A controller answers `reset(episode)` at the start
+of an episode, `action(state)` before every simulator step, and
+`finish(state)` with the final state. Both execute in chunks: predict H
+steps, execute them, predict again (the chunked execution of ACT). Paired
+comparisons consume identical episode seeds and identical perturbation
+draws, both derived from the root seed by counter-based splitting.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import json
 import logging
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -184,135 +187,53 @@ class EvalReport:
     chart_violation_rate: float
     mean_traj_error: float | None
     episode_lengths: list = field(default_factory=list)
-    traces: list | None = None
 
     def to_json(self) -> dict:
-        return {
-            "successes": self.successes,
-            "episodes": self.episodes,
-            "success_rate": self.success_rate,
-            "wilson_lo": self.wilson_lo,
-            "wilson_hi": self.wilson_hi,
-            "chart_violation_rate": self.chart_violation_rate,
-            "mean_traj_error": self.mean_traj_error,
-            "episode_lengths": list(self.episode_lengths),
-        }
+        return asdict(self)
 
 
-def _depth_mode_of(policy) -> str:
-    cfg = getattr(policy, "cfg", None)
-    return cfg.variant.depth_mode if cfg is not None else "metric"
-
-
-def _tracks_camera_pose(policy) -> bool:
-    cfg = getattr(policy, "cfg", None)
-    return (
-        cfg is not None
-        and cfg.variant.target == "traj_camera_se3"
-        and cfg.variant.rotation_param == "axis_angle"
-    )
-
-
-def rollout(
-    policy,
-    scene: sw.SceneSpec,
-    task: sw.TaskSpec,
-    episodes: int,
-    seed: int,
-    sim_cfg: sw.SimConfig | None = None,
-    camera: sw.CameraModel | None = None,
-    chunk_steps: int | None = None,
-    collect_traces: bool = False,
-) -> EvalReport:
-    """Closed-loop evaluation: predict a chunk, execute, repeat.
-
-    chunk_steps < H gives receding-horizon execution (diagnostics); the
-    default executes the full chunk before re-predicting. The policy object
-    needs .act(features, state_vec) -> PolicyOutput; objects exposing
-    .act_on_state(sim_state) (the expert wrapper) are driven from the raw
-    state instead.
-    """
-    camera = camera or sw.default_camera()
-    sim = sw.Simulator(scene, task, sim_cfg)
-    depth_mode = _depth_mode_of(policy)
-    track_tau = _tracks_camera_pose(policy)
-    t_wc = geo.se3_inverse(camera.extrinsic)
-
-    successes = 0
-    total_pred_rows = 0
-    violating_rows = 0
-    traj_err_sum, traj_err_n = 0.0, 0
-    lengths = []
-    traces = [] if collect_traces else None
-
-    for i in range(episodes):
-        state = sim.reset(derive_seed(seed, "episode", i))
-        if hasattr(policy, "reset_episode"):
-            policy.reset_episode(i)
-        success = False
-        cam_history = [geo.se3_to_pose(t_wc @ state.ee_pose)]
-        pending = []
-        while not success and state.step_count < task.horizon_limit:
-            if hasattr(policy, "act_on_state"):
-                out = policy.act_on_state(state)
-            else:
-                features = sw.featurize(state, task, scene, camera, depth_mode)
-                out = policy.act(features, state.state_vec())
-            if out.tau is not None:
-                total_pred_rows += out.tau.shape[0]
-                violating_rows += out.chart_violations
-                if track_tau:
-                    pending.append((state.step_count, out.tau.copy()))
-            n_exec = chunk_steps or out.chunk.shape[0]
-            for h in range(min(n_exec, out.chunk.shape[0])):
-                row = out.chunk[h]
-                action = geo.RelativeAction(row[:3], row[3:6], 1.0 if row[6] > 0.5 else 0.0)
-                state = sim.step(state, action)
-                cam_history.append(geo.se3_to_pose(t_wc @ state.ee_pose))
-                if sim.check_success(state):
-                    success = True
-                    break
-                if state.step_count >= task.horizon_limit:
-                    break
-        for t0, tau in pending:
-            for h in range(tau.shape[0]):
-                idx = t0 + h + 1
-                if idx < len(cam_history):
-                    traj_err_sum += float(np.abs(tau[h] - cam_history[idx]).sum())
-                    traj_err_n += 1
-        successes += int(success)
-        lengths.append(state.step_count)
-        if collect_traces:
-            traces.append({"episode": i, "success": success, "steps": state.step_count})
-
-    lo, hi = wilson_interval(successes, episodes)
+def _report(successes: int, lengths: list, chart_violation_rate: float = 0.0,
+            mean_traj_error: float | None = None) -> EvalReport:
+    lo, hi = wilson_interval(successes, len(lengths))
     return EvalReport(
         successes=successes,
-        episodes=episodes,
-        success_rate=successes / episodes,
+        episodes=len(lengths),
+        success_rate=successes / len(lengths),
         wilson_lo=lo,
         wilson_hi=hi,
-        chart_violation_rate=(violating_rows / total_pred_rows) if total_pred_rows else 0.0,
-        mean_traj_error=(traj_err_sum / traj_err_n) if traj_err_n else None,
+        chart_violation_rate=chart_violation_rate,
+        mean_traj_error=mean_traj_error,
         episode_lengths=lengths,
-        traces=traces,
     )
 
 
-class ExpertPolicy:
-    """Oracle policy adapter: one expert action per prediction."""
+def _drive(controller, scene: sw.SceneSpec, task: sw.TaskSpec, episodes: int, seed: int,
+           sim_cfg: sw.SimConfig | None):
+    """The seeded episode loop; returns (successes, episode lengths).
 
-    def __init__(self, scene: sw.SceneSpec, task: sw.TaskSpec,
-                 expert_cfg: sw.ExpertConfig | None = None):
-        self._expert = sw.ScriptedExpert(scene, task, expert_cfg)
+    Episode i resets the simulator with derive_seed(seed, "episode", i), so
+    every controller driven with the same seed meets the same initial scenes.
+    The controller hears reset(i), then action(state) -> RelativeAction before
+    every step, then finish(final state).
+    """
+    sim = sw.Simulator(scene, task, sim_cfg)
+    successes, lengths = 0, []
+    for i in range(episodes):
+        state = sim.reset(derive_seed(seed, "episode", i))
+        controller.reset(i)
+        success = False
+        while not success and state.step_count < task.horizon_limit:
+            state = sim.step(state, controller.action(state))
+            success = sim.check_success(state)
+        controller.finish(state)
+        successes += int(success)
+        lengths.append(state.step_count)
+    return successes, lengths
 
-    def reset_episode(self, episode_index: int):
-        self._expert.reset()
 
-    def act_on_state(self, state: sw.SimState) -> pol.PolicyOutput:
-        a = self._expert.action(state)
-        chunk = np.concatenate([a.dp, a.dtheta, [a.gripper]]).reshape(1, 7)
-        return pol.PolicyOutput(chunk=chunk, tau=None, h_traj=None, chart_violations=0)
+def _tracks_camera_pose(policy: pol.Policy) -> bool:
+    variant = policy.cfg.variant
+    return variant.target == "traj_camera_se3" and variant.rotation_param == "axis_angle"
 
 
 # --- perturbed-predictor protocol ---
@@ -340,50 +261,118 @@ def _perturbation(spec: PerturbSpec, root_seed: int, episode: int, chunk: int, h
     return eps
 
 
-class PerturbedTrajectoryPolicy:
-    """Wraps a camera-frame SE(3) policy; corrupts the predictor output.
+# --- learned decoder ---
 
-    The pose-space noise eps is mapped into the hidden states through the
-    linear head's pseudo-inverse, so head(h_traj + dh) = tau + eps exactly:
-    the decoder conditions on hidden states that decode to the same
-    corrupted trajectory the hardcoded pipeline reads. Gripper commands are
-    additionally delayed by the spec's latency (queue persists across chunks
-    within an episode).
+
+class _Learned:
+    """The policy's own decoder: predict an H-step chunk, execute it, repeat.
+
+    Each prediction's tau rows count toward the chart-violation rate. For
+    camera-frame axis-angle policies, tau is also scored against the
+    camera-frame ee poses the episode then reached.
+
+    With a PerturbSpec, the pose-space noise eps is mapped into the hidden
+    states through the linear head's pseudo-inverse, so head(h_traj + dh) =
+    tau + eps exactly: the decoder conditions on hidden states that decode to
+    the same corrupted trajectory the hardcoded pipeline reads. Gripper
+    commands are additionally delayed by the spec's latency (the queue
+    persists across chunks within an episode).
     """
 
-    def __init__(self, policy: pol.Policy, perturb: PerturbSpec, root_seed: int):
-        if not _tracks_camera_pose(policy):
-            raise HarnessError("perturbed protocol needs a camera-frame axis-angle policy")
-        self._policy = policy
-        self._perturb = perturb
-        self._root_seed = root_seed
-        self.cfg = policy.cfg
-        self._head_pinv = np.linalg.pinv(policy.params["pred.head.w"].data)  # (6, D)
-        self._episode = 0
-        self._chunk = 0
-        self._queue = deque()
+    def __init__(self, policy: pol.Policy, scene, task, camera, perturb: PerturbSpec | None,
+                 root_seed: int):
+        self._tracks_tau = _tracks_camera_pose(policy)
+        if perturb is not None:
+            if not self._tracks_tau:
+                raise HarnessError("perturbed protocol needs a camera-frame axis-angle policy")
+            self._head_pinv = np.linalg.pinv(policy.params["pred.head.w"].data)  # (6, D)
+        self.policy, self.scene, self.task, self.camera = policy, scene, task, camera
+        self.perturb, self.root_seed = perturb, root_seed
+        self._t_wc = geo.se3_inverse(camera.extrinsic)
+        self.pred_rows = self.violating_rows = 0
+        self.traj_err_sum, self.traj_err_n = 0.0, 0
 
-    def reset_episode(self, episode_index: int):
-        self._episode = episode_index
-        self._chunk = 0
-        self._queue = deque([0.0] * self._perturb.gripper_latency)
+    def reset(self, episode: int):
+        self._episode, self._chunks = episode, 0
+        self._rows = deque()
+        self._grip_queue = deque([0.0] * (self.perturb.gripper_latency if self.perturb else 0))
+        self._predicted = []  # (step the chunk was predicted at, tau)
+        self._cam_poses = []  # camera-frame ee pose per step count
 
-    def act(self, features, state_vec) -> pol.PolicyOutput:
-        p = self._policy
-        h3d = p.encode_features(features)
-        h_traj, _ = p.predict_trajectory(h3d)
-        eps = _perturbation(self._perturb, self._root_seed, self._episode, self._chunk,
+    def action(self, state: sw.SimState) -> geo.RelativeAction:
+        self._cam_poses.append(geo.se3_to_pose(self._t_wc @ state.ee_pose))
+        if not self._rows:
+            self._predict(state)
+        row = self._rows.popleft()
+        return geo.RelativeAction(row[:3], row[3:6], 1.0 if row[6] > 0.5 else 0.0)
+
+    def finish(self, state: sw.SimState):
+        self._cam_poses.append(geo.se3_to_pose(self._t_wc @ state.ee_pose))
+        for t0, tau in self._predicted:
+            for h in range(tau.shape[0]):
+                idx = t0 + h + 1
+                if idx < len(self._cam_poses):
+                    self.traj_err_sum += float(np.abs(tau[h] - self._cam_poses[idx]).sum())
+                    self.traj_err_n += 1
+
+    def _predict(self, state: sw.SimState):
+        features = sw.featurize(state, self.task, self.scene, self.camera,
+                                self.policy.cfg.variant.depth_mode)
+        if self.perturb is None:
+            out = self.policy.act(features, state.state_vec())
+        else:
+            out = self._perturbed_act(features, state.state_vec())
+        if out.tau is not None:
+            self.pred_rows += out.tau.shape[0]
+            self.violating_rows += out.chart_violations
+            if self._tracks_tau:
+                self._predicted.append((state.step_count, out.tau))
+        self._rows.extend(out.chunk)
+
+    def _perturbed_act(self, features, state_vec) -> pol.PolicyOutput:
+        p = self.policy
+        h_traj, _ = p.predict_trajectory(p.encode_features(features))
+        eps = _perturbation(self.perturb, self.root_seed, self._episode, self._chunks,
                             p.cfg.horizon)
-        self._chunk += 1
+        self._chunks += 1
         h_noisy = tn.Tensor(h_traj.data + eps @ self._head_pinv)
-        tau = p.trajectory_head(h_noisy).data.copy()
-        chunk = p.decode_actions(h_noisy, np.asarray(state_vec, dtype=float).reshape(1, 7)).data.copy()
+        tau = p.trajectory_head(h_noisy).data
+        chunk = p.decode_actions(h_noisy, state_vec.reshape(1, 7)).data
         for h in range(chunk.shape[0]):
-            self._queue.append(chunk[h, 6])
-            chunk[h, 6] = self._queue.popleft()
+            self._grip_queue.append(chunk[h, 6])
+            chunk[h, 6] = self._grip_queue.popleft()
         violations = int(np.sum(np.linalg.norm(tau[:, 3:6], axis=1) >= math.pi))
-        return pol.PolicyOutput(chunk=chunk, tau=tau, h_traj=h_noisy.data.copy(),
+        return pol.PolicyOutput(chunk=chunk, tau=tau, h_traj=h_noisy.data,
                                 chart_violations=violations)
+
+
+def rollout(
+    policy: pol.Policy,
+    scene: sw.SceneSpec,
+    task: sw.TaskSpec,
+    episodes: int,
+    seed: int,
+    sim_cfg: sw.SimConfig | None = None,
+    camera: sw.CameraModel | None = None,
+    perturb: PerturbSpec | None = None,
+) -> EvalReport:
+    """Closed-loop evaluation of the learned decoder.
+
+    The policy predicts an H-step action chunk, the simulator executes all of
+    it, and prediction repeats until success or the horizon limit. With
+    perturb, the predictor output is corrupted by draws derived from seed, the
+    same draws closed_form_baseline() uses (see _Learned). Episode seeds match
+    closed_form_baseline()'s, so comparisons are paired.
+    """
+    learned = _Learned(policy, scene, task, camera or sw.default_camera(), perturb, seed)
+    successes, lengths = _drive(learned, scene, task, episodes, seed, sim_cfg)
+    return _report(
+        successes, lengths,
+        chart_violation_rate=(learned.violating_rows / learned.pred_rows
+                              if learned.pred_rows else 0.0),
+        mean_traj_error=(learned.traj_err_sum / learned.traj_err_n
+                         if learned.traj_err_n else None),
+    )
 
 
 # --- hardcoded geometric pipeline (the decoder ablation) ---
@@ -402,31 +391,74 @@ def _privileged_gripper(state: sw.SimState, scene: sw.SceneSpec, task: sw.TaskSp
     return prev
 
 
-class _OracleTrajectory:
-    """Ground-truth camera-frame lookahead from a synced scripted expert."""
+class _ClosedForm:
+    """Execute camera-frame poses tau through closed-form geometry.
 
-    def __init__(self, scene, task, camera, horizon):
-        self.scene, self.task, self.camera, self.horizon = scene, task, camera, horizon
-        self._shadow = sw.Simulator(scene, task)  # noiseless lookahead world
-        self._expert = sw.ScriptedExpert(scene, task, sw.ExpertConfig(gripper_latency_steps=0))
-        self._t_wc = geo.se3_inverse(camera.extrinsic)
+    tau comes from the policy's predictor or, with oracle_horizon set, from
+    an oracle: a scripted expert kept in sync with the executed trajectory,
+    copied and rolled forward in a noiseless shadow world. The optional
+    perturbation is added to tau. Each pose row is lifted to the world frame
+    via the known extrinsic and chained into relative actions with the exact
+    recovery map. The gripper follows privileged simulator proximity at
+    every step, delayed by the perturbation's latency.
+    """
 
-    def reset_episode(self):
-        self._expert.reset()
-        self._shadow.reset(0)  # reseed the shadow noise stream (unused: noiseless)
+    def __init__(self, policy: pol.Policy | None, scene, task, camera,
+                 perturb: PerturbSpec | None, root_seed: int, oracle_horizon: int | None):
+        self.policy, self.scene, self.task, self.camera = policy, scene, task, camera
+        self.perturb, self.root_seed = perturb, root_seed
+        self._expert = None
+        if oracle_horizon is not None:
+            self._horizon = oracle_horizon
+            self._shadow = sw.Simulator(scene, task)
+            self._expert = sw.ScriptedExpert(scene, task, sw.ExpertConfig(gripper_latency_steps=0))
+            self._t_wc = geo.se3_inverse(camera.extrinsic)
 
-    def observe(self, state: sw.SimState):
-        """Advance the expert's phase along the executed trajectory."""
-        self._expert.action(state)
+    def reset(self, episode: int):
+        self._episode, self._chunks = episode, 0
+        self._moves = deque()
+        self._grip_queue = deque([0.0] * (self.perturb.gripper_latency if self.perturb else 0))
+        self._grip = 0.0
+        if self._expert is not None:
+            self._expert.reset()
 
-    def lookahead(self, state: sw.SimState):
-        clone_expert = copy.deepcopy(self._expert)
-        s = state.copy()
-        rows = np.zeros((self.horizon, 6))
-        for h in range(self.horizon):
-            if s.step_count < self.task.horizon_limit:
-                s = self._shadow.step(s, clone_expert.action(s))
-            rows[h] = geo.se3_to_pose(self._t_wc @ s.ee_pose)
+    def action(self, state: sw.SimState) -> geo.RelativeAction:
+        if self._expert is not None and state.step_count > 0:
+            self._expert.action(state)  # advance the synced expert's phase
+        if not self._moves:
+            self._plan(state)
+        move = self._moves.popleft()
+        self._grip = _privileged_gripper(state, self.scene, self.task, self._grip)
+        self._grip_queue.append(self._grip)
+        return geo.RelativeAction(move.dp, move.dtheta, self._grip_queue.popleft())
+
+    def finish(self, state: sw.SimState):
+        pass
+
+    def _plan(self, state: sw.SimState):
+        if self._expert is not None:
+            tau = self._lookahead(state)
+        else:
+            features = sw.featurize(state, self.task, self.scene, self.camera,
+                                    self.policy.cfg.variant.depth_mode)
+            tau = self.policy.act(features, state.state_vec()).tau
+        if self.perturb is not None:
+            tau = tau + _perturbation(self.perturb, self.root_seed, self._episode, self._chunks,
+                                      tau.shape[0])
+        self._chunks += 1
+        prev = state.ee_pose
+        for row in tau:
+            pose = geo.camera_to_world(geo.pose_to_se3(row), self.camera.extrinsic)
+            self._moves.append(geo.relative_action(prev, pose))
+            prev = pose
+
+    def _lookahead(self, state: sw.SimState):
+        expert = copy.deepcopy(self._expert)
+        rows = np.zeros((self._horizon, 6))
+        for h in range(self._horizon):
+            if state.step_count < self.task.horizon_limit:
+                state = self._shadow.step(state, expert.action(state))
+            rows[h] = geo.se3_to_pose(self._t_wc @ state.ee_pose)
         return rows
 
 
@@ -441,85 +473,23 @@ def closed_form_baseline(
     perturb: PerturbSpec | None = None,
     oracle: bool = False,
 ) -> EvalReport:
-    """Execute predicted camera-frame poses through closed-form geometry.
+    """Closed-loop evaluation of the hardcoded geometric pipeline.
 
-    Ignores the learned decoder: each predicted pose row is lifted to the
-    world frame via the known extrinsic and converted to relative actions by
-    chaining the exact recovery map; gripper open/close comes from
-    privileged simulator proximity. With oracle=True the trajectory comes
-    from an expert lookahead instead of the policy. Episode seeds and
-    perturbation draws match rollout()'s, so comparisons are paired.
+    Ignores the learned decoder: the predicted camera-frame poses are lifted
+    to the world and chained into relative actions, and the gripper comes
+    from privileged simulator proximity (see _ClosedForm). With oracle=True
+    the trajectory comes from an expert lookahead instead of the policy,
+    over the policy's horizon if one is given. Episode seeds and perturbation
+    draws match rollout()'s, so comparisons are paired.
     """
-    if not oracle:
-        if policy is None or not _tracks_camera_pose(policy):
-            raise HarnessError("closed-form baseline needs a camera-frame axis-angle checkpoint")
-    camera = camera or sw.default_camera()
-    sim = sw.Simulator(scene, task, sim_cfg)
-    oracle_traj = _OracleTrajectory(scene, task, camera, _horizon_of(policy, oracle)) if oracle else None
-    depth_mode = _depth_mode_of(policy) if policy is not None else "metric"
-    latency = perturb.gripper_latency if perturb else 0
-
-    successes = 0
-    lengths = []
-    for i in range(episodes):
-        state = sim.reset(derive_seed(seed, "episode", i))
-        if oracle:
-            oracle_traj.reset_episode()
-        queue = deque([0.0] * latency)
-        prev_g = 0.0
-        success = False
-        chunk_idx = 0
-        while not success and state.step_count < task.horizon_limit:
-            if oracle:
-                tau = oracle_traj.lookahead(state)
-            else:
-                features = sw.featurize(state, task, scene, camera, depth_mode)
-                tau = policy.act(features, state.state_vec()).tau
-            if perturb is not None:
-                tau = tau + _perturbation(perturb, seed, i, chunk_idx, tau.shape[0])
-            chunk_idx += 1
-
-            world_poses = [geo.camera_to_world(geo.pose_to_se3(row), camera.extrinsic) for row in tau]
-            prev_pose = state.ee_pose
-            actions = []
-            for w in world_poses:
-                actions.append(geo.relative_action(prev_pose, w))
-                prev_pose = w
-            for a in actions:
-                g_raw = _privileged_gripper(state, scene, task, prev_g)
-                prev_g = g_raw
-                queue.append(g_raw)
-                g = queue.popleft()
-                state = sim.step(state, geo.RelativeAction(a.dp, a.dtheta, g))
-                if oracle:
-                    oracle_traj.observe(state)
-                if sim.check_success(state):
-                    success = True
-                    break
-                if state.step_count >= task.horizon_limit:
-                    break
-        successes += int(success)
-        lengths.append(state.step_count)
-
-    lo, hi = wilson_interval(successes, episodes)
-    return EvalReport(
-        successes=successes,
-        episodes=episodes,
-        success_rate=successes / episodes,
-        wilson_lo=lo,
-        wilson_hi=hi,
-        chart_violation_rate=0.0,
-        mean_traj_error=None,
-        episode_lengths=lengths,
-    )
-
-
-def _horizon_of(policy, oracle: bool) -> int:
-    if policy is not None:
-        return policy.cfg.horizon
-    if not oracle:
-        raise HarnessError("need a policy or oracle=True")
-    return 8
+    if not oracle and (policy is None or not _tracks_camera_pose(policy)):
+        raise HarnessError("closed-form baseline needs a camera-frame axis-angle checkpoint")
+    oracle_horizon = None
+    if oracle:
+        oracle_horizon = policy.cfg.horizon if policy is not None else ds.HORIZON_DEFAULT
+    controller = _ClosedForm(policy, scene, task, camera or sw.default_camera(), perturb, seed,
+                             oracle_horizon)
+    return _report(*_drive(controller, scene, task, episodes, seed, sim_cfg))
 
 
 # --- studies ---
@@ -634,10 +604,8 @@ def _closed_form_rows(spec, policy, scene, task, camera, sim_cfg, seed, eval_see
     oracle = closed_form_baseline(policy, scene, task, spec.episodes, eval_seed,
                                   sim_cfg=sim_cfg, camera=camera, oracle=True)
     out.append(_row(spec, "oracle_hardcoded", seed, oracle, policy.cfg))
-    perturbed_learned = rollout(
-        PerturbedTrajectoryPolicy(policy, spec.perturb, eval_seed), scene, task,
-        spec.episodes, eval_seed, sim_cfg=sim_cfg, camera=camera,
-    )
+    perturbed_learned = rollout(policy, scene, task, spec.episodes, eval_seed,
+                                sim_cfg=sim_cfg, camera=camera, perturb=spec.perturb)
     out.append(_row(spec, "perturbed_learned", seed, perturbed_learned, policy.cfg))
     perturbed_hard = closed_form_baseline(policy, scene, task, spec.episodes, eval_seed,
                                           sim_cfg=sim_cfg, camera=camera, perturb=spec.perturb)
@@ -646,31 +614,20 @@ def _closed_form_rows(spec, policy, scene, task, camera, sim_cfg, seed, eval_see
 
 
 def _row(spec, cell, seed, report: EvalReport, policy_cfg):
-    return {
-        "study": spec.kind,
-        "cell": cell,
-        "seed": seed,
-        "successes": report.successes,
-        "episodes": report.episodes,
-        "success_rate": report.success_rate,
-        "wilson_lo": report.wilson_lo,
-        "wilson_hi": report.wilson_hi,
-        "chart_violation_rate": report.chart_violation_rate,
-        "mean_traj_error": report.mean_traj_error,
-        "config_hash": policy_cfg.config_hash(),
-    }
+    row = {"study": spec.kind, "cell": cell, "seed": seed, **report.to_json()}
+    del row["episode_lengths"]
+    row["config_hash"] = policy_cfg.config_hash()
+    return row
 
 
 def summarize_rows(rows):
     """Per-cell mean success rate plus a pooled Wilson interval."""
     cells = {}
     for r in rows:
-        if "error" in r:
-            cells.setdefault(r["cell"], {"errors": 0, "rates": [], "k": 0, "n": 0})["errors"] = (
-                cells[r["cell"]].get("errors", 0) + 1
-            )
-            continue
         c = cells.setdefault(r["cell"], {"errors": 0, "rates": [], "k": 0, "n": 0})
+        if "error" in r:
+            c["errors"] += 1
+            continue
         c["rates"].append(r["success_rate"])
         c["k"] += r["successes"]
         c["n"] += r["episodes"]

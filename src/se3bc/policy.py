@@ -62,11 +62,6 @@ class PolicyConfig:
             raise PolicyConfigError("lam must be >= 0")
 
     @classmethod
-    def desk(cls, token_dim: int, **overrides) -> "PolicyConfig":
-        """Laptop-scale defaults."""
-        return cls(token_dim=token_dim, **overrides)
-
-    @classmethod
     def paper_scale(cls, token_dim: int, **overrides) -> "PolicyConfig":
         """Full-scale reference configuration (selectable, not used in tests)."""
         args = dict(d_model=896, predictor_blocks=4, decoder_blocks=2, heads=8, horizon=8)

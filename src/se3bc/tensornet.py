@@ -1,7 +1,6 @@
 """Minimal reverse-mode differentiable compute core on numpy.
 
-A Tensor wraps a float64 ndarray (float32 selectable via set_default_dtype,
-excluded from acceptance tolerances). Ops executed while a GradientTape is
+A Tensor wraps a float64 ndarray. Ops executed while a GradientTape is
 active append nodes to it in creation order, which is already a topological
 order, so backward() is a single reverse sweep. A tape supports exactly one
 backward pass.
@@ -27,20 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_DEFAULT_DTYPE = np.float64
-
 ROPE_BASE = 10000.0
 LAYER_NORM_EPS = 1e-5
 # Guards row normalization against zero-norm rows.
 NORMALIZE_EPS = 1e-12
-
-
-def set_default_dtype(name: str):
-    """Select "float64" (default) or "float32" for newly created tensors."""
-    global _DEFAULT_DTYPE
-    if name not in ("float64", "float32"):
-        raise TensorError(f"unsupported dtype {name!r}")
-    _DEFAULT_DTYPE = np.float64 if name == "float64" else np.float32
 
 
 class TensorError(ValueError):
@@ -113,7 +102,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "_tape", "_node")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        self.data = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(self.data)):
             raise NumericFaultError("tensor created with non-finite values")
         self.requires_grad = bool(requires_grad)
@@ -326,14 +315,12 @@ def layer_norm(a, axis: int = -1, eps: float = LAYER_NORM_EPS) -> Tensor:
     var = x.var(axis=axis, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x - mu) * inv
-    n = x.shape[axis]
 
     def vjp(g):
         gm = g.mean(axis=axis, keepdims=True)
         gx = (g * xhat).mean(axis=axis, keepdims=True)
         return [inv * (g - gm - xhat * gx)]
 
-    _ = n
     return _make("layer_norm", xhat, [a], vjp)
 
 
@@ -385,7 +372,7 @@ def rope(a, positions, base: float = ROPE_BASE) -> Tensor:
     d = a.shape[-1]
     if d % 2 != 0:
         raise TensorError(f"rope needs an even head dimension, got {d}")
-    positions = np.asarray(positions, dtype=_DEFAULT_DTYPE)
+    positions = np.asarray(positions, dtype=np.float64)
     if positions.shape != (a.shape[-2],):
         raise TensorError(
             f"rope positions shape {positions.shape} does not match sequence length {a.shape[-2]}"

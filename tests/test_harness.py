@@ -69,8 +69,7 @@ class TestRolloutCharacterization:
 
     def test_perturbed(self, world):
         scene, _, short, policy = world
-        report = hs.rollout(hs.PerturbedTrajectoryPolicy(policy, hs.PerturbSpec(), EVAL_SEED),
-                            scene, short, EPISODES, EVAL_SEED)
+        report = hs.rollout(policy, scene, short, EPISODES, EVAL_SEED, perturb=hs.PerturbSpec())
         assert_same(report.to_json(), {
             **FULL_HORIZON_MISS, "mean_traj_error": 5.062739111847865, "episode_lengths": [40, 40],
         })
@@ -111,7 +110,7 @@ class TestClosedFormCharacterization:
         })
 
     def test_needs_camera_frame_policy(self, world):
-        scene, task, _, _ = world
+        scene, task, short, _ = world
         with pytest.raises(hs.HarnessError):
             hs.closed_form_baseline(None, scene, task, 1, EVAL_SEED)
         other = pol.build_variant(pol.PolicyConfig(
@@ -119,6 +118,8 @@ class TestClosedFormCharacterization:
         ))
         with pytest.raises(hs.HarnessError):
             hs.closed_form_baseline(other, scene, task, 1, EVAL_SEED)
+        with pytest.raises(hs.HarnessError):
+            hs.rollout(other, scene, short, 1, EVAL_SEED, perturb=hs.PerturbSpec())
 
 
 @pytest.mark.slow
@@ -207,6 +208,7 @@ def test_emit_report_is_order_independent(tmp_path):
          "chart_violation_rate": 0.0, "mean_traj_error": None, "config_hash": "abc"}
         for cell in ("no_traj", "traj_2d") for seed in (0, 1, 2)
     ]
+    rows.append({"study": "ladder", "cell": "traj_3d_pos", "seed": 0, "error": "boom"})
     shuffled = list(rows)
     random.Random(0).shuffle(shuffled)
     a = hs.emit_report({"rows": rows}, str(tmp_path / "a"))
@@ -216,8 +218,24 @@ def test_emit_report_is_order_independent(tmp_path):
             assert fa.read() == fb.read()
     with open(a[1]) as f:
         doc = json.load(f)
-    assert doc["rows"] == 6
+    assert doc["rows"] == 7
     assert doc["summary"]["traj_2d"]["pooled"]["k"] == 3
+    assert doc["summary"]["traj_3d_pos"] == {"seeds": 0, "errors": 1}
+
+
+def test_failed_cells_are_recorded_and_the_study_goes_on():
+    # steps <= TrainConfig's default warmup fails every cell before training
+    result = hs.run_study(hs.StudySpec(kind="ladder", seeds=(0,), demos=1, episodes=1, steps=50))
+    assert [r["cell"] for r in result["rows"]] == list(hs.LADDER_TARGETS)
+    assert all("warmup" in r["error"] for r in result["rows"])
+    assert result["summary"] == {cell: {"seeds": 0, "errors": 1} for cell in hs.LADDER_TARGETS}
+
+
+def test_summarize_rows_mixes_errors_and_results():
+    ok = {"cell": "a", "seed": 1, "successes": 1, "episodes": 2, "success_rate": 0.5}
+    summary = hs.summarize_rows([{"cell": "a", "seed": 0, "error": "boom"}, ok])
+    assert summary["a"]["seeds"] == 1 and summary["a"]["errors"] == 1
+    assert summary["a"]["pooled"]["k"] == 1 and summary["a"]["pooled"]["n"] == 2
 
 
 def test_load_policy_round_trip(tmp_path, world):
