@@ -122,6 +122,75 @@ class TestClosedFormCharacterization:
             hs.rollout(other, scene, short, 1, EVAL_SEED, perturb=hs.PerturbSpec())
 
 
+DEPTH_PINS = {
+    "relative": {
+        "curve": [
+            [1, 3.233632977740214, 2.759165263863106, 3.0825285616371274, 0.0005],
+            [2, 4.336075959588784, 3.2791802094452036, 3.712787805404082, 0.001],
+            [3, 4.561111256374638, 3.8357305635420404, 4.291841689179504, 0.0009755282581475768],
+            [4, 4.271818411887468, 2.5694384295043724, 2.996620270693119, 0.0009045084971874737],
+            [5, 3.8926613110013673, 2.206890199422369, 2.5961563305225055, 0.0007938926261462366],
+            [6, 3.543429743764978, 2.114084914194609, 2.4684278885711066, 0.0006545084971874737],
+            [7, 3.2115738591291523, 1.8788797155885593, 2.2000371015014744, 0.0005],
+            [8, 3.023255758340942, 1.545437127149611, 1.8477627029837052, 0.00034549150281252633],
+            [9, 3.0191876275877596, 1.2248992748358916, 1.5268180375946676, 0.00020610737385376348],
+            [10, 2.8262706665578246, 1.1115082748910206, 1.394135341546803, 9.549150281252633e-05],
+            [11, 2.8166515060678963, 1.0090431204108843, 1.290708271017674, 2.4471741852423235e-05],
+            [12, 2.8001514629603736, 1.017753366629648, 1.2977685129256855, 0.0],
+        ],
+        "mean_traj_error": 4.084379838644821,
+    },
+    "none": {
+        "curve": [
+            [1, 3.227330375669549, 2.5330792813530425, 2.8558123189199973, 0.0005],
+            [2, 4.337903778495146, 3.2197932267485747, 3.653583604598089, 0.001],
+            [3, 4.155913969215998, 3.377484933977855, 3.7930763308994546, 0.0009755282581475768],
+            [4, 3.6242480167786857, 2.781325613972691, 3.14375041565056, 0.0009045084971874737],
+            [5, 2.963749407866079, 2.4879386236637604, 2.7843135644503683, 0.0007938926261462366],
+            [6, 2.4610195462214093, 2.01521662501159, 2.261318579633731, 0.0006545084971874737],
+            [7, 2.1576741588935677, 1.5709946557295293, 1.7867620716188861, 0.0005],
+            [8, 1.9848811520657648, 1.3841492678429494, 1.582637383049526, 0.00034549150281252633],
+            [9, 1.9216791747058417, 1.2039921328996424, 1.3961600503702265, 0.00020610737385376348],
+            [10, 1.856690736794107, 1.123255623893999, 1.3089246975734097, 9.549150281252633e-05],
+            [11, 1.8958139568987313, 1.0619457991244412, 1.2515271948143143, 2.4471741852423235e-05],
+            [12, 1.8436620377839592, 1.0681656297451438, 1.2525318335235398, 0.0],
+        ],
+        "mean_traj_error": 3.796040332168026,
+    },
+}
+
+
+@pytest.fixture(scope="module", params=sorted(DEPTH_PINS))
+def depth_trained(request, world):
+    """A 12-step policy trained under one non-metric depth mode."""
+    scene, task, _, _ = world
+    data = ds.record_demonstrations(scene, task, n=2, seed=3)
+    cfg = hs.TrainConfig(
+        policy=pol.PolicyConfig(
+            token_dim=sw.feature_dims(scene)[0],
+            variant=ds.SupervisionVariant("traj_camera_se3", depth_mode=request.param),
+        ),
+        steps=12, warmup_steps=2, log_every=1, seed=5,
+    )
+    policy, curve = hs.train(data, cfg)
+    return request.param, policy, curve
+
+
+class TestDepthModeCharacterization:
+    def test_train_curve(self, depth_trained):
+        mode, _, curve = depth_trained
+        assert_same([list(row) for row in curve], DEPTH_PINS[mode]["curve"])
+
+    def test_rollout(self, world, depth_trained):
+        scene, _, short, _ = world
+        mode, policy, _ = depth_trained
+        report = hs.rollout(policy, scene, short, EPISODES, EVAL_SEED)
+        assert_same(report.to_json(), {
+            **FULL_HORIZON_MISS, "mean_traj_error": DEPTH_PINS[mode]["mean_traj_error"],
+            "episode_lengths": [40, 40],
+        })
+
+
 @pytest.mark.slow
 def test_tiny_closed_form_study_rows():
     result = hs.run_study(hs.StudySpec(kind="closed_form", seeds=(0,), episodes=1, demos=2,
