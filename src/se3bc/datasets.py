@@ -2,8 +2,8 @@
 
 A demonstration is a sequence of per-timestep records; the last record is the
 final state with a zero rigid action and held gripper command, so every
-record carries the same fields. Features are recorded with metric depth and
-re-expressed per variant at training time (relative / none are derived
+record carries the same fields. Features are recorded with metric depth
+only; Policy.encode re-expresses it per variant (relative / none are derived
 exactly from the metric values).
 
 The `demos_v1` file format is JSON lines: a header object, then one object
@@ -36,6 +36,7 @@ HORIZON_DEFAULT = 8
 TARGET_KINDS = ("no_traj", "aux_traj", "traj_2d", "traj_3d_pos", "traj_world_se3", "traj_camera_se3")
 SE3_TARGETS = ("aux_traj", "traj_world_se3", "traj_camera_se3")
 ROTATION_PARAMS = ("axis_angle", "quaternion", "euler")
+DEPTH_MODES = ("metric", "relative", "none")
 
 
 class DatasetError(ValueError):
@@ -51,7 +52,7 @@ class SupervisionVariant:
     """Which geometric target supervises the predictor, and how.
 
     rotation_param applies only to the SE(3)-valued targets; depth_mode
-    selects the observation depth block.
+    selects how Policy.encode reads the metric depth block.
     """
 
     target: str = "traj_camera_se3"
@@ -63,7 +64,7 @@ class SupervisionVariant:
             raise DatasetError(f"unknown supervision target {self.target!r}")
         if self.rotation_param not in ROTATION_PARAMS:
             raise DatasetError(f"unknown rotation parameterization {self.rotation_param!r}")
-        if self.depth_mode not in sw.DEPTH_MODES:
+        if self.depth_mode not in DEPTH_MODES:
             raise DatasetError(f"unknown depth mode {self.depth_mode!r}")
         if self.target not in SE3_TARGETS and self.rotation_param != "axis_angle":
             raise DatasetError(
@@ -198,7 +199,7 @@ def _record_episode(sim, expert, camera, t_wc, ep_seed):
 
     steps = []
     for t, s in enumerate(states):
-        features = sw.featurize(s, sim.task, sim.scene, camera, "metric")
+        features = sw.featurize(s, sim.task, sim.scene, camera)
         if t < len(commands):
             rigid = geo.relative_action(s.ee_pose, states[t + 1].ee_pose)
             g_cmd = commands[t].gripper
@@ -333,23 +334,18 @@ def _features_doc(f: sw.ObservationFeatures) -> dict:
         "lang": f.lang.tolist(),
         "visual": f.visual.tolist(),
         "depth": f.depth.tolist(),
-        "depth_mode": f.depth_mode,
+        "depth_mode": "metric",
         "token_dim": f.token_dim,
     }
 
 
 def _features_from_doc(doc: dict) -> sw.ObservationFeatures:
-    token_dim = doc["token_dim"]
-
-    def block(rows):
-        arr = np.asarray(rows, dtype=float)
-        return arr.reshape((0, token_dim)) if arr.size == 0 else arr
-
+    if doc["depth_mode"] != "metric":  # read_dataset prefixes the line number
+        raise ValueError(f"depth_mode {doc['depth_mode']!r} is not 'metric'")
     return sw.ObservationFeatures(
-        lang=block(doc["lang"]),
-        visual=block(doc["visual"]),
-        depth=block(doc["depth"]),
-        depth_mode=doc["depth_mode"],
+        lang=np.asarray(doc["lang"], dtype=float),
+        visual=np.asarray(doc["visual"], dtype=float),
+        depth=np.asarray(doc["depth"], dtype=float),
     )
 
 

@@ -72,11 +72,6 @@ class TrainConfig:
     warmup_steps: int = 100
     seed: int = 0
     log_every: int = 100
-    dataset_path: str | None = None
-    # Zero-mean Gaussian jitter added to observation tokens and state vectors
-    # per training batch: smooths the learned map over the observation
-    # neighborhoods the policy visits when it drifts off the expert manifold.
-    feature_noise: float = 0.0
 
     def __post_init__(self):
         if self.steps != 0 and self.steps <= self.warmup_steps:
@@ -118,13 +113,7 @@ def train(dataset: ds.DemoDataset, cfg: TrainConfig, ckpt_path: str | None = Non
         while order.size < cfg.batch_size:
             order = np.concatenate([order, shuffle_rng.permutation(n)])
         idx, order = order[: cfg.batch_size], order[cfg.batch_size :]
-        batch = {k: (v[idx] if v is not None else None) for k, v in full.items()}
-        if cfg.feature_noise > 0.0:
-            for key in ("lang", "visual", "depth", "state"):
-                if batch[key] is not None:
-                    batch[key] = batch[key] + shuffle_rng.normal(
-                        0.0, cfg.feature_noise, size=batch[key].shape
-                    )
+        batch = {k: v[idx] for k, v in full.items()}
         try:
             with tn.GradientTape() as tape:
                 total, traj, act = policy.loss(batch)
@@ -316,8 +305,7 @@ class _Learned:
                     self.traj_err_n += 1
 
     def _predict(self, state: sw.SimState):
-        features = sw.featurize(state, self.task, self.scene, self.camera,
-                                self.policy.cfg.variant.depth_mode)
+        features = sw.featurize(state, self.task, self.scene, self.camera)
         if self.perturb is None:
             out = self.policy.act(features, state.state_vec())
         else:
@@ -342,8 +330,7 @@ class _Learned:
             self._grip_queue.append(chunk[h, 6])
             chunk[h, 6] = self._grip_queue.popleft()
         violations = int(np.sum(np.linalg.norm(tau[:, 3:6], axis=1) >= math.pi))
-        return pol.PolicyOutput(chunk=chunk, tau=tau, h_traj=h_noisy.data,
-                                chart_violations=violations)
+        return pol.PolicyOutput(chunk=chunk, tau=tau, chart_violations=violations)
 
 
 def rollout(
@@ -439,8 +426,7 @@ class _ClosedForm:
         if self._expert is not None:
             tau = self._lookahead(state)
         else:
-            features = sw.featurize(state, self.task, self.scene, self.camera,
-                                    self.policy.cfg.variant.depth_mode)
+            features = sw.featurize(state, self.task, self.scene, self.camera)
             tau = self.policy.act(features, state.state_vec()).tau
         if self.perturb is not None:
             tau = tau + _perturbation(self.perturb, self.root_seed, self._episode, self._chunks,
@@ -544,7 +530,7 @@ def study_cells(spec: StudySpec):
     if spec.kind == "depth":
         return [
             (m, ds.SupervisionVariant("traj_camera_se3", depth_mode=m), spec.demos)
-            for m in sw.DEPTH_MODES
+            for m in ds.DEPTH_MODES
         ]
     if spec.kind == "scaling":
         return [(f"demos_{n}", base, n) for n in (10, 25, 50)]

@@ -118,21 +118,12 @@ class PolicyOutput:
 
     chunk: np.ndarray  # (H, 7): dp, dtheta, gripper in [0, 1]
     tau: np.ndarray | None  # (H, target_dim) predicted trajectory, if any
-    h_traj: np.ndarray | None
     chart_violations: int  # axis-angle rows at or past the chart boundary
 
 
-def trajectory_loss(pred, target, scale=None) -> tn.Tensor:
-    """Mean over horizon steps of l1 target error.
-
-    `scale` optionally weights dimensions before the norm (default 1.0
-    everywhere: raw meters and radians).
-    """
-    pred, target = tn.as_tensor(pred), tn.as_tensor(target)
-    if scale is not None:
-        s = tn.Tensor(np.asarray(scale, dtype=float))
-        pred, target = tn.mul(pred, s), tn.mul(target, s)
-    return tn.l1_loss(pred, target)
+def trajectory_loss(pred, target) -> tn.Tensor:
+    """Mean over horizon steps of l1 target error (raw meters and radians)."""
+    return tn.l1_loss(tn.as_tensor(pred), tn.as_tensor(target))
 
 
 def action_and_total_loss(pred_chunk, target_chunk, traj_loss_value, lam: float):
@@ -234,23 +225,28 @@ class Policy:
         h = tn.linear(tn.gelu(h), self.params[f"{prefix}.ffn.w2"], self.params[f"{prefix}.ffn.b2"])
         return tn.add(x, h)
 
-    def encode(self, lang, visual, depth=None) -> tn.Tensor:
+    def encode(self, lang, visual, depth) -> tn.Tensor:
         """Project token blocks to the model width; concatenation order is
-        (language, visual, depth)."""
+        (language, visual, depth).
+
+        `depth` is always the metric block. The variant's depth mode decides
+        what is encoded: the block as is (metric), its per-frame min-max
+        normalization (relative), or nothing (none).
+        """
         p = self.params
         blocks = [
             tn.linear(tn.as_tensor(lang), p["enc.lang.w"], p["enc.lang.b"]),
             tn.linear(tn.as_tensor(visual), p["enc.vis.w"], p["enc.vis.b"]),
         ]
-        if self.cfg.variant.depth_mode != "none":
-            if depth is None or (hasattr(depth, "shape") and depth.shape[-2] == 0):
-                raise PolicyConfigError("variant expects a depth block")
+        mode = self.cfg.variant.depth_mode
+        if mode != "none":
+            if mode == "relative":
+                depth = sw.relative_depth(depth)
             blocks.append(tn.linear(tn.as_tensor(depth), p["enc.dep.w"], p["enc.dep.b"]))
         return tn.concat(blocks, axis=-2)
 
     def encode_features(self, features: sw.ObservationFeatures) -> tn.Tensor:
-        depth = features.depth if self.cfg.variant.depth_mode != "none" else None
-        return self.encode(features.lang, features.visual, depth)
+        return self.encode(features.lang, features.visual, features.depth)
 
     def predict_trajectory(self, h3d: tn.Tensor):
         """Refine the trajectory queries against the encoded tokens.
@@ -322,19 +318,14 @@ class Policy:
     def act(self, features: sw.ObservationFeatures, state_vec) -> PolicyOutput:
         """Inference (no tape): one action chunk for the current observation."""
         out = self.forward(
-            features.lang,
-            features.visual,
-            features.depth if self.cfg.variant.depth_mode != "none" else None,
+            features.lang, features.visual, features.depth,
             np.asarray(state_vec, dtype=float).reshape(1, 7),
         )
         tau = None if out["tau"] is None else out["tau"].data.copy()
-        h_traj = None if out["h_traj"] is None else out["h_traj"].data.copy()
         violations = 0
         if tau is not None and self.cfg.variant.rotation_param == "axis_angle" and self.cfg.variant.target_dim == 6:
             violations = int(np.sum(np.linalg.norm(tau[:, 3:6], axis=1) >= math.pi))
-        return PolicyOutput(
-            chunk=out["chunk"].data.copy(), tau=tau, h_traj=h_traj, chart_violations=violations
-        )
+        return PolicyOutput(chunk=out["chunk"].data.copy(), tau=tau, chart_violations=violations)
 
 
 def build_variant(cfg: PolicyConfig) -> Policy:
@@ -366,15 +357,16 @@ def param_loss_fn(policy: Policy, batch, names=None):
 def collate(windows, variant: SupervisionVariant, cam: sw.CameraModel, scene: sw.SceneSpec):
     """Stack training windows into batched arrays for Policy.loss.
 
-    Depth blocks are re-expressed for the variant's depth mode; trajectory
+    Depth stays metric for every variant (Policy.encode re-expresses it), so
+    `scene` is unused; it stays in the signature because callers, the
+    benchmark among them, pass all four arguments positionally. Trajectory
     targets are synthesized per variant.
     """
     lang, visual, depth, states, traj_t, act_t = [], [], [], [], [], []
     for w in windows:
-        f = sw.adapt_depth_mode(w.features, scene, variant.depth_mode)
-        lang.append(f.lang)
-        visual.append(f.visual)
-        depth.append(f.depth)
+        lang.append(w.features.lang)
+        visual.append(w.features.visual)
+        depth.append(w.features.depth)
         states.append(w.state_vec.reshape(1, 7))
         targets, _ = make_supervision(w, variant, cam)
         traj_t.append(targets)
@@ -382,7 +374,7 @@ def collate(windows, variant: SupervisionVariant, cam: sw.CameraModel, scene: sw
     return {
         "lang": np.stack(lang),
         "visual": np.stack(visual),
-        "depth": np.stack(depth) if variant.depth_mode != "none" else None,
+        "depth": np.stack(depth),
         "state": np.stack(states),
         "traj_targets": np.stack(traj_t),
         "action_targets": np.stack(act_t),

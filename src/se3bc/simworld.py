@@ -447,9 +447,6 @@ class ScriptedExpert:
 
 # --- synthetic featurizer ---
 
-DEPTH_MODES = ("metric", "relative", "none")
-
-
 @dataclass
 class ObservationFeatures:
     """Three token blocks sharing one token width.
@@ -461,16 +458,11 @@ class ObservationFeatures:
 
     lang: np.ndarray  # (2, token_dim)
     visual: np.ndarray  # (n_keypoints, token_dim)
-    depth: np.ndarray  # (n_keypoints, token_dim) or (0, token_dim)
-    depth_mode: str
+    depth: np.ndarray  # (n_keypoints, token_dim), metric
 
     @property
     def token_dim(self) -> int:
         return self.lang.shape[1]
-
-    @property
-    def token_count(self) -> int:
-        return self.lang.shape[0] + self.visual.shape[0] + self.depth.shape[0]
 
     def tokens(self) -> np.ndarray:
         """Concatenated (language, visual, depth) token matrix."""
@@ -484,21 +476,13 @@ def feature_dims(scene: SceneSpec):
     return n_kp + 2 + payload, n_kp, payload
 
 
-def featurize(
-    state: SimState,
-    task: TaskSpec,
-    scene: SceneSpec,
-    cam: CameraModel,
-    depth_mode: str = "metric",
-) -> ObservationFeatures:
+def featurize(state: SimState, task: TaskSpec, scene: SceneSpec, cam: CameraModel) -> ObservationFeatures:
     """Tokenize a state: instruction one-hots, projected keypoints, depths.
 
     Visual payloads are pinhole projections normalized by image size; depth
-    payloads are camera-frame z in meters (metric), per-frame min-max
-    normalized (relative), or omitted (none).
+    payloads are camera-frame z in meters. Other depth modes are derived
+    from these by the policy's encoder (see relative_depth).
     """
-    if depth_mode not in DEPTH_MODES:
-        raise SceneError(f"unknown depth mode {depth_mode!r}")
     token_dim, n_kp, payload = feature_dims(scene)
     t_wc = geo.se3_inverse(cam.extrinsic)
 
@@ -520,52 +504,30 @@ def featurize(
     lang = np.stack([token(n_kp, obj_onehot), token(n_kp + 1, cont_onehot)])
 
     visual = np.zeros((n_kp, token_dim))
-    z_values = np.zeros(n_kp)
+    depth = np.zeros((n_kp, token_dim))
     for i, p in enumerate(keypoints):
         p_cam = (t_wc @ np.append(p, 1.0))[:3]
         uv, _ = geo.project_pinhole(p_cam, cam.intrinsic)
         visual[i] = token(i, [uv[0] / cam.intrinsic.width, uv[1] / cam.intrinsic.height])
-        z_values[i] = p_cam[2]
+        depth[i] = token(i, [p_cam[2]])
 
-    if depth_mode == "none":
-        depth = np.zeros((0, token_dim))
-    else:
-        if depth_mode == "relative":
-            lo, hi = z_values.min(), z_values.max()
-            z_values = (z_values - lo) / (hi - lo) if hi > lo else np.zeros_like(z_values)
-        depth = np.stack([token(i, [z_values[i]]) for i in range(n_kp)])
-
-    return ObservationFeatures(lang=lang, visual=visual, depth=depth, depth_mode=depth_mode)
+    return ObservationFeatures(lang=lang, visual=visual, depth=depth)
 
 
-def adapt_depth_mode(features: ObservationFeatures, scene: SceneSpec, depth_mode: str) -> ObservationFeatures:
-    """Re-express metric-depth features under another depth mode.
+def relative_depth(depth: np.ndarray) -> np.ndarray:
+    """Per-frame min-max normalization of metric depth blocks.
 
-    Matches featurize(..., depth_mode=...) exactly, so one recorded dataset
-    serves every ablation cell.
+    `depth` has shape (..., n_keypoints, token_dim). Within each frame the
+    payload column (n_keypoints + 2) is mapped onto [0, 1]; a frame whose
+    depths are all equal gets zeros. Other columns are copied unchanged.
     """
-    if features.depth_mode != "metric":
-        raise SceneError("adapt_depth_mode needs metric-mode features")
-    if depth_mode == "metric":
-        return features
-    if depth_mode == "none":
-        return ObservationFeatures(
-            lang=features.lang.copy(),
-            visual=features.visual.copy(),
-            depth=np.zeros((0, features.token_dim)),
-            depth_mode="none",
-        )
-    if depth_mode != "relative":
-        raise SceneError(f"unknown depth mode {depth_mode!r}")
-    _, n_kp, _ = feature_dims(scene)
-    col = n_kp + 2  # depth payload column
-    depth = features.depth.copy()
-    z = depth[:, col]
-    lo, hi = z.min(), z.max()
-    depth[:, col] = (z - lo) / (hi - lo) if hi > lo else 0.0
-    return ObservationFeatures(
-        lang=features.lang.copy(), visual=features.visual.copy(), depth=depth, depth_mode="relative"
-    )
+    out = np.array(depth, dtype=float)
+    col = out.shape[-2] + 2  # depth payload column
+    z = out[..., col]
+    lo = z.min(axis=-1, keepdims=True)
+    hi = z.max(axis=-1, keepdims=True)
+    out[..., col] = np.divide(z - lo, hi - lo, out=np.zeros_like(z), where=hi > lo)
+    return out
 
 
 # --- default desk scene and camera ---

@@ -141,9 +141,10 @@ def _tracked(t: Tensor, tape) -> bool:
 
 def _make(op, out_data, inputs, vjp):
     """Wrap an op result, recording it when any input is tracked."""
-    if not np.all(np.isfinite(out_data)):
-        raise NumericFaultError(f"op {op!r} produced non-finite values")
-    out = Tensor(out_data)
+    try:
+        out = Tensor(out_data)
+    except NumericFaultError:
+        raise NumericFaultError(f"op {op!r} produced non-finite values") from None
     tape = _active_tape()
     if tape is not None and any(_tracked(t, tape) for t in inputs):
         parents = [t._node_on(tape) for t in inputs if _tracked(t, tape)]

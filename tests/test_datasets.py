@@ -227,6 +227,16 @@ class TestFileFormat:
         with pytest.raises(ds.DatasetFormatError, match="line 3"):
             ds.read_dataset(path)
 
+    def test_rejects_non_metric_depth(self, tmp_path, small_dataset):
+        path = str(tmp_path / "demos.jsonl")
+        ds.write_dataset(path, small_dataset)
+        lines = open(path).read().splitlines()
+        assert '"depth_mode": "metric"' in lines[3]
+        lines[3] = lines[3].replace('"depth_mode": "metric"', '"depth_mode": "relative"')
+        open(path, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(ds.DatasetFormatError, match="line 4: .*'relative'"):
+            ds.read_dataset(path)
+
     def test_schema_mismatch(self, tmp_path):
         path = str(tmp_path / "bad.jsonl")
         open(path, "w").write('{"schema": "other_v9"}\n')

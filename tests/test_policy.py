@@ -84,18 +84,12 @@ class TestLosses:
         assert abs(float(act.data) - expect) < 1e-12
         assert abs(float(total.data) - (0.04 + expect)) < 1e-12
 
-    def test_per_dim_scale_knob(self):
-        pred, target = np.zeros((2, 3)), np.ones((2, 3))
-        scaled = pol.trajectory_loss(pred, target, scale=[1.0, 2.0, 0.0])
-        assert float(scaled.data) == pytest.approx(3.0, abs=1e-15)
-
 
 class TestEncoder:
     def test_depth_none_excludes_block(self, world):
         scene, task, data, windows = world
         policy = make_policy(scene, depth="none")
-        f = sw.adapt_depth_mode(windows[0].features, scene, "none")
-        h3d = policy.encode_features(f)
+        h3d = policy.encode_features(windows[0].features)
         n_kp = len(scene.objects) + 1
         assert h3d.shape == (2 + n_kp, policy.cfg.d_model)
         assert "enc.dep.w" not in policy.params
@@ -282,5 +276,8 @@ class TestCollate:
         scene, task, data, windows = world
         variant = ds.SupervisionVariant("no_traj", depth_mode="none")
         batch = pol.collate(windows[:2], variant, data.camera, scene)
-        assert batch["depth"] is None
+        npt.assert_array_equal(batch["depth"], np.stack([w.features.depth for w in windows[:2]]))
         assert batch["traj_targets"].shape == (2, 8, 0)
+        policy = make_policy(scene, target="no_traj", depth="none")
+        zeroed = {**batch, "depth": np.zeros_like(batch["depth"])}
+        assert float(policy.loss(zeroed)[0].data) == float(policy.loss(batch)[0].data)

@@ -261,21 +261,11 @@ class TestSuccess:
 
 
 class TestFeaturize:
-    def test_depth_none_token_count(self, goal_world):
-        scene, task, sim = goal_world
-        cam = sw.default_camera()
-        state = sim.reset(0)
-        f_metric = sw.featurize(state, task, scene, cam, "metric")
-        f_none = sw.featurize(state, task, scene, cam, "none")
-        n_kp = len(scene.objects) + 1
-        assert f_metric.token_count == 2 + 2 * n_kp
-        assert f_none.token_count == 2 + n_kp
-
     def test_metric_depth_is_camera_z(self, goal_world):
         scene, task, sim = goal_world
         cam = sw.default_camera()
         state = sim.reset(0)
-        f = sw.featurize(state, task, scene, cam, "metric")
+        f = sw.featurize(state, task, scene, cam)
         _, n_kp, _ = sw.feature_dims(scene)
         ee_cam = geo.world_to_camera(state.ee_pose, cam.extrinsic)
         # last keypoint is the end-effector; payload column holds z
@@ -287,27 +277,14 @@ class TestFeaturize:
         _, n_kp, _ = sw.feature_dims(scene)
         for seed in range(20):
             state = sim.reset(seed)
-            f = sw.featurize(state, task, scene, cam, "relative")
-            z = f.depth[:, n_kp + 2]
+            z = sw.relative_depth(sw.featurize(state, task, scene, cam).depth)[:, n_kp + 2]
             assert z.min() == 0.0 and z.max() == 1.0
-
-    def test_adapt_matches_direct_featurize(self, goal_world):
-        scene, task, sim = goal_world
-        cam = sw.default_camera()
-        state = sim.reset(3)
-        f = sw.featurize(state, task, scene, cam, "metric")
-        for mode in ["relative", "none", "metric"]:
-            direct = sw.featurize(state, task, scene, cam, mode)
-            adapted = sw.adapt_depth_mode(f, scene, mode)
-            npt.assert_array_equal(adapted.lang, direct.lang)
-            npt.assert_array_equal(adapted.visual, direct.visual)
-            npt.assert_array_equal(adapted.depth, direct.depth)
 
     def test_visual_tokens_normalized(self, goal_world):
         scene, task, sim = goal_world
         cam = sw.default_camera()
         state = sim.reset(1)
-        f = sw.featurize(state, task, scene, cam, "metric")
+        f = sw.featurize(state, task, scene, cam)
         _, n_kp, _ = sw.feature_dims(scene)
         payload = f.visual[:, n_kp + 2 : n_kp + 4]
         assert np.all(payload > 0.0) and np.all(payload < 1.0)
@@ -315,12 +292,34 @@ class TestFeaturize:
     def test_instruction_onehots(self, goal_world):
         scene, task, sim = goal_world
         cam = sw.default_camera()
-        f = sw.featurize(sim.reset(0), task, scene, cam, "metric")
+        f = sw.featurize(sim.reset(0), task, scene, cam)
         _, n_kp, _ = sw.feature_dims(scene)
         assert f.lang[0, n_kp] == 1.0  # object-instruction tag
         assert f.lang[1, n_kp + 1] == 1.0  # container-instruction tag
         assert f.lang[0, n_kp + 2] == 1.0  # block_red is object 0
         assert f.lang[1, n_kp + 2] == 1.0  # bin_a is container 0
+
+
+class TestRelativeDepth:
+    def test_batch_matches_per_frame(self, goal_world):
+        scene, task, sim = goal_world
+        cam = sw.default_camera()
+        frames = np.stack([sw.featurize(sim.reset(s), task, scene, cam).depth for s in range(4)])
+        batched = sw.relative_depth(frames)
+        for i, frame in enumerate(frames):
+            npt.assert_array_equal(batched[i], sw.relative_depth(frame))
+
+    def test_constant_frame_gets_zero_column(self):
+        n_kp, dt = 3, 9
+        col = n_kp + 2
+        depth = np.random.default_rng(0).normal(size=(2, n_kp, dt))
+        depth[0, :, col] = 0.7  # frame 0: every keypoint at one depth
+        out = sw.relative_depth(depth)
+        npt.assert_array_equal(out[0, :, col], np.zeros(n_kp))
+        assert out[1, :, col].min() == 0.0 and out[1, :, col].max() == 1.0
+        others = [c for c in range(dt) if c != col]
+        npt.assert_array_equal(out[..., others], depth[..., others])
+        assert np.all(depth[0, :, col] == 0.7)  # input left as it was
 
 
 class TestSceneJson:
