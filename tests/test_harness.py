@@ -123,6 +123,23 @@ class TestClosedFormCharacterization:
 
 
 DEPTH_PINS = {
+    "metric": {
+        "curve": [
+            [1, 2.813627345444843, 2.7048216435409165, 2.986184378085401, 0.0005],
+            [2, 4.118521500177808, 3.0755110927083766, 3.4873632427261576, 0.001],
+            [3, 4.4161087579768115, 3.700516040711316, 4.142126916508997, 0.0009755282581475768],
+            [4, 4.0021966114686, 2.5945204497301297, 2.9947401108769895, 0.0009045084971874737],
+            [5, 3.5295924097064595, 2.2539189519365337, 2.6068781929071796, 0.0007938926261462366],
+            [6, 3.189988569168122, 1.913062517708396, 2.232061374625208, 0.0006545084971874737],
+            [7, 3.0395785896335896, 1.7515444937294993, 2.055502352692858, 0.0005],
+            [8, 2.9651213211182146, 1.382986061059459, 1.6794981931712805, 0.00034549150281252633],
+            [9, 3.0380173483032316, 1.0615166760074177, 1.365318410837741, 0.00020610737385376348],
+            [10, 2.8094145933367924, 0.9103224048765647, 1.191263864210244, 9.549150281252633e-05],
+            [11, 2.7632839853286018, 0.838217724359988, 1.1145461228928482, 2.4471741852423235e-05],
+            [12, 2.7715181338971666, 0.8661604651214441, 1.1433122785111607, 0.0],
+        ],
+        "mean_traj_error": 4.66271346178634,
+    },
     "relative": {
         "curve": [
             [1, 3.233632977740214, 2.759165263863106, 3.0825285616371274, 0.0005],
@@ -162,7 +179,7 @@ DEPTH_PINS = {
 
 @pytest.fixture(scope="module", params=sorted(DEPTH_PINS))
 def depth_trained(request, world):
-    """A 12-step policy trained under one non-metric depth mode."""
+    """A 12-step policy trained under one depth mode."""
     scene, task, _, _ = world
     data = ds.record_demonstrations(scene, task, n=2, seed=3)
     cfg = hs.TrainConfig(
