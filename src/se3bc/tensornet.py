@@ -7,7 +7,8 @@ backward pass.
 
 Ops accept arbitrary leading batch dimensions; the documented shapes below
 are the trailing ones. Every op output is checked finite and raises
-NumericFaultError otherwise.
+NumericFaultError otherwise. backward() drops each op's vjp once it has
+run, which frees the op's saved inputs without the garbage collector.
 
 Threading: a tape and the tensors recorded on it belong to one thread
 (the active-tape stack is thread-local); independent tapes may run
@@ -44,17 +45,16 @@ class TapeError(RuntimeError):
     """Tape contract violation (reuse after backward, foreign nodes)."""
 
 
-_TLS = threading.local()
+class _ThreadState(threading.local):
+    def __init__(self):
+        self.stack = []
 
 
-def _tape_stack():
-    if not hasattr(_TLS, "stack"):
-        _TLS.stack = []
-    return _TLS.stack
+_TLS = _ThreadState()
 
 
 def _active_tape():
-    stack = _tape_stack()
+    stack = _TLS.stack
     return stack[-1] if stack else None
 
 
@@ -64,8 +64,8 @@ class _Node:
     def __init__(self, op, node_id, parents, vjp, tensor=None):
         self.op = op
         self.node_id = node_id
-        self.parents = parents  # list of _Node for differentiable inputs
-        self.vjp = vjp  # grad_out -> list of grads aligned with parents
+        self.parents = parents  # one per op input: its _Node, or None if untracked
+        self.vjp = vjp  # grad_out -> list of grads, one per op input; None for leaves
         self.tensor = tensor  # set for leaves so backward can key results
 
 
@@ -77,11 +77,11 @@ class GradientTape:
         self.consumed = False
 
     def __enter__(self):
-        _tape_stack().append(self)
+        _TLS.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _tape_stack().pop()
+        popped = _TLS.stack.pop()
         if popped is not self:
             raise TapeError("tape stack corrupted")
         return False
@@ -133,12 +133,6 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _tracked(t: Tensor, tape) -> bool:
-    if tape is None:
-        return False
-    return t.requires_grad or (t._tape is tape and t._node is not None)
-
-
 def _make(op, out_data, inputs, vjp):
     """Wrap an op result, recording it when any input is tracked."""
     try:
@@ -146,16 +140,11 @@ def _make(op, out_data, inputs, vjp):
     except NumericFaultError:
         raise NumericFaultError(f"op {op!r} produced non-finite values") from None
     tape = _active_tape()
-    if tape is not None and any(_tracked(t, tape) for t in inputs):
-        parents = [t._node_on(tape) for t in inputs if _tracked(t, tape)]
-        mask = [_tracked(t, tape) for t in inputs]
-
-        def masked_vjp(g, _vjp=vjp, _mask=mask):
-            full = _vjp(g)
-            return [gr for gr, m in zip(full, _mask) if m]
-
-        out._tape = tape
-        out._node = tape._record(op, parents, masked_vjp)
+    if tape is not None:
+        parents = [t._node_on(tape) if t.requires_grad or t._tape is tape else None for t in inputs]
+        if any(p is not None for p in parents):
+            out._tape = tape
+            out._node = tape._record(op, parents, vjp)
     return out
 
 
@@ -223,13 +212,23 @@ def matmul(a, b) -> Tensor:
     return _make("matmul", out, [a, b], vjp)
 
 
-def transpose_last(a) -> Tensor:
+def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    if a.data.ndim < 2:
-        raise TensorError("transpose_last needs a >=2-d tensor")
-    return _make(
-        "transpose_last", a.data.swapaxes(-1, -2), [a], lambda g: [g.swapaxes(-1, -2)]
-    )
+    try:
+        out = a.data.reshape(shape)
+    except ValueError:
+        raise TensorError(f"cannot reshape {a.shape} to {shape}") from None
+    in_shape = a.shape
+    return _make("reshape", out, [a], lambda g: [g.reshape(in_shape)])
+
+
+def swapaxes(a, axis1: int, axis2: int) -> Tensor:
+    a = as_tensor(a)
+    try:
+        out = a.data.swapaxes(axis1, axis2)
+    except ValueError:
+        raise TensorError(f"cannot swap axes {axis1}, {axis2} of {a.shape}") from None
+    return _make("swapaxes", out, [a], lambda g: [g.swapaxes(axis1, axis2)])
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
@@ -420,39 +419,35 @@ def multi_head_attention(
     """Scaled dot-product attention with per-head projections.
 
     Self-attention when q_in is kv_in, cross-attention otherwise. No causal
-    mask: queries are parallel slots. When `positions` is given, RoPE is
-    applied to the query and key streams of every head before the dot
+    mask: queries are parallel slots. All heads run as one batched
+    computation on (..., heads, T, d/heads) blocks. When `positions` is
+    given, RoPE is applied to the query and key streams before the dot
     product (intended for self-attention, where both streams share the
     positions).
 
     Built from recorded primitives, so gradients come with it. With
-    return_weights=True also returns the per-head attention weights as a
-    list of arrays (forward values only).
+    return_weights=True also returns the attention weights as one
+    (..., heads, T, Tk) array (forward values only).
     """
     q_in, kv_in = as_tensor(q_in), as_tensor(kv_in)
     d = q_in.shape[-1]
     if d % heads != 0:
         raise TensorError(f"model dim {d} not divisible by {heads} heads")
     dh = d // heads
-    q = linear(q_in, as_tensor(wq), as_tensor(bq) if bq is not None else None)
-    k = linear(kv_in, as_tensor(wk), as_tensor(bk) if bk is not None else None)
-    v = linear(kv_in, as_tensor(wv), as_tensor(bv) if bv is not None else None)
-    outs = []
-    weights = []
-    for h in range(heads):
-        qh = narrow(q, -1, h * dh, dh)
-        kh = narrow(k, -1, h * dh, dh)
-        vh = narrow(v, -1, h * dh, dh)
-        if positions is not None:
-            qh = rope(qh, positions)
-            kh = rope(kh, positions)
-        scores = scale(matmul(qh, transpose_last(kh)), 1.0 / math.sqrt(dh))
-        attn = softmax(scores, axis=-1)
-        if return_weights:
-            weights.append(attn.data.copy())
-        outs.append(matmul(attn, vh))
-    out = linear(concat(outs, axis=-1), as_tensor(wo), as_tensor(bo) if bo is not None else None)
-    return (out, weights) if return_weights else out
+
+    def split_heads(x):  # (..., T, d) -> (..., heads, T, dh)
+        return swapaxes(reshape(x, x.shape[:-1] + (heads, dh)), -3, -2)
+
+    q = split_heads(linear(q_in, wq, bq))
+    k = split_heads(linear(kv_in, wk, bk))
+    v = split_heads(linear(kv_in, wv, bv))
+    if positions is not None:
+        q = rope(q, positions)
+        k = rope(k, positions)
+    attn = softmax(scale(matmul(q, swapaxes(k, -1, -2)), 1.0 / math.sqrt(dh)), axis=-1)
+    heads_out = swapaxes(matmul(attn, v), -3, -2)
+    out = linear(reshape(heads_out, heads_out.shape[:-2] + (d,)), wo, bo)
+    return (out, attn.data.copy()) if return_weights else out
 
 
 # --- backward pass ---
@@ -475,6 +470,7 @@ def backward(tape: GradientTape, loss: Tensor) -> dict:
     grads = {loss._node.node_id: np.ones_like(loss.data)}
     result = {}
     for node in reversed(tape.nodes):
+        vjp, node.vjp = node.vjp, None  # frees the op's saved inputs
         g = grads.pop(node.node_id, None)
         if g is None:
             continue
@@ -482,7 +478,9 @@ def backward(tape: GradientTape, loss: Tensor) -> dict:
             if node.tensor is not None and node.tensor.requires_grad:
                 result[node.tensor] = g
             continue
-        for parent, pg in zip(node.parents, node.vjp(g)):
+        for parent, pg in zip(node.parents, vjp(g)):
+            if parent is None:
+                continue
             if parent.node_id in grads:
                 grads[parent.node_id] = grads[parent.node_id] + pg
             else:
@@ -498,39 +496,37 @@ def _name_seed(seed: int, name: str) -> np.random.Generator:
 
 
 class ParamSet:
-    """Named parameter tensors with recorded initialization metadata.
+    """Named parameter tensors.
 
-    Each parameter's stream is derived from (seed, name), so values do not
-    depend on creation order. Names are unique and shapes immutable.
+    Each parameter's init stream is derived from (seed, name), so values do
+    not depend on creation order. Names are unique and shapes immutable.
     """
 
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
         self._params = {}
-        self._meta = {}
 
-    def _register(self, name, data, scheme, fan_in=None):
+    def _register(self, name, data):
         if name in self._params:
             raise TensorError(f"duplicate parameter name {name!r}")
         t = Tensor(data, requires_grad=True)
         self._params[name] = t
-        self._meta[name] = {"scheme": scheme, "fan_in": fan_in, "seed": self.seed}
         return t
 
     def linear_weight(self, name: str, fan_in: int, fan_out: int) -> Tensor:
         bound = 1.0 / math.sqrt(fan_in)
         data = _name_seed(self.seed, name).uniform(-bound, bound, size=(fan_in, fan_out))
-        return self._register(name, data, "uniform_fan_in", fan_in)
+        return self._register(name, data)
 
     def zeros(self, name: str, shape) -> Tensor:
-        return self._register(name, np.zeros(shape), "zeros")
+        return self._register(name, np.zeros(shape))
 
     def ones(self, name: str, shape) -> Tensor:
-        return self._register(name, np.ones(shape), "ones")
+        return self._register(name, np.ones(shape))
 
     def query_normal(self, name: str, shape, std: float = 0.02) -> Tensor:
         data = _name_seed(self.seed, name).normal(0.0, std, size=shape)
-        return self._register(name, data, "normal_0.02")
+        return self._register(name, data)
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -543,9 +539,6 @@ class ParamSet:
 
     def items(self):
         return self._params.items()
-
-    def meta(self, name: str) -> dict:
-        return dict(self._meta[name])
 
     def total_count(self) -> int:
         return int(sum(t.data.size for t in self._params.values()))

@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -62,6 +63,15 @@ class TestForwardPrimitives:
         a, b = rnd(rng, 3, 2), rnd(rng, 3, 5)
         cat = tn.concat([tn.Tensor(a), tn.Tensor(b)], axis=-1)
         npt.assert_array_equal(tn.narrow(cat, -1, 2, 5).data, b)
+
+    def test_reshape_and_swapaxes_reject_bad_shapes(self):
+        x = tn.Tensor(np.zeros((2, 3)))
+        with pytest.raises(tn.TensorError):
+            tn.reshape(x, (4, 2))
+        with pytest.raises(tn.TensorError):
+            tn.swapaxes(x, 0, 2)
+        with pytest.raises(tn.TensorError):
+            tn.swapaxes(tn.Tensor(np.zeros(3)), -1, -2)
 
     def test_numeric_fault_detection(self):
         huge = np.exp(700.0) * np.ones(1)
@@ -134,7 +144,64 @@ def loop_attention(q_in, kv_in, heads, m):
     return outs @ m["wo"] + m["bo"]
 
 
+def per_head_attention(q_in, kv_in, heads, wq, wk, wv, wo, bq, bk, bv, bo, positions=None):
+    """multi_head_attention as one recorded computation per head."""
+    dh = q_in.shape[-1] // heads
+    q, k, v = tn.linear(q_in, wq, bq), tn.linear(kv_in, wk, bk), tn.linear(kv_in, wv, bv)
+    outs = []
+    for h in range(heads):
+        qh, kh, vh = (tn.narrow(x, -1, h * dh, dh) for x in (q, k, v))
+        if positions is not None:
+            qh, kh = tn.rope(qh, positions), tn.rope(kh, positions)
+        scores = tn.scale(tn.matmul(qh, tn.swapaxes(kh, -1, -2)), 1.0 / math.sqrt(dh))
+        outs.append(tn.matmul(tn.softmax(scores, axis=-1), vh))
+    return tn.linear(tn.concat(outs, axis=-1), wo, bo)
+
+
 class TestAttention:
+    @pytest.mark.parametrize("q_shape,kv_shape,self_attention", [
+        ((2, 5, 8), (2, 5, 8), True),  # batched self-attention with RoPE positions
+        ((3, 8), (2, 4, 8), False),  # 2-D queries broadcast against a batch of keys
+    ], ids=["batched_self_rope", "broadcast_cross"])
+    def test_matches_per_head_reference(self, q_shape, kv_shape, self_attention):
+        rng = np.random.default_rng(17)
+        d, heads = q_shape[-1], 4
+        arrays = {"q_in": rnd(rng, *q_shape), "kv_in": rnd(rng, *kv_shape),
+                  **make_attention_params(rng, d)}
+        positions = np.arange(q_shape[-2]) if self_attention else None
+
+        def run(attention):
+            leaves = {name: tn.Tensor(a, requires_grad=True) for name, a in arrays.items()}
+            q_in, kv_in = leaves.pop("q_in"), leaves.pop("kv_in")
+            kv = q_in if self_attention else kv_in
+            with tn.GradientTape() as tape:
+                out = attention(q_in, kv, heads, **leaves, positions=positions)
+                out_weight = np.linspace(-1.0, 1.0, out.data.size).reshape(out.shape)
+                loss = tn.sum_all(tn.mul(out, tn.Tensor(out_weight)))
+            leaves.update(q_in=q_in, kv_in=kv_in)
+            grads = tn.backward(tape, loss)
+            return out.data, {name: grads.get(t) for name, t in leaves.items()}
+
+        out, grads = run(tn.multi_head_attention)
+        ref_out, ref_grads = run(per_head_attention)
+        npt.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-15)
+        for name, ref in ref_grads.items():
+            if ref is None:  # kv_in is unused in self-attention
+                assert grads[name] is None, name
+            else:
+                npt.assert_allclose(grads[name], ref, rtol=1e-12, atol=1e-15, err_msg=name)
+
+    def test_weights_are_one_array_per_batch_and_head(self):
+        rng = np.random.default_rng(18)
+        d = 8
+        m = make_attention_params(rng, d)
+        _, weights = tn.multi_head_attention(
+            tn.Tensor(rnd(rng, 3, d)), tn.Tensor(rnd(rng, 2, 5, d)), 2,
+            **{k: tn.Tensor(v) for k, v in m.items()}, return_weights=True,
+        )
+        assert isinstance(weights, np.ndarray)
+        assert weights.shape == (2, 2, 3, 5)
+
     def test_single_kv_token(self):
         # One key/value token: every query gets exactly its value projection.
         rng = np.random.default_rng(9)
@@ -240,6 +307,18 @@ class TestBackward:
         with pytest.raises(tn.TapeError):
             tn.backward(tape2, y)
 
+    def test_backward_frees_saved_inputs_without_gc(self):
+        # An op's vjp closure holds its inputs, and every recorded tensor
+        # holds its tape; backward must break that cycle itself.
+        x = tn.Tensor(np.arange(3.0), requires_grad=True)
+        with tn.GradientTape() as tape:
+            y = tn.mul(x, x)
+            loss = tn.sum_all(tn.mul(y, y))
+        y_data = weakref.ref(y.data)
+        tn.backward(tape, loss)
+        del y, loss
+        assert y_data() is None
+
     def test_grad_accumulates_on_reused_tensor(self):
         x = tn.Tensor(np.array([2.0]), requires_grad=True)
         with tn.GradientTape() as tape:
@@ -262,7 +341,8 @@ OPS_FOR_GRADCHECK = [
     ("normalize_rows", lambda ts: tn.sum_all(tn.mul(tn.normalize_rows(ts[0]), tn.Tensor(_W33))), 1),
     ("concat", lambda ts: tn.sum_all(tn.mul(tn.concat(ts, axis=-1), tn.Tensor(_W36))), 2),
     ("narrow", lambda ts: tn.sum_all(tn.mul(tn.narrow(ts[0], -1, 1, 2), tn.Tensor(_W32))), 1),
-    ("transpose", lambda ts: tn.sum_all(tn.mul(tn.transpose_last(ts[0]), tn.Tensor(_W33))), 1),
+    ("reshape", lambda ts: tn.sum_all(tn.mul(tn.reshape(ts[0], (9,)), tn.Tensor(_W9))), 1),
+    ("swapaxes", lambda ts: tn.sum_all(tn.mul(tn.swapaxes(ts[0], 0, 1), tn.Tensor(_W33))), 1),
     ("rope", lambda ts: tn.sum_all(tn.mul(tn.rope(ts[0], [1, 2, 3]), tn.Tensor(_W34))), 1),
     ("l1_loss", lambda ts: tn.l1_loss(ts[0], ts[1]), 2),
 ]
@@ -272,6 +352,7 @@ _W33 = _rng.normal(size=(3, 3))
 _W36 = _rng.normal(size=(3, 6))
 _W32 = _rng.normal(size=(3, 2))
 _W34 = _rng.normal(size=(3, 4))
+_W9 = _rng.normal(size=9)
 
 
 class TestGradCheckPerOp:
