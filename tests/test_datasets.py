@@ -106,6 +106,53 @@ class TestWindows:
         with pytest.raises(ds.DatasetError):
             ds.make_windows(small_dataset.demos[0], horizon=0)
 
+    @pytest.mark.parametrize("horizon", [1, 8, 40])
+    def test_matches_per_step_reference(self, goal_and_long_demos, horizon):
+        for demo in goal_and_long_demos:
+            windows = ds.make_windows(demo, horizon)
+            expect = per_step_windows(demo, horizon)
+            assert len(windows) == len(expect) == len(demo.steps)
+            for w, (poses, actions, n_padded, t) in zip(windows, expect):
+                for got, ref in [(w.target_poses_cam, poses), (w.target_actions, actions)]:
+                    assert got.dtype == ref.dtype and got.shape == ref.shape
+                    assert got.tobytes() == ref.tobytes()
+                assert (w.n_padded, w.t) == (n_padded, t)
+                npt.assert_array_equal(w.state_vec, demo.steps[t].state_vec)
+                assert w.features is demo.steps[t].features
+
+
+@pytest.fixture(scope="module")
+def goal_and_long_demos():
+    demos = []
+    for family in ["goal", "long"]:
+        scene, task = sw.default_scene(family)
+        demos += ds.record_demonstrations(scene, task, n=2, seed=11).demos
+    return demos
+
+
+def per_step_windows(demo, horizon):
+    """Reference windowing: one (t, h) pair at a time, tail rows rebuilt as a
+    zero rigid action with the final gripper command held.
+
+    Returns (target_poses_cam, target_actions, n_padded, t) per timestep.
+    """
+    last = len(demo.steps) - 1
+    poses_cam = [geo.se3_to_pose(s.ee_pose_cam) for s in demo.steps]
+    out = []
+    for t in range(len(demo.steps)):
+        poses, actions, n_padded = np.zeros((horizon, 6)), np.zeros((horizon, 7)), 0
+        for h in range(1, horizon + 1):
+            if t + h > last:
+                n_padded += 1
+            poses[h - 1] = poses_cam[min(t + h, last)]
+            if t + h - 1 >= last:
+                actions[h - 1] = np.concatenate([np.zeros(6), [demo.steps[last].action.gripper]])
+            else:
+                src = demo.steps[t + h - 1]
+                actions[h - 1] = np.concatenate([src.action.dp, src.action.dtheta, [src.action.gripper]])
+        out.append((poses, actions, n_padded, t))
+    return out
+
 
 @pytest.fixture(scope="module")
 def window(small_dataset):
