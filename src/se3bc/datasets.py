@@ -2,9 +2,11 @@
 
 A demonstration is a sequence of per-timestep records; the last record is the
 final state with a zero rigid action and held gripper command, so every
-record carries the same fields. Features are recorded with metric depth
-only; Policy.encode re-expresses it per variant (relative / none are derived
-exactly from the metric values).
+record carries the same fields. It is also the stationary pad that
+make_windows repeats past the end of the episode, so read_dataset rejects a
+final record that moves and a gripper_cmd that differs from the action's.
+Features are recorded with metric depth only; Policy.encode re-expresses it
+per variant (relative / none are derived exactly from the metric values).
 
 The `demos_v1` file format is JSON lines: a header object, then one object
 per (demo, timestep). Floats are written in Python's shortest round-trip
@@ -98,7 +100,6 @@ class StepRecord:
     ee_pose_cam: np.ndarray
     state_vec: np.ndarray  # [p, theta, gripper]
     action: geo.RelativeAction  # executed rigid motion + commanded gripper
-    gripper_cmd: float
 
 
 @dataclass
@@ -185,35 +186,30 @@ def _record_episode(sim, expert, camera, t_wc, ep_seed):
     expert.reset()
     states = [state]
     commands = []
-    success = False
     for _ in range(sim.task.horizon_limit):
         cmd = expert.action(state)
         state = sim.step(state, cmd)
         states.append(state)
         commands.append(cmd)
         if sim.check_success(state):
-            success = True
             break
-    if not success:
+    else:
         return None
 
     steps = []
     for t, s in enumerate(states):
-        features = sw.featurize(s, sim.task, sim.scene, camera)
         if t < len(commands):
             rigid = geo.relative_action(s.ee_pose, states[t + 1].ee_pose)
-            g_cmd = commands[t].gripper
         else:
             rigid = geo.RelativeAction.zero()
-            g_cmd = commands[-1].gripper  # held
+        g_cmd = commands[min(t, len(commands) - 1)].gripper  # the final record holds the last
         steps.append(
             StepRecord(
-                features=features,
+                features=sw.featurize(s, sim.task, sim.scene, camera),
                 ee_pose_world=s.ee_pose.copy(),
                 ee_pose_cam=t_wc @ s.ee_pose,
                 state_vec=s.state_vec(),
                 action=geo.RelativeAction(rigid.dp, rigid.dtheta, g_cmd),
-                gripper_cmd=g_cmd,
             )
         )
     return Demonstration(steps=steps, seed=ep_seed)
@@ -224,9 +220,10 @@ class TrainingWindow:
     """Features and state at t plus horizon-H supervision targets.
 
     target_poses_cam rows are camera-frame pose vectors [p, theta] for steps
-    t+1 .. t+H; target_actions rows are [dp, dtheta, gripper]. Past the end
-    of the episode the final pose repeats with a zero rigid action and held
-    gripper (n_padded counts those rows).
+    t+1 .. t+H; target_actions rows are [dp, dtheta, gripper] for steps
+    t .. t+H-1. Past the end of the episode the final record repeats: its
+    pose, a zero rigid action and the held gripper (n_padded counts the pose
+    rows that repeat it).
     """
 
     features: sw.ObservationFeatures
@@ -238,58 +235,46 @@ class TrainingWindow:
 
 
 def make_windows(demo: Demonstration, horizon: int = HORIZON_DEFAULT) -> list:
-    """One window per timestep; tail targets padded from the final record."""
+    """One window per timestep, each a slice of one per-demo table.
+
+    The table holds every record's camera-frame pose and [dp, dtheta,
+    gripper] row, then `horizon` copies of the final record, which is the
+    stationary pad (read_dataset checks that it does not move and that its
+    gripper is the recorded command). Windows share their arrays with each
+    other and with the demo's records: they are read-only.
+    """
     if horizon < 1:
         raise DatasetError("horizon must be >= 1")
-    length = len(demo.steps)
-    if length < 1:
+    if not demo.steps:
         return []
-    last = length - 1
-    poses_cam = [geo.se3_to_pose(s.ee_pose_cam) for s in demo.steps]
-    windows = []
-    for t in range(length):
-        target_poses = np.zeros((horizon, 6))
-        target_actions = np.zeros((horizon, 7))
-        n_padded = 0
-        for h in range(1, horizon + 1):
-            idx = min(t + h, last)
-            if t + h > last:
-                n_padded += 1
-            target_poses[h - 1] = poses_cam[idx]
-            src = demo.steps[min(t + h - 1, last)]
-            if t + h - 1 >= last:
-                # stationary tail: zero rigid motion, held gripper
-                target_actions[h - 1] = np.concatenate(
-                    [np.zeros(6), [demo.steps[last].gripper_cmd]]
-                )
-            else:
-                target_actions[h - 1] = np.concatenate(
-                    [src.action.dp, src.action.dtheta, [src.gripper_cmd]]
-                )
-        windows.append(
-            TrainingWindow(
-                features=demo.steps[t].features,
-                state_vec=demo.steps[t].state_vec.copy(),
-                target_poses_cam=target_poses,
-                target_actions=target_actions,
-                n_padded=n_padded,
-                t=t,
-            )
+    last = len(demo.steps) - 1
+    pad = ((0, horizon), (0, 0))
+    poses = np.pad([geo.se3_to_pose(s.ee_pose_cam) for s in demo.steps], pad, mode="edge")
+    acts = np.pad([[*s.action.dp, *s.action.dtheta, s.action.gripper] for s in demo.steps], pad,
+                  mode="edge")
+    return [
+        TrainingWindow(
+            features=s.features,
+            state_vec=s.state_vec,
+            target_poses_cam=poses[t + 1 : t + 1 + horizon],
+            target_actions=acts[t : t + horizon],
+            n_padded=max(0, t + horizon - last),
+            t=t,
         )
-    return windows
+        for t, s in enumerate(demo.steps)
+    ]
 
 
 def make_supervision(window: TrainingWindow, variant: SupervisionVariant, cam: sw.CameraModel):
-    """Per-step target rows for a variant; returns (targets (H, dim), dim).
+    """Per-step target rows (H, variant.target_dim) for a variant.
 
     Chart violations (axis-angle at the boundary, Euler gimbal band,
     keypoints behind the camera) raise DatasetError naming the step.
     """
     horizon = window.target_poses_cam.shape[0]
-    dim = variant.target_dim
-    targets = np.zeros((horizon, dim))
+    targets = np.zeros((horizon, variant.target_dim))
     if variant.target == "no_traj":
-        return targets, 0
+        return targets
 
     for h in range(horizon):
         pose_cam = window.target_poses_cam[h]
@@ -309,7 +294,7 @@ def make_supervision(window: TrainingWindow, variant: SupervisionVariant, cam: s
         else:  # aux_traj, traj_camera_se3: camera frame
             pos, rot = pose_cam[:3], geo.exp_so3(pose_cam[3:])
         targets[h] = np.concatenate([pos, _rotation_block(rot, variant.rotation_param, h)])
-    return targets, dim
+    return targets
 
 
 def _rotation_block(rot: np.ndarray, rotation_param: str, h: int) -> np.ndarray:
@@ -377,7 +362,7 @@ def write_dataset(path: str, dataset: DemoDataset) -> None:
                         "dtheta": s.action.dtheta.tolist(),
                         "gripper": s.action.gripper,
                     },
-                    "gripper_cmd": s.gripper_cmd,
+                    "gripper_cmd": s.action.gripper,
                 }
                 f.write(json.dumps(row, sort_keys=True) + "\n")
 
@@ -409,12 +394,15 @@ def read_dataset(path: str) -> DemoDataset:
     )
     seeds = header["episode_seeds"]
     demos = [Demonstration(steps=[], seed=s) for s in seeds]
+    final_line = {}  # demo index -> line of its latest record
     for i, text in enumerate(lines[1:], start=1):
         row = parse(i, text)
         try:
             demo = demos[row["demo"]]
             if row["t"] != len(demo.steps):
                 raise DatasetFormatError(f"line {i + 1}: timestep {row['t']} out of order")
+            if row["gripper_cmd"] != row["action"]["gripper"]:
+                raise DatasetFormatError(f"line {i + 1}: gripper_cmd differs from action.gripper")
             demo.steps.append(
                 StepRecord(
                     features=_features_from_doc(row["features"]),
@@ -424,13 +412,17 @@ def read_dataset(path: str) -> DemoDataset:
                     action=geo.RelativeAction(
                         row["action"]["dp"], row["action"]["dtheta"], row["action"]["gripper"]
                     ),
-                    gripper_cmd=row["gripper_cmd"],
                 )
             )
+            final_line[row["demo"]] = i + 1
         except DatasetFormatError:
             raise
         except (KeyError, IndexError, TypeError, ValueError) as e:
             raise DatasetFormatError(f"line {i + 1}: {e}") from e
+    for d, line in final_line.items():
+        final = demos[d].steps[-1].action
+        if np.any(final.dp) or np.any(final.dtheta):
+            raise DatasetFormatError(f"line {line}: final record of demo {d} has a non-zero rigid action")
     if header["n_demos"] != len(demos):
         raise DatasetFormatError("line 1: n_demos does not match body")
     dataset.demos = demos

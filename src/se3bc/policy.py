@@ -121,23 +121,6 @@ class PolicyOutput:
     chart_violations: int  # axis-angle rows at or past the chart boundary
 
 
-def trajectory_loss(pred, target) -> tn.Tensor:
-    """Mean over horizon steps of l1 target error (raw meters and radians)."""
-    return tn.l1_loss(tn.as_tensor(pred), tn.as_tensor(target))
-
-
-def action_and_total_loss(pred_chunk, target_chunk, traj_loss_value, lam: float):
-    """(action loss, total loss) with total = lam * traj + act."""
-    if lam < 0:
-        raise PolicyConfigError("lam must be >= 0")
-    act = tn.l1_loss(tn.as_tensor(pred_chunk), tn.as_tensor(target_chunk))
-    if isinstance(traj_loss_value, tn.Tensor):
-        total = tn.add(tn.scale(traj_loss_value, lam), act)
-    else:
-        total = tn.add(tn.Tensor(np.asarray(lam * float(traj_loss_value))), act)
-    return act, total
-
-
 class Policy:
     """Encoder + (optional) trajectory predictor + action decoder."""
 
@@ -286,13 +269,6 @@ class Policy:
         grip = tn.sigmoid(tn.narrow(out, -1, 6, 1))
         return tn.concat([rigid, grip], axis=-1)
 
-    def conditioning_stream(self, h3d: tn.Tensor, h_traj):
-        if self.cfg.variant.decoder_sees_trajectory:
-            if h_traj is None:
-                raise PolicyConfigError("variant requires predictor hidden states")
-            return h_traj
-        return h3d
-
     # --- training/inference entry points ---
 
     def forward(self, lang, visual, depth, state_vec):
@@ -300,20 +276,23 @@ class Policy:
         h3d = self.encode(lang, visual, depth)
         pred = self.predict_trajectory(h3d)
         h_traj, tau = pred if pred is not None else (None, None)
-        chunk = self.decode_actions(self.conditioning_stream(h3d, h_traj), state_vec)
+        conditioning = h_traj if self.cfg.variant.decoder_sees_trajectory else h3d
+        chunk = self.decode_actions(conditioning, state_vec)
         return {"h3d": h3d, "h_traj": h_traj, "tau": tau, "chunk": chunk}
 
     def loss(self, batch):
-        """(total, traj, act) losses for a collated batch."""
+        """(total, traj, act) for a collated batch, total = lam * traj + act.
+
+        traj and act are the l1 losses of tau and of the action chunk against
+        their targets (raw meters and radians); traj is 0 without a predictor.
+        """
         out = self.forward(batch["lang"], batch["visual"], batch["depth"], batch["state"])
-        if out["tau"] is not None:
-            traj = trajectory_loss(out["tau"], tn.Tensor(batch["traj_targets"]))
-        else:
+        if out["tau"] is None:
             traj = tn.Tensor(np.asarray(0.0))
-        act, total = action_and_total_loss(
-            out["chunk"], tn.Tensor(batch["action_targets"]), traj, self.cfg.lam
-        )
-        return total, traj, act
+        else:
+            traj = tn.l1_loss(out["tau"], tn.Tensor(batch["traj_targets"]))
+        act = tn.l1_loss(out["chunk"], tn.Tensor(batch["action_targets"]))
+        return tn.add(tn.scale(traj, self.cfg.lam), act), traj, act
 
     def act(self, features: sw.ObservationFeatures, state_vec) -> PolicyOutput:
         """Inference (no tape): one action chunk for the current observation."""
@@ -368,8 +347,7 @@ def collate(windows, variant: SupervisionVariant, cam: sw.CameraModel, scene: sw
         visual.append(w.features.visual)
         depth.append(w.features.depth)
         states.append(w.state_vec.reshape(1, 7))
-        targets, _ = make_supervision(w, variant, cam)
-        traj_t.append(targets)
+        traj_t.append(make_supervision(w, variant, cam))
         act_t.append(w.target_actions)
     return {
         "lang": np.stack(lang),

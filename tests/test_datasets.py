@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -25,16 +26,15 @@ class TestRecording:
         sim = sw.Simulator(scene, task)
         state = sim.reset(demo.seed)
         for step in demo.steps[:-1]:
-            state = sim.step(state, geo.RelativeAction(step.action.dp, step.action.dtheta,
-                                                       step.gripper_cmd))
+            state = sim.step(state, step.action)
         assert sim.check_success(state)
 
     def test_recording_deterministic(self, tmp_path):
         scene, task = sw.default_scene("goal")
-        p1, p2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
-        ds.write_dataset(p1, ds.record_demonstrations(scene, task, n=2, seed=7))
-        ds.write_dataset(p2, ds.record_demonstrations(scene, task, n=2, seed=7))
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        ds.write_dataset(str(p1), ds.record_demonstrations(scene, task, n=2, seed=7))
+        ds.write_dataset(str(p2), ds.record_demonstrations(scene, task, n=2, seed=7))
+        assert p1.read_bytes() == p2.read_bytes()
 
     def test_per_step_invariants(self, small_dataset):
         data = small_dataset
@@ -161,14 +161,14 @@ def window(small_dataset):
 
 class TestSupervision:
     def test_camera_se3_is_pose_vector(self, window, small_dataset):
-        targets, dim = ds.make_supervision(window, ds.SupervisionVariant("traj_camera_se3"),
-                                           small_dataset.camera)
-        assert dim == 6 and targets.shape == (8, 6)
+        targets = ds.make_supervision(window, ds.SupervisionVariant("traj_camera_se3"),
+                                      small_dataset.camera)
+        assert targets.shape == (8, 6)
         npt.assert_allclose(targets, window.target_poses_cam, atol=0)
 
     def test_world_se3_matches_extrinsic_lift(self, window, small_dataset):
-        targets, _ = ds.make_supervision(window, ds.SupervisionVariant("traj_world_se3"),
-                                         small_dataset.camera)
+        targets = ds.make_supervision(window, ds.SupervisionVariant("traj_world_se3"),
+                                      small_dataset.camera)
         for h in range(8):
             t_world = geo.camera_to_world(
                 geo.pose_to_se3(window.target_poses_cam[h]), small_dataset.camera.extrinsic
@@ -177,36 +177,36 @@ class TestSupervision:
 
     def test_2d_is_projection_of_3d(self, window, small_dataset):
         cam = small_dataset.camera
-        t2, d2 = ds.make_supervision(window, ds.SupervisionVariant("traj_2d"), cam)
-        t3, d3 = ds.make_supervision(window, ds.SupervisionVariant("traj_3d_pos"), cam)
-        assert (d2, d3) == (2, 3)
+        t2 = ds.make_supervision(window, ds.SupervisionVariant("traj_2d"), cam)
+        t3 = ds.make_supervision(window, ds.SupervisionVariant("traj_3d_pos"), cam)
+        assert (t2.shape[1], t3.shape[1]) == (2, 3)
         for h in range(8):
             uv, _ = geo.project_pinhole(t3[h], cam.intrinsic)
             npt.assert_allclose(t2[h], [uv[0] / cam.intrinsic.width, uv[1] / cam.intrinsic.height],
                                 atol=1e-12)
 
     def test_quaternion_targets_unit_norm(self, window, small_dataset):
-        targets, dim = ds.make_supervision(
+        targets = ds.make_supervision(
             window, ds.SupervisionVariant("traj_camera_se3", rotation_param="quaternion"),
             small_dataset.camera)
-        assert dim == 7
+        assert targets.shape[1] == 7
         npt.assert_allclose(np.linalg.norm(targets[:, 3:], axis=1), np.ones(8), atol=1e-12)
 
     def test_no_traj_empty(self, window, small_dataset):
-        targets, dim = ds.make_supervision(window, ds.SupervisionVariant("no_traj"),
-                                           small_dataset.camera)
-        assert dim == 0 and targets.shape == (8, 0)
+        targets = ds.make_supervision(window, ds.SupervisionVariant("no_traj"),
+                                      small_dataset.camera)
+        assert targets.shape == (8, 0)
 
     def test_aux_equals_camera_targets(self, window, small_dataset):
-        a, _ = ds.make_supervision(window, ds.SupervisionVariant("aux_traj"), small_dataset.camera)
-        c, _ = ds.make_supervision(window, ds.SupervisionVariant("traj_camera_se3"),
-                                   small_dataset.camera)
+        a = ds.make_supervision(window, ds.SupervisionVariant("aux_traj"), small_dataset.camera)
+        c = ds.make_supervision(window, ds.SupervisionVariant("traj_camera_se3"),
+                                small_dataset.camera)
         npt.assert_array_equal(a, c)
 
     def test_supervision_deterministic(self, window, small_dataset):
         v = ds.SupervisionVariant("traj_camera_se3")
-        a, _ = ds.make_supervision(window, v, small_dataset.camera)
-        b, _ = ds.make_supervision(window, v, small_dataset.camera)
+        a = ds.make_supervision(window, v, small_dataset.camera)
+        b = ds.make_supervision(window, v, small_dataset.camera)
         npt.assert_array_equal(a, b)
 
     def test_all_variant_dims(self, window, small_dataset):
@@ -214,8 +214,8 @@ class TestSupervision:
             rotations = ds.ROTATION_PARAMS if target in ds.SE3_TARGETS else ["axis_angle"]
             for rot in rotations:
                 v = ds.SupervisionVariant(target, rotation_param=rot)
-                targets, dim = ds.make_supervision(window, v, small_dataset.camera)
-                assert targets.shape == (8, dim) == (8, v.target_dim)
+                targets = ds.make_supervision(window, v, small_dataset.camera)
+                assert targets.shape == (8, v.target_dim)
 
     def test_invalid_variant_combo(self):
         with pytest.raises(ds.DatasetError):
@@ -261,31 +261,55 @@ class TestFileFormat:
                 npt.assert_array_equal(sa.state_vec, sbk.state_vec)
                 npt.assert_array_equal(sa.action.dp, sbk.action.dp)
                 npt.assert_array_equal(sa.action.dtheta, sbk.action.dtheta)
-                assert sa.gripper_cmd == sbk.gripper_cmd
+                assert sa.action.gripper == sbk.action.gripper
                 npt.assert_array_equal(sa.features.tokens(), sbk.features.tokens())
         assert back.config_hash() == small_dataset.config_hash()
 
     def test_corrupted_line_names_line(self, tmp_path, small_dataset):
-        path = str(tmp_path / "demos.jsonl")
-        ds.write_dataset(path, small_dataset)
-        lines = open(path).read().splitlines()
+        path = tmp_path / "demos.jsonl"
+        ds.write_dataset(str(path), small_dataset)
+        lines = path.read_text().splitlines()
         lines[2] = lines[2][: len(lines[2]) // 2]  # truncate line 3
-        open(path, "w").write("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ds.DatasetFormatError, match="line 3"):
-            ds.read_dataset(path)
+            ds.read_dataset(str(path))
 
     def test_rejects_non_metric_depth(self, tmp_path, small_dataset):
-        path = str(tmp_path / "demos.jsonl")
-        ds.write_dataset(path, small_dataset)
-        lines = open(path).read().splitlines()
+        path = tmp_path / "demos.jsonl"
+        ds.write_dataset(str(path), small_dataset)
+        lines = path.read_text().splitlines()
         assert '"depth_mode": "metric"' in lines[3]
         lines[3] = lines[3].replace('"depth_mode": "metric"', '"depth_mode": "relative"')
-        open(path, "w").write("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ds.DatasetFormatError, match="line 4: .*'relative'"):
-            ds.read_dataset(path)
+            ds.read_dataset(str(path))
+
+    def test_rejects_gripper_cmd_that_differs_from_the_action(self, tmp_path, small_dataset):
+        path = tmp_path / "demos.jsonl"
+        ds.write_dataset(str(path), small_dataset)
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[5])
+        row["gripper_cmd"] = 1.0 - row["action"]["gripper"]
+        lines[5] = json.dumps(row, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ds.DatasetFormatError, match="line 6: gripper_cmd"):
+            ds.read_dataset(str(path))
+
+    def test_rejects_a_final_record_that_moves(self, tmp_path, small_dataset):
+        path = tmp_path / "demos.jsonl"
+        ds.write_dataset(str(path), small_dataset)
+        lines = path.read_text().splitlines()
+        final = len(small_dataset.demos[0].steps)  # index of demo 0's final record
+        row = json.loads(lines[final])
+        assert (row["demo"], row["t"]) == (0, final - 1)
+        row["action"]["dp"][2] = 0.01
+        lines[final] = json.dumps(row, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ds.DatasetFormatError, match=f"line {final + 1}: final record of demo 0"):
+            ds.read_dataset(str(path))
 
     def test_schema_mismatch(self, tmp_path):
-        path = str(tmp_path / "bad.jsonl")
-        open(path, "w").write('{"schema": "other_v9"}\n')
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"schema": "other_v9"}\n')
         with pytest.raises(ds.DatasetFormatError, match="line 1"):
-            ds.read_dataset(path)
+            ds.read_dataset(str(path))

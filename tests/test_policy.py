@@ -50,39 +50,57 @@ class TestConfig:
         assert cfg.lam == 0.1
 
 
+def loss_terms(policy, batch):
+    total, traj, act = policy.loss(batch)
+    return float(total.data), float(traj.data), float(act.data)
+
+
+def l1_rows(pred, target):
+    """Scalar-loop oracle: per-row sums of |pred - target|, averaged over rows."""
+    pred, target = pred.reshape(-1, pred.shape[-1]), target.reshape(-1, target.shape[-1])
+    rows = [sum(abs(float(p) - float(t)) for p, t in zip(pr, tr)) for pr, tr in zip(pred, target)]
+    return sum(rows) / len(rows)
+
+
 class TestLosses:
-    def test_perfect_prediction_zero(self):
-        x = np.random.default_rng(0).normal(size=(8, 6))
-        assert float(pol.trajectory_loss(x, x).data) == 0.0
+    @pytest.fixture
+    def batch(self, world):
+        scene, task, data, windows = world
+        return pol.collate(windows[:5], ds.SupervisionVariant(), data.camera, scene)
 
-    def test_uniform_offset_rule(self):
-        # +0.01 over 6 dims -> 0.06, independent of horizon
-        for horizon in [1, 4, 8]:
-            pred = np.zeros((horizon, 6))
-            target = np.full((horizon, 6), 0.01)
-            assert abs(float(pol.trajectory_loss(pred, target).data) - 0.06) < 1e-15
+    def forward(self, policy, batch):
+        return policy.forward(batch["lang"], batch["visual"], batch["depth"], batch["state"])
 
-    def test_lambda_combination(self):
-        # (L_traj, L_act) = (0.2, 0.05) at lam 0.1 -> 0.07
-        target = np.zeros((8, 7))
-        target[:, 0] = 0.05
-        act, total = pol.action_and_total_loss(np.zeros((8, 7)), target, 0.2, lam=0.1)
-        assert float(act.data) == pytest.approx(0.05, abs=1e-15)
-        assert float(total.data) == pytest.approx(0.07, abs=1e-15)
+    def test_lambda_combination(self, world, batch):
+        policy = make_policy(world[0], lam=0.3)
+        total, traj, act = loss_terms(policy, batch)
+        assert traj > 0 and act > 0
+        assert total == 0.3 * traj + act
 
-    def test_perfect_chunk_gives_lambda_traj(self):
-        traj = tn.Tensor(np.asarray(0.3))
-        act, total = pol.action_and_total_loss(np.ones((4, 7)), np.ones((4, 7)), traj, lam=0.5)
-        assert float(act.data) == 0.0
-        assert float(total.data) == pytest.approx(0.15, abs=1e-15)
+    def test_matches_scalar_loop_oracle(self, world, batch):
+        policy = make_policy(world[0])
+        out = self.forward(policy, batch)
+        _, traj, act = loss_terms(policy, batch)
+        assert abs(traj - l1_rows(out["tau"].data, batch["traj_targets"])) < 1e-12
+        assert abs(act - l1_rows(out["chunk"].data, batch["action_targets"])) < 1e-12
 
-    def test_matches_scalar_loop_oracle(self):
-        rng = np.random.default_rng(1)
-        pred, target = rng.normal(size=(8, 7)), rng.normal(size=(8, 7))
-        act, total = pol.action_and_total_loss(pred, target, 0.4, lam=0.1)
-        expect = sum(sum(abs(pred[h, d] - target[h, d]) for d in range(7)) for h in range(8)) / 8
-        assert abs(float(act.data) - expect) < 1e-12
-        assert abs(float(total.data) - (0.04 + expect)) < 1e-12
+    def test_perfect_prediction_zero(self, world, batch):
+        policy = make_policy(world[0])
+        tau = self.forward(policy, batch)["tau"].data
+        total, traj, act = loss_terms(policy, {**batch, "traj_targets": tau})
+        assert traj == 0.0 and total == act
+
+    def test_perfect_chunk_gives_lambda_traj(self, world, batch):
+        policy = make_policy(world[0], lam=0.5)
+        chunk = self.forward(policy, batch)["chunk"].data
+        total, traj, act = loss_terms(policy, {**batch, "action_targets": chunk})
+        assert act == 0.0 and total == 0.5 * traj
+
+    def test_no_traj_total_is_action_loss(self, world):
+        scene, task, data, windows = world
+        batch = pol.collate(windows[:5], ds.SupervisionVariant("no_traj"), data.camera, scene)
+        total, traj, act = loss_terms(make_policy(scene, target="no_traj"), batch)
+        assert traj == 0.0 and act > 0 and total == act
 
 
 class TestEncoder:
@@ -175,8 +193,7 @@ class TestRouting:
         f, s = windows[0].features, windows[0].state_vec
         full = policy.act(f, s)
         # bypass the predictor entirely: conditioning is h3d by wiring
-        h3d = policy.encode_features(f)
-        direct = policy.decode_actions(policy.conditioning_stream(h3d, None), s.reshape(1, 7))
+        direct = policy.decode_actions(policy.encode_features(f), s.reshape(1, 7))
         npt.assert_array_equal(full.chunk, direct.data)
         assert full.tau is not None  # the branch still exists and predicts
 

@@ -33,11 +33,12 @@ class TestForwardPrimitives:
         npt.assert_allclose(out.data.sum(axis=-1), np.ones(5), atol=1e-12)
 
     def test_l1_loss_offset_example(self):
-        # +0.01 offset in all 6 dims, H=8 rows -> 0.06 (up to fp rounding)
-        pred = np.zeros((8, 6))
-        target = np.full((8, 6), 0.01)
-        loss = tn.l1_loss(tn.Tensor(pred), tn.Tensor(target))
-        assert abs(float(loss.data) - 0.06) < 1e-15
+        # +0.01 offset in all 6 dims -> 0.06 at any horizon (up to fp rounding)
+        for horizon in [1, 4, 8]:
+            pred = np.zeros((horizon, 6))
+            target = np.full((horizon, 6), 0.01)
+            loss = tn.l1_loss(tn.Tensor(pred), tn.Tensor(target))
+            assert abs(float(loss.data) - 0.06) < 1e-15
 
     def test_l1_loss_batch_mean(self):
         rng = np.random.default_rng(2)
