@@ -90,11 +90,6 @@ class RelativeAction:
         if not 0.0 <= self.gripper <= 1.0:
             raise GeometryError(f"gripper {self.gripper} outside [0, 1]")
 
-    @property
-    def rigid(self) -> np.ndarray:
-        """The 6-vector [dp, dtheta]."""
-        return np.concatenate([self.dp, self.dtheta])
-
     @staticmethod
     def zero(gripper: float = 0.0) -> "RelativeAction":
         return RelativeAction(np.zeros(3), np.zeros(3), gripper)
@@ -395,8 +390,6 @@ _FROM_MATRIX = {
     "euler": matrix_to_euler,
     "matrix": lambda r: r,
 }
-
-ROTATION_CHARTS = tuple(_TO_MATRIX)
 
 
 def rotation_convert(value, src: str, dst: str):

@@ -80,8 +80,7 @@ class TrainConfig:
             raise HarnessError("batch_size must be >= 1")
 
 
-def train(dataset: ds.DemoDataset, cfg: TrainConfig, ckpt_path: str | None = None,
-          curve_path: str | None = None):
+def train(dataset: ds.DemoDataset, cfg: TrainConfig, ckpt_path: str | None = None):
     """Behavior-clone a policy on a demonstration dataset.
 
     Returns (policy, curve) where curve rows are (step, loss_traj, loss_act,
@@ -135,11 +134,6 @@ def train(dataset: ds.DemoDataset, cfg: TrainConfig, ckpt_path: str | None = Non
     if ckpt_path:
         tn.save_checkpoint(ckpt_path, policy.params, policy_cfg.config_hash(), cfg.steps,
                            extra={"policy_cfg": policy_cfg.to_json()})
-    if curve_path:
-        with open(curve_path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["step", "loss_traj", "loss_act", "loss_total", "lr"])
-            writer.writerows(curve)
     return policy, curve
 
 

@@ -160,17 +160,6 @@ class SimState:
     grasp_offset: np.ndarray | None = None  # ee-frame offset recorded at attach
     latch_visited: bool = False
 
-    def copy(self) -> "SimState":
-        return SimState(
-            ee_pose=self.ee_pose.copy(),
-            gripper=self.gripper,
-            object_poses={k: v.copy() for k, v in self.object_poses.items()},
-            attached=self.attached,
-            step_count=self.step_count,
-            grasp_offset=None if self.grasp_offset is None else self.grasp_offset.copy(),
-            latch_visited=self.latch_visited,
-        )
-
     def state_vec(self) -> np.ndarray:
         """7-vector [position, axis-angle orientation, gripper]."""
         return np.concatenate(
