@@ -167,7 +167,8 @@ class Policy:
         for attn in ["self", "cross"]:
             for w in ["wq", "wk", "wv", "wo"]:
                 p.linear_weight(f"{prefix}.{attn}.{w}", d, d)
-            for b in ["bq", "bk", "bv", "bo"]:
+            # Without RoPE a key bias adds one constant to all of a query's scores, which softmax ignores.
+            for b in ["bq", "bk", "bv", "bo"] if attn == "self" else ["bq", "bv", "bo"]:
                 p.zeros(f"{prefix}.{attn}.{b}", (d,))
         hidden = self.cfg.ffn_factor * d
         p.linear_weight(f"{prefix}.ffn.w1", d, hidden)
@@ -191,7 +192,7 @@ class Policy:
             p[f"{prefix}.wv"],
             p[f"{prefix}.wo"],
             p[f"{prefix}.bq"],
-            p[f"{prefix}.bk"],
+            p[f"{prefix}.bk"] if positions is not None else None,
             p[f"{prefix}.bv"],
             p[f"{prefix}.bo"],
             positions=positions,

@@ -341,6 +341,24 @@ def test_load_policy_round_trip(tmp_path, world):
         np.testing.assert_array_equal(loaded.params[name].data, policy.params[name].data)
 
 
+def test_load_policy_ignores_cross_attention_key_biases(tmp_path, world):
+    # Checkpoints written while cross-attention still had key biases keep loading.
+    _, _, _, policy = world
+    d = policy.cfg.d_model
+    old = tn.ParamSet()
+    for name, t in policy.params.items():
+        old.zeros(name, t.shape).data = t.data.copy()
+    for block in ["pred.b0", "pred.b1", "dec.b0"]:
+        old.zeros(f"{block}.cross.bk", (d,)).data = np.full(d, 1e-11)
+    path = str(tmp_path / "old.ckpt")
+    tn.save_checkpoint(path, old, policy.cfg.config_hash(), 0,
+                       extra={"policy_cfg": policy.cfg.to_json()})
+    loaded = hs.load_policy(path)
+    assert loaded.params.names() == policy.params.names()
+    for name in policy.params.names():
+        np.testing.assert_array_equal(loaded.params[name].data, policy.params[name].data)
+
+
 def test_load_policy_needs_policy_config(tmp_path, world):
     _, _, _, policy = world
     path = str(tmp_path / "bare.ckpt")

@@ -203,6 +203,16 @@ class TestAttention:
         assert isinstance(weights, np.ndarray)
         assert weights.shape == (2, 2, 3, 5)
 
+    def test_key_bias_without_positions_changes_nothing(self):
+        # Without RoPE a key bias adds q . bk to every score of a query; softmax ignores that.
+        rng = np.random.default_rng(19)
+        d = 8
+        m = {k: tn.Tensor(v) for k, v in make_attention_params(rng, d).items()}
+        q_in, kv_in = tn.Tensor(rnd(rng, 3, d)), tn.Tensor(rnd(rng, 2, 5, d))
+        with_bias = tn.multi_head_attention(q_in, kv_in, 2, **{**m, "bk": tn.Tensor(rnd(rng, d))})
+        without = tn.multi_head_attention(q_in, kv_in, 2, **{**m, "bk": None})
+        npt.assert_allclose(with_bias.data, without.data, rtol=0, atol=1e-12)
+
     def test_single_kv_token(self):
         # One key/value token: every query gets exactly its value projection.
         rng = np.random.default_rng(9)
