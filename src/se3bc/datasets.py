@@ -252,6 +252,7 @@ def make_windows(demo: Demonstration, horizon: int = HORIZON_DEFAULT) -> list:
     poses = np.pad([geo.se3_to_pose(s.ee_pose_cam) for s in demo.steps], pad, mode="edge")
     acts = np.pad([[*s.action.dp, *s.action.dtheta, s.action.gripper] for s in demo.steps], pad,
                   mode="edge")
+    poses.flags.writeable = acts.flags.writeable = False  # every window is a view of these
     return [
         TrainingWindow(
             features=s.features,
