@@ -71,6 +71,20 @@ class TestLosses:
     def forward(self, policy, batch):
         return policy.forward(batch["lang"], batch["visual"], batch["depth"], batch["state"])
 
+    def test_uniform_offset_rule(self, world):
+        # +0.01 over 6 dims -> 0.06, independent of horizon; a zeroed
+        # trajectory head makes tau exactly 0
+        scene, _, data, _ = world
+        for horizon in [1, 4, 8]:
+            policy = make_policy(scene, horizon=horizon)
+            policy.params["pred.head.w"].data[...] = 0.0
+            policy.params["pred.head.b"].data[...] = 0.0
+            windows = [w for d in data.demos for w in ds.make_windows(d, horizon)][:3]
+            batch = pol.collate(windows, ds.SupervisionVariant(), data.camera, scene)
+            assert batch["traj_targets"].shape == (3, horizon, 6)
+            _, traj, _ = loss_terms(policy, {**batch, "traj_targets": np.full((3, horizon, 6), 0.01)})
+            assert abs(traj - 0.06) < 1e-15
+
     def test_lambda_combination(self, world, batch):
         policy = make_policy(world[0], lam=0.3)
         total, traj, act = loss_terms(policy, batch)
