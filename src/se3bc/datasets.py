@@ -141,7 +141,6 @@ def record_demonstrations(
     task: sw.TaskSpec,
     n: int,
     seed: int,
-    expert_cfg: sw.ExpertConfig | None = None,
     sim_cfg: sw.SimConfig | None = None,
     camera: sw.CameraModel | None = None,
 ) -> DemoDataset:
@@ -153,7 +152,7 @@ def record_demonstrations(
     """
     if n <= 0:
         raise DatasetError("n must be > 0")
-    expert_cfg = expert_cfg or sw.ExpertConfig()
+    expert_cfg = sw.ExpertConfig()
     sim_cfg = sim_cfg or sw.SimConfig()
     camera = camera or sw.default_camera()
     sim = sw.Simulator(scene, task, sim_cfg)
@@ -299,17 +298,13 @@ def make_supervision(window: TrainingWindow, variant: SupervisionVariant, cam: s
 
 
 def _rotation_block(rot: np.ndarray, rotation_param: str, h: int) -> np.ndarray:
-    if rotation_param == "axis_angle":
-        theta = geo.log_so3(rot)
-        if np.linalg.norm(theta) >= math.pi - geo.CHART_MARGIN:
-            raise DatasetError(f"step {h}: axis-angle target at the chart boundary")
-        return theta
-    if rotation_param == "quaternion":
-        return geo.matrix_to_quat(rot)
     try:
-        return geo.matrix_to_euler(rot)
+        block = geo.rotation_convert(rot, "matrix", rotation_param)
     except geo.GimbalLockError as e:
         raise DatasetError(f"step {h}: Euler target in the gimbal-lock band") from e
+    if rotation_param == "axis_angle" and np.linalg.norm(block) >= math.pi - geo.CHART_MARGIN:
+        raise DatasetError(f"step {h}: axis-angle target at the chart boundary")
+    return block
 
 
 # --- demos_v1 serialization ---
@@ -399,7 +394,10 @@ def read_dataset(path: str) -> DemoDataset:
     for i, text in enumerate(lines[1:], start=1):
         row = parse(i, text)
         try:
-            demo = demos[row["demo"]]
+            d = row["demo"]
+            if not 0 <= d < len(demos):
+                raise DatasetFormatError(f"line {i + 1}: demo {d} is not one of the header's {len(demos)}")
+            demo = demos[d]
             if row["t"] != len(demo.steps):
                 raise DatasetFormatError(f"line {i + 1}: timestep {row['t']} out of order")
             if row["gripper_cmd"] != row["action"]["gripper"]:
@@ -415,15 +413,17 @@ def read_dataset(path: str) -> DemoDataset:
                     ),
                 )
             )
-            final_line[row["demo"]] = i + 1
+            final_line[d] = i + 1
         except DatasetFormatError:
             raise
         except (KeyError, IndexError, TypeError, ValueError) as e:
             raise DatasetFormatError(f"line {i + 1}: {e}") from e
-    for d, line in final_line.items():
-        final = demos[d].steps[-1].action
+    for d, demo in enumerate(demos):
+        if not demo.steps:
+            raise DatasetFormatError(f"line 1: demo {d} has no records")
+        final = demo.steps[-1].action
         if np.any(final.dp) or np.any(final.dtheta):
-            raise DatasetFormatError(f"line {line}: final record of demo {d} has a non-zero rigid action")
+            raise DatasetFormatError(f"line {final_line[d]}: final record of demo {d} has a non-zero rigid action")
     if header["n_demos"] != len(demos):
         raise DatasetFormatError("line 1: n_demos does not match body")
     dataset.demos = demos

@@ -91,8 +91,8 @@ class RelativeAction:
             raise GeometryError(f"gripper {self.gripper} outside [0, 1]")
 
     @staticmethod
-    def zero(gripper: float = 0.0) -> "RelativeAction":
-        return RelativeAction(np.zeros(3), np.zeros(3), gripper)
+    def zero() -> "RelativeAction":
+        return RelativeAction(np.zeros(3), np.zeros(3))
 
 
 @dataclass
@@ -207,11 +207,8 @@ def log_so3(r: np.ndarray) -> np.ndarray:
         i = int(np.argmax(np.diag(b)))
         axis = b[:, i] / math.sqrt(max(b[i, i], 0.0))
         axis /= np.linalg.norm(axis)
-        for c in axis:
-            if abs(c) > 1e-12:
-                if c < 0.0:
-                    axis = -axis
-                break
+        if _first_nonzero_negative(axis):
+            axis = -axis
         return angle * axis
     return (angle / math.sin(angle)) * sym_vec
 

@@ -33,6 +33,9 @@ from .seeding import derive_seed
 log = logging.getLogger(__name__)
 
 WILSON_Z = 1.95996
+# AdamW settings of every training run (see TrainConfig).
+TRAIN_LR = 1e-3
+TRAIN_WEIGHT_DECAY = 1e-4
 
 
 class HarnessError(ValueError):
@@ -43,13 +46,13 @@ class TrainDiverged(RuntimeError):
     """Numeric fault during training; a last-good checkpoint was kept."""
 
 
-def wilson_interval(k: int, n: int, z: float = WILSON_Z):
-    """Wilson score interval for k successes in n trials, clamped to [0, 1]."""
+def wilson_interval(k: int, n: int):
+    """95% Wilson score interval for k successes in n trials, clamped to [0, 1]."""
     if n < 1:
         raise HarnessError("wilson_interval needs n >= 1")
     if not 0 <= k <= n:
         raise HarnessError(f"need 0 <= k <= n, got k={k}, n={n}")
-    p = k / n
+    p, z = k / n, WILSON_Z
     z2 = z * z
     denom = 1.0 + z2 / n
     center = (p + z2 / (2 * n)) / denom
@@ -62,13 +65,13 @@ def wilson_interval(k: int, n: int, z: float = WILSON_Z):
 
 @dataclass
 class TrainConfig:
+    """One behavior-cloning run: AdamW at peak lr TRAIN_LR with weight decay
+    TRAIN_WEIGHT_DECAY and OptimizerConfig's default betas and eps, warmed up
+    linearly over warmup_steps, then cosine-decayed to zero at `steps`."""
+
     policy: pol.PolicyConfig
     steps: int = 3000
     batch_size: int = 16
-    lr: float = 1e-3
-    betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
-    weight_decay: float = 1e-4
     warmup_steps: int = 100
     seed: int = 0
     log_every: int = 100
@@ -96,12 +99,10 @@ def train(dataset: ds.DemoDataset, cfg: TrainConfig, ckpt_path: str | None = Non
         raise HarnessError("dataset has no training windows")
     full = pol.collate(windows, variant, dataset.camera, dataset.scene) if windows else None
 
-    opt = tn.OptimizerState(
-        tn.OptimizerConfig(
-            lr=cfg.lr, betas=cfg.betas, eps=cfg.eps, weight_decay=cfg.weight_decay,
-            warmup_steps=cfg.warmup_steps, total_steps=max(cfg.steps, 1),
-        )
-    )
+    opt = tn.OptimizerState(tn.OptimizerConfig(
+        lr=TRAIN_LR, weight_decay=TRAIN_WEIGHT_DECAY, warmup_steps=cfg.warmup_steps,
+        total_steps=max(cfg.steps, 1),
+    ))
     shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
     order = np.array([], dtype=int)
     curve = []
@@ -250,8 +251,9 @@ def _perturbation(spec: PerturbSpec, root_seed: int, episode: int, chunk: int, h
 class _Learned:
     """The policy's own decoder: predict an H-step chunk, execute it, repeat.
 
-    Each prediction's tau rows count toward the chart-violation rate. For
-    camera-frame axis-angle policies, tau is also scored against the
+    Each prediction's tau rows count toward the chart-violation rate; a row
+    violates when its axis-angle rotation (SE(3) targets only) reaches pi.
+    For camera-frame axis-angle policies, tau is also scored against the
     camera-frame ee poses the episode then reached.
 
     With a PerturbSpec, the pose-space noise eps is mapped into the hidden
@@ -265,6 +267,8 @@ class _Learned:
     def __init__(self, policy: pol.Policy, scene, task, camera, perturb: PerturbSpec | None,
                  root_seed: int):
         self._tracks_tau = _tracks_camera_pose(policy)
+        variant = policy.cfg.variant
+        self._counts_chart = variant.rotation_param == "axis_angle" and variant.target_dim == 6
         if perturb is not None:
             if not self._tracks_tau:
                 raise HarnessError("perturbed protocol needs a camera-frame axis-angle policy")
@@ -306,7 +310,8 @@ class _Learned:
             out = self._perturbed_act(features, state.state_vec())
         if out.tau is not None:
             self.pred_rows += out.tau.shape[0]
-            self.violating_rows += out.chart_violations
+            if self._counts_chart:
+                self.violating_rows += int(np.sum(np.linalg.norm(out.tau[:, 3:6], axis=1) >= math.pi))
             if self._tracks_tau:
                 self._predicted.append((state.step_count, out.tau))
         self._rows.extend(out.chunk)
@@ -323,8 +328,7 @@ class _Learned:
         for h in range(chunk.shape[0]):
             self._grip_queue.append(chunk[h, 6])
             chunk[h, 6] = self._grip_queue.popleft()
-        violations = int(np.sum(np.linalg.norm(tau[:, 3:6], axis=1) >= math.pi))
-        return pol.PolicyOutput(chunk=chunk, tau=tau, chart_violations=violations)
+        return pol.PolicyOutput(chunk=chunk, tau=tau)
 
 
 def rollout(

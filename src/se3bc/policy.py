@@ -24,7 +24,6 @@ path without a tape.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,13 +59,6 @@ class PolicyConfig:
             raise PolicyConfigError("horizon must be >= 1")
         if self.lam < 0:
             raise PolicyConfigError("lam must be >= 0")
-
-    @classmethod
-    def paper_scale(cls, token_dim: int, **overrides) -> "PolicyConfig":
-        """Full-scale reference configuration (selectable, not used in tests)."""
-        args = dict(d_model=896, predictor_blocks=4, decoder_blocks=2, heads=8, horizon=8)
-        args.update(overrides)
-        return cls(token_dim=token_dim, **args)
 
     def to_json(self) -> dict:
         return {
@@ -118,7 +110,6 @@ class PolicyOutput:
 
     chunk: np.ndarray  # (H, 7): dp, dtheta, gripper in [0, 1]
     tau: np.ndarray | None  # (H, target_dim) predicted trajectory, if any
-    chart_violations: int  # axis-angle rows at or past the chart boundary
 
 
 class Policy:
@@ -302,36 +293,12 @@ class Policy:
             np.asarray(state_vec, dtype=float).reshape(1, 7),
         )
         tau = None if out["tau"] is None else out["tau"].data.copy()
-        violations = 0
-        if tau is not None and self.cfg.variant.rotation_param == "axis_angle" and self.cfg.variant.target_dim == 6:
-            violations = int(np.sum(np.linalg.norm(tau[:, 3:6], axis=1) >= math.pi))
-        return PolicyOutput(chunk=out["chunk"].data.copy(), tau=tau, chart_violations=violations)
+        return PolicyOutput(chunk=out["chunk"].data.copy(), tau=tau)
 
 
 def build_variant(cfg: PolicyConfig) -> Policy:
     """Wire a policy for the configured supervision variant."""
     return Policy(cfg)
-
-
-def param_loss_fn(policy: Policy, batch, names=None):
-    """Adapter for finite-difference checks over policy parameters.
-
-    Returns (fn, x0, names) where fn maps a list of Tensors (one per named
-    parameter) to the total loss with those values bound.
-    """
-    names = list(names or policy.params.names())
-
-    def fn(tensors):
-        saved = [policy.params.swap(n, t) for n, t in zip(names, tensors)]
-        try:
-            total, _, _ = policy.loss(batch)
-        finally:
-            for n, s in zip(names, saved):
-                policy.params.swap(n, s)
-        return total
-
-    x0 = [policy.params[n].data.copy() for n in names]
-    return fn, x0, names
 
 
 def collate(windows, variant: SupervisionVariant, cam: sw.CameraModel, scene: sw.SceneSpec):

@@ -19,7 +19,6 @@ width.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -221,8 +220,6 @@ class Simulator:
                 return p
             if r == 0.0:
                 break
-        if r == 0.0 and self.scene._inside(obj.position):
-            return obj.position.copy()
         raise SceneError(f"could not place object {obj.id!r} inside table bounds")
 
     def step(self, state: SimState, action: RelativeAction) -> SimState:
@@ -453,10 +450,6 @@ class ObservationFeatures:
     def token_dim(self) -> int:
         return self.lang.shape[1]
 
-    def tokens(self) -> np.ndarray:
-        """Concatenated (language, visual, depth) token matrix."""
-        return np.concatenate([self.lang, self.visual, self.depth], axis=0)
-
 
 def feature_dims(scene: SceneSpec):
     """(token_dim, n_keypoints, payload_width) for a scene."""
@@ -639,14 +632,3 @@ def scene_from_json(doc: dict):
         intrinsic=CameraIntrinsic(ci["fx"], ci["fy"], ci["cx"], ci["cy"], ci["width"], ci["height"]),
     )
     return scene, tasks, camera
-
-
-def load_scene_file(path: str):
-    with open(path) as f:
-        return scene_from_json(json.load(f))
-
-
-def save_scene_file(path: str, scene: SceneSpec, tasks: dict, camera: CameraModel):
-    with open(path, "w") as f:
-        json.dump(scene_to_json(scene, tasks, camera), f, indent=1, sort_keys=True)
-        f.write("\n")

@@ -31,6 +31,7 @@ ROPE_BASE = 10000.0
 LAYER_NORM_EPS = 1e-5
 # Guards row normalization against zero-norm rows.
 NORMALIZE_EPS = 1e-12
+QUERY_INIT_STD = 0.02
 
 
 class TensorError(ValueError):
@@ -169,14 +170,6 @@ def add(a, b) -> Tensor:
     )
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data - b.data
-    return _make(
-        "sub", out, [a, b], lambda g: [_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)]
-    )
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data * b.data
@@ -260,12 +253,6 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     return _make("narrow", a.data[idx], [a], vjp)
 
 
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    mask = a.data > 0
-    return _make("relu", np.where(mask, a.data, 0.0), [a], lambda g: [g * mask])
-
-
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
@@ -304,31 +291,31 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make("softmax", out, [a], vjp)
 
 
-def layer_norm(a, axis: int = -1, eps: float = LAYER_NORM_EPS) -> Tensor:
-    """Normalize to zero mean / unit variance along one axis (no affine).
+def layer_norm(a) -> Tensor:
+    """Normalize to zero mean / unit variance along the last axis (no affine).
 
     Affine gain/bias, when wanted, are applied by the caller with mul/add.
     """
     a = as_tensor(a)
     x = a.data
-    mu = x.mean(axis=axis, keepdims=True)
-    var = x.var(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (x - mu) * inv
 
     def vjp(g):
-        gm = g.mean(axis=axis, keepdims=True)
-        gx = (g * xhat).mean(axis=axis, keepdims=True)
+        gm = g.mean(axis=-1, keepdims=True)
+        gx = (g * xhat).mean(axis=-1, keepdims=True)
         return [inv * (g - gm - xhat * gx)]
 
     return _make("layer_norm", xhat, [a], vjp)
 
 
-def normalize_rows(a, eps: float = NORMALIZE_EPS) -> Tensor:
+def normalize_rows(a) -> Tensor:
     """Scale each last-axis row to unit Euclidean norm."""
     a = as_tensor(a)
     x = a.data
-    norm = np.sqrt((x**2).sum(axis=-1, keepdims=True) + eps)
+    norm = np.sqrt((x**2).sum(axis=-1, keepdims=True) + NORMALIZE_EPS)
     y = x / norm
 
     def vjp(g):
@@ -361,11 +348,11 @@ def l1_loss(pred, target) -> Tensor:
     return _make("l1_loss", out, [pred, target], lambda g: [g * sgn, -g * sgn])
 
 
-def rope(a, positions, base: float = ROPE_BASE) -> Tensor:
+def rope(a, positions) -> Tensor:
     """Rotary position embedding on the last axis.
 
     Adjacent coordinate pairs (2i, 2i+1) of the row at sequence position m
-    are rotated by m * base^(-2i/d). Requires an even last axis. positions
+    are rotated by m * ROPE_BASE^(-2i/d). Requires an even last axis. positions
     has one entry per row along the second-to-last axis.
     """
     a = as_tensor(a)
@@ -377,7 +364,7 @@ def rope(a, positions, base: float = ROPE_BASE) -> Tensor:
         raise TensorError(
             f"rope positions shape {positions.shape} does not match sequence length {a.shape[-2]}"
         )
-    freqs = base ** (-2.0 * np.arange(d // 2) / d)
+    freqs = ROPE_BASE ** (-2.0 * np.arange(d // 2) / d)
     ang = positions[:, None] * freqs[None, :]  # (T, d/2)
     cos, sin = np.cos(ang), np.sin(ang)
     x = a.data
@@ -524,8 +511,8 @@ class ParamSet:
     def ones(self, name: str, shape) -> Tensor:
         return self._register(name, np.ones(shape))
 
-    def query_normal(self, name: str, shape, std: float = 0.02) -> Tensor:
-        data = _name_seed(self.seed, name).normal(0.0, std, size=shape)
+    def query_normal(self, name: str, shape) -> Tensor:
+        data = _name_seed(self.seed, name).normal(0.0, QUERY_INIT_STD, size=shape)
         return self._register(name, data)
 
     def __getitem__(self, name: str) -> Tensor:
@@ -628,6 +615,7 @@ def adamw_step(params: ParamSet, grads: dict, state: OptimizerState) -> None:
 
 # --- finite-difference gradient checking ---
 
+GRAD_CHECK_STEP = 1e-6
 # A coordinate whose second difference grows like h (instead of h^2) sits on
 # a subgradient kink; it is reported, not failed.
 _KINK_CURVATURE = 0.1
@@ -646,13 +634,14 @@ class GradCheckResult:
         )
 
 
-def grad_check(fn, inputs, h: float = 1e-6) -> GradCheckResult:
+def grad_check(fn, inputs) -> GradCheckResult:
     """Central finite differences vs tape gradients for a scalar function.
 
     fn maps a list of Tensors to a scalar Tensor and must be deterministic.
     Returns the worst relative error over all input coordinates, excluding
     (and reporting) coordinates detected on an l1-style kink.
     """
+    h = GRAD_CHECK_STEP
     tensors = [Tensor(np.asarray(x, dtype=float), requires_grad=True) for x in inputs]
     with GradientTape() as tape:
         loss = fn(tensors)
@@ -723,7 +712,9 @@ def load_checkpoint(path: str):
     offset = 0
     for entry in manifest["params"]:
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        if not all(isinstance(n, int) and n >= 0 for n in shape):
+            raise TensorError(f"bad checkpoint shape {list(shape)} for {entry['name']!r}")
+        count = math.prod(shape)
         nbytes = count * struct.calcsize("<d")
         if offset + nbytes > len(blob):
             raise TensorError("checkpoint blob truncated")

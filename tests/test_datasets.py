@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -262,7 +263,8 @@ class TestFileFormat:
                 npt.assert_array_equal(sa.action.dp, sbk.action.dp)
                 npt.assert_array_equal(sa.action.dtheta, sbk.action.dtheta)
                 assert sa.action.gripper == sbk.action.gripper
-                npt.assert_array_equal(sa.features.tokens(), sbk.features.tokens())
+                for block in ("lang", "visual", "depth"):
+                    npt.assert_array_equal(getattr(sa.features, block), getattr(sbk.features, block))
         assert back.config_hash() == small_dataset.config_hash()
 
     def test_corrupted_line_names_line(self, tmp_path, small_dataset):
@@ -306,6 +308,27 @@ class TestFileFormat:
         lines[final] = json.dumps(row, sort_keys=True)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ds.DatasetFormatError, match=f"line {final + 1}: final record of demo 0"):
+            ds.read_dataset(str(path))
+
+    def test_rejects_a_negative_demo_index(self, tmp_path, small_dataset):
+        path = tmp_path / "demos.jsonl"
+        ds.write_dataset(str(path), dataclasses.replace(small_dataset, demos=small_dataset.demos[:2]))
+        lines = path.read_text().splitlines()
+        first = 1 + len(small_dataset.demos[0].steps)  # index of demo 1's first record
+        for k in range(first, len(lines)):
+            row = json.loads(lines[k])
+            row["demo"] = -1
+            lines[k] = json.dumps(row, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ds.DatasetFormatError, match=f"line {first + 1}: demo -1"):
+            ds.read_dataset(str(path))
+
+    def test_rejects_a_file_cut_at_a_demo_boundary(self, tmp_path, small_dataset):
+        path = tmp_path / "demos.jsonl"
+        ds.write_dataset(str(path), small_dataset)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[: 1 + len(small_dataset.demos[0].steps)]) + "\n")
+        with pytest.raises(ds.DatasetFormatError, match="demo 1 has no records"):
             ds.read_dataset(str(path))
 
     def test_schema_mismatch(self, tmp_path):

@@ -1,0 +1,66 @@
+"""Every public function, class and method of se3bc has a caller.
+
+A name counts as used when src/ or perfbench/ refers to it outside its own
+definition: functions and classes by name, attribute or import, methods by
+attribute. Tests do not count, so a name only tests need must be listed in
+KEPT with the reason it stays.
+"""
+
+import ast
+import pathlib
+from collections import defaultdict
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+KEPT = {
+    "datasets.write_dataset": "entry point: saves recorded demos as demos_v1",
+    "datasets.read_dataset": "entry point: loads a demos_v1 file",
+    "harness.load_policy": "entry point: rebuilds a trained policy from its ckpt_v1 checkpoint",
+    "harness.emit_report": "entry point: writes a study's CSV and JSON report",
+    "geometry.world_to_camera": "test oracle for the camera-frame poses recorded in demos",
+    "geometry.se3_compose": "test oracle for SE(3) composition",
+    "tensornet.grad_check": "test oracle: finite-difference check of every tape op",
+    "tensornet.sum_all": "test oracle: reduces an op's output to the scalar grad_check needs",
+    "tensornet.ParamSet.swap": "binds parameters for the finite-difference check of a whole policy",
+    "tensornet.ParamSet.names": "test probe of the parameters a variant builds",
+    "tensornet.ParamSet.total_count": "the parameter count compared across variants in tests",
+    "simworld.ScriptedExpert.phase": "test probe of the expert's state machine",
+}
+
+
+def _public_definitions(tree, module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node.name, node, False
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield f"{module}.{node.name}.{sub.name}", sub.name, sub, True
+
+
+def unreferenced_names():
+    files = sorted((ROOT / "src" / "se3bc").glob("*.py"))
+    trees = {p: ast.parse(p.read_text(), str(p)) for p in files + sorted((ROOT / "perfbench").rglob("*.py"))}
+    by_name = defaultdict(list)  # name -> [(node id, is attribute)]
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute):
+                by_name[n.attr].append((id(n), True))
+            elif isinstance(n, ast.Name):
+                by_name[n.id].append((id(n), False))
+            elif isinstance(n, ast.alias):
+                by_name[n.name.rsplit(".", 1)[-1]].append((id(n), False))
+    unused = set()
+    for path in files:
+        for qualname, name, node, is_method in _public_definitions(trees[path], path.stem):
+            own = {id(n) for n in ast.walk(node)}
+            if not any(i not in own and (attr or not is_method) for i, attr in by_name[name]):
+                unused.add(qualname)
+    return unused
+
+
+def test_every_public_name_has_a_caller():
+    unused = unreferenced_names()
+    dead, stale = sorted(unused - set(KEPT)), sorted(set(KEPT) - unused)
+    assert not dead, f"no caller in src/ or perfbench/; delete them or add them to KEPT: {dead}"
+    assert not stale, f"KEPT names that are gone or now have a caller: {stale}"

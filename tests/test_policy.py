@@ -42,12 +42,6 @@ class TestConfig:
         assert back == cfg
         assert back.config_hash() == cfg.config_hash()
 
-    def test_paper_scale_values(self):
-        cfg = pol.PolicyConfig.paper_scale(token_dim=7)
-        assert (cfg.d_model, cfg.predictor_blocks, cfg.decoder_blocks, cfg.heads, cfg.horizon) == (
-            896, 4, 2, 8, 8,
-        )
-        assert cfg.lam == 0.1
 
 
 def loss_terms(policy, batch):
@@ -284,8 +278,17 @@ class TestEndToEndGradient:
             for w in windows[:2]
         ]
         batch = pol.collate(short, variant, data.camera, scene)
-        fn, x0, names = pol.param_loss_fn(policy, batch)
-        res = tn.grad_check(fn, x0)
+        names = policy.params.names()
+
+        def fn(tensors):  # the total loss with every parameter bound to `tensors`
+            saved = [policy.params.swap(n, t) for n, t in zip(names, tensors)]
+            try:
+                return policy.loss(batch)[0]
+            finally:
+                for n, s in zip(names, saved):
+                    policy.params.swap(n, s)
+
+        res = tn.grad_check(fn, [policy.params[n].data.copy() for n in names])
         assert res.max_rel_error < 1e-5, res
 
 

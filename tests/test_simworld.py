@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -323,12 +325,11 @@ class TestRelativeDepth:
 
 
 class TestSceneJson:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         scene, task = sw.default_scene("long")
         cam = sw.default_camera()
-        path = str(tmp_path / "scene.json")
-        sw.save_scene_file(path, scene, {"long": task}, cam)
-        scene2, tasks2, cam2 = sw.load_scene_file(path)
+        doc = json.loads(json.dumps(sw.scene_to_json(scene, {"long": task}, cam)))
+        scene2, tasks2, cam2 = sw.scene_from_json(doc)
         npt.assert_array_equal(scene2.table_lo, scene.table_lo)
         assert [o.id for o in scene2.objects] == [o.id for o in scene.objects]
         npt.assert_array_equal(tasks2["long"].latch_center, task.latch_center)
