@@ -20,7 +20,7 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -311,23 +311,15 @@ def _rotation_block(rot: np.ndarray, rotation_param: str, h: int) -> np.ndarray:
 
 
 def _features_doc(f: sw.ObservationFeatures) -> dict:
-    return {
-        "lang": f.lang.tolist(),
-        "visual": f.visual.tolist(),
-        "depth": f.depth.tolist(),
-        "depth_mode": "metric",
-        "token_dim": f.token_dim,
-    }
+    blocks = {b.name: getattr(f, b.name).tolist() for b in fields(f)}
+    return {**blocks, "depth_mode": "metric", "token_dim": f.token_dim}
 
 
 def _features_from_doc(doc: dict) -> sw.ObservationFeatures:
     if doc["depth_mode"] != "metric":  # read_dataset prefixes the line number
         raise ValueError(f"depth_mode {doc['depth_mode']!r} is not 'metric'")
-    return sw.ObservationFeatures(
-        lang=np.asarray(doc["lang"], dtype=float),
-        visual=np.asarray(doc["visual"], dtype=float),
-        depth=np.asarray(doc["depth"], dtype=float),
-    )
+    return sw.ObservationFeatures(**{b.name: np.asarray(doc[b.name], dtype=float)
+                                     for b in fields(sw.ObservationFeatures)})
 
 
 def write_dataset(path: str, dataset: DemoDataset) -> None:
@@ -378,28 +370,32 @@ def read_dataset(path: str) -> DemoDataset:
     header = parse(0, lines[0])
     if header.get("schema") != DEMOS_SCHEMA:
         raise DatasetFormatError(f"line 1: expected schema {DEMOS_SCHEMA!r}, got {header.get('schema')!r}")
-    scene, tasks, camera = sw.scene_from_json(header["scene"])
-    dataset = DemoDataset(
-        scene=scene,
-        task=tasks["task"],
-        camera=camera,
-        sim_config=sw.SimConfig(**header["sim_config"]),
-        expert_config=sw.ExpertConfig(**header["expert_config"]),
-        root_seed=header["root_seed"],
-        n_discarded=header.get("n_discarded", 0),
-    )
-    seeds = header["episode_seeds"]
-    demos = [Demonstration(steps=[], seed=s) for s in seeds]
+    try:
+        scene, tasks, camera = sw.scene_from_json(header["scene"])
+        dataset = DemoDataset(
+            scene=scene,
+            task=tasks["task"],
+            camera=camera,
+            sim_config=sw.SimConfig(**header["sim_config"]),
+            expert_config=sw.ExpertConfig(**header["expert_config"]),
+            root_seed=header["root_seed"],
+            n_discarded=header.get("n_discarded", 0),
+        )
+        demos = [Demonstration(steps=[], seed=s) for s in header["episode_seeds"]]
+        if header["n_demos"] != len(demos):
+            raise ValueError("n_demos does not match episode_seeds")
+    except (KeyError, TypeError, ValueError) as e:
+        raise DatasetFormatError(f"line 1: bad header: {e}") from e
     final_line = {}  # demo index -> line of its latest record
     for i, text in enumerate(lines[1:], start=1):
         row = parse(i, text)
         try:
-            d = row["demo"]
-            if not 0 <= d < len(demos):
-                raise DatasetFormatError(f"line {i + 1}: demo {d} is not one of the header's {len(demos)}")
+            d = row["demo"]  # typed checks: a JSON true or false is an int to Python
+            if type(d) is not int or not 0 <= d < len(demos):
+                raise DatasetFormatError(f"line {i + 1}: demo {d!r} is not one of the header's {len(demos)}")
             demo = demos[d]
-            if row["t"] != len(demo.steps):
-                raise DatasetFormatError(f"line {i + 1}: timestep {row['t']} out of order")
+            if type(row["t"]) is not int or row["t"] != len(demo.steps):
+                raise DatasetFormatError(f"line {i + 1}: timestep {row['t']!r} out of order")
             if row["gripper_cmd"] != row["action"]["gripper"]:
                 raise DatasetFormatError(f"line {i + 1}: gripper_cmd differs from action.gripper")
             demo.steps.append(
@@ -408,9 +404,7 @@ def read_dataset(path: str) -> DemoDataset:
                     ee_pose_world=np.asarray(row["pose_world"], dtype=float).reshape(4, 4),
                     ee_pose_cam=np.asarray(row["pose_cam"], dtype=float).reshape(4, 4),
                     state_vec=np.asarray(row["state"], dtype=float),
-                    action=geo.RelativeAction(
-                        row["action"]["dp"], row["action"]["dtheta"], row["action"]["gripper"]
-                    ),
+                    action=geo.RelativeAction(**row["action"]),
                 )
             )
             final_line[d] = i + 1
@@ -424,7 +418,5 @@ def read_dataset(path: str) -> DemoDataset:
         final = demo.steps[-1].action
         if np.any(final.dp) or np.any(final.dtheta):
             raise DatasetFormatError(f"line {final_line[d]}: final record of demo {d} has a non-zero rigid action")
-    if header["n_demos"] != len(demos):
-        raise DatasetFormatError("line 1: n_demos does not match body")
     dataset.demos = demos
     return dataset

@@ -19,7 +19,7 @@ import json
 import logging
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -88,7 +88,8 @@ def train(dataset: ds.DemoDataset, cfg: TrainConfig, ckpt_path: str | None = Non
 
     Returns (policy, curve) where curve rows are (step, loss_traj, loss_act,
     loss_total, lr). Deterministic per cfg.seed. On a numeric fault the last
-    logged parameters are written to ckpt_path and TrainDiverged is raised.
+    logged parameters are written to ckpt_path, labelled with the step they
+    were logged at, and TrainDiverged is raised.
     """
     policy_cfg = replace(cfg.policy, seed=derive_seed(cfg.seed, "init"))
     policy = pol.build_variant(policy_cfg)
@@ -106,7 +107,7 @@ def train(dataset: ds.DemoDataset, cfg: TrainConfig, ckpt_path: str | None = Non
     shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
     order = np.array([], dtype=int)
     curve = []
-    last_good = _param_snapshot(policy)
+    last_good, last_good_step = _param_snapshot(policy), 0
     n = len(windows)
 
     for step in range(1, cfg.steps + 1):
@@ -123,13 +124,13 @@ def train(dataset: ds.DemoDataset, cfg: TrainConfig, ckpt_path: str | None = Non
             _restore_snapshot(policy, last_good)
             if ckpt_path:
                 tn.save_checkpoint(ckpt_path, policy.params, policy_cfg.config_hash(),
-                                   step - 1, extra={"policy_cfg": policy_cfg.to_json()})
+                                   last_good_step, extra={"policy_cfg": policy_cfg.to_json()})
             raise TrainDiverged(f"numeric fault at step {step}: {e}") from e
         if step == 1 or step % cfg.log_every == 0 or step == cfg.steps:
             row = (step, float(traj.data), float(act.data), float(total.data),
                    tn.lr_at(opt.config, step))
             curve.append(row)
-            last_good = _param_snapshot(policy)
+            last_good, last_good_step = _param_snapshot(policy), step
             log.debug("step %d traj %.4f act %.4f total %.4f lr %.2e", *row)
 
     if ckpt_path:
@@ -174,6 +175,13 @@ class EvalReport:
 
     def to_json(self) -> dict:
         return asdict(self)
+
+
+REPORT_COLUMNS = [
+    "study", "cell", "seed",
+    *(f.name for f in fields(EvalReport) if f.name != "episode_lengths"),
+    "config_hash", "error",
+]
 
 
 def _report(successes: int, lengths: list, chart_violation_rate: float = 0.0,
@@ -505,15 +513,6 @@ class StudySpec:
         if self.kind == "closed_form" and self.perturb is None:
             self.perturb = PerturbSpec()
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "StudySpec":
-        doc = dict(doc)
-        if "perturb" in doc and doc["perturb"] is not None:
-            doc["perturb"] = PerturbSpec(**doc["perturb"])
-        if "seeds" in doc:
-            doc["seeds"] = tuple(doc["seeds"])
-        return cls(**doc)
-
 
 def study_cells(spec: StudySpec):
     """(cell name, variant, demo count) grid for a study kind."""
@@ -598,10 +597,9 @@ def _closed_form_rows(spec, policy, scene, task, camera, sim_cfg, seed, eval_see
 
 
 def _row(spec, cell, seed, report: EvalReport, policy_cfg):
-    row = {"study": spec.kind, "cell": cell, "seed": seed, **report.to_json()}
-    del row["episode_lengths"]
-    row["config_hash"] = policy_cfg.config_hash()
-    return row
+    row = {"study": spec.kind, "cell": cell, "seed": seed, **report.to_json(),
+           "config_hash": policy_cfg.config_hash()}
+    return {k: row[k] for k in REPORT_COLUMNS if k in row}
 
 
 def summarize_rows(rows):
@@ -627,12 +625,6 @@ def summarize_rows(rows):
 
 
 # --- reports ---
-
-REPORT_COLUMNS = [
-    "study", "cell", "seed", "successes", "episodes", "success_rate",
-    "wilson_lo", "wilson_hi", "chart_violation_rate", "mean_traj_error",
-    "config_hash", "error",
-]
 
 
 def emit_report(results, path_prefix: str):

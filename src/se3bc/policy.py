@@ -24,7 +24,7 @@ path without a tape.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -37,6 +37,15 @@ POLICY_CFG_SCHEMA = "policy_cfg_v1"
 
 class PolicyConfigError(ValueError):
     pass
+
+
+def _check_fields(cls, doc: dict):
+    """A policy_cfg_v1 document carries exactly the dataclass's fields."""
+    names = {f.name for f in fields(cls)}
+    bad = sorted(names ^ set(doc))
+    if bad:
+        kind = "missing" if bad[0] in names else "unknown"
+        raise PolicyConfigError(f"{cls.__name__}: {kind} field {bad[0]!r}")
 
 
 @dataclass
@@ -61,41 +70,16 @@ class PolicyConfig:
             raise PolicyConfigError("lam must be >= 0")
 
     def to_json(self) -> dict:
-        return {
-            "schema": POLICY_CFG_SCHEMA,
-            "token_dim": self.token_dim,
-            "d_model": self.d_model,
-            "predictor_blocks": self.predictor_blocks,
-            "decoder_blocks": self.decoder_blocks,
-            "heads": self.heads,
-            "horizon": self.horizon,
-            "lam": self.lam,
-            "ffn_factor": self.ffn_factor,
-            "seed": self.seed,
-            "variant": {
-                "target": self.variant.target,
-                "rotation_param": self.variant.rotation_param,
-                "depth_mode": self.variant.depth_mode,
-            },
-        }
+        return {"schema": POLICY_CFG_SCHEMA, **asdict(self)}
 
     @classmethod
     def from_json(cls, doc: dict) -> "PolicyConfig":
         if doc.get("schema") != POLICY_CFG_SCHEMA:
             raise PolicyConfigError(f"expected schema {POLICY_CFG_SCHEMA!r}, got {doc.get('schema')!r}")
-        v = doc["variant"]
-        return cls(
-            token_dim=doc["token_dim"],
-            d_model=doc["d_model"],
-            predictor_blocks=doc["predictor_blocks"],
-            decoder_blocks=doc["decoder_blocks"],
-            heads=doc["heads"],
-            horizon=doc["horizon"],
-            lam=doc["lam"],
-            ffn_factor=doc.get("ffn_factor", 4),
-            seed=doc.get("seed", 0),
-            variant=SupervisionVariant(v["target"], v["rotation_param"], v["depth_mode"]),
-        )
+        doc = {k: v for k, v in doc.items() if k != "schema"}
+        _check_fields(cls, doc)
+        _check_fields(SupervisionVariant, doc["variant"])
+        return cls(**{**doc, "variant": SupervisionVariant(**doc["variant"])})
 
     def config_hash(self) -> str:
         import hashlib

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -278,19 +278,16 @@ class Simulator:
         )
 
     def check_success(self, state: SimState) -> bool:
-        return check_success(state, self.task, self.scene)
-
-
-def check_success(state: SimState, task: TaskSpec, scene: SceneSpec) -> bool:
-    """Target object released within the container's accept radius (long
-    tasks additionally require the latch region to have been visited)."""
-    if state.attached == task.target_object_id:
-        return False
-    if task.family == "long" and not state.latch_visited:
-        return False
-    obj_p = state.object_poses[task.target_object_id]
-    center = scene.container(task.target_container_id).center
-    return float(np.linalg.norm(obj_p - center)) <= scene.container(task.target_container_id).accept_radius
+        """Target object released within the container's accept radius (long
+        tasks additionally require the latch region to have been visited)."""
+        task = self.task
+        if state.attached == task.target_object_id:
+            return False
+        if task.family == "long" and not state.latch_visited:
+            return False
+        container = self.scene.container(task.target_container_id)
+        dist = float(np.linalg.norm(state.object_poses[task.target_object_id] - container.center))
+        return dist <= container.accept_radius
 
 
 # --- scripted expert ---
@@ -562,41 +559,30 @@ def default_scene(family: str = "goal"):
 # --- scene_spec_v1 JSON ---
 
 
+def _entry_doc(spec) -> dict:
+    """A scene dataclass as a JSON object: one key per field, arrays as lists."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in asdict(spec).items()}
+
+
+def _entry(cls, doc):
+    try:
+        return cls(**doc)
+    except (TypeError, ValueError) as e:
+        raise SceneError(f"malformed {cls.__name__} entry {doc!r}: {e}") from e
+
+
 def scene_to_json(scene: SceneSpec, tasks: dict, camera: CameraModel) -> dict:
     return {
         "schema": SCENE_SCHEMA,
         "table_bounds": {"lo": scene.table_lo.tolist(), "hi": scene.table_hi.tolist()},
         "ee_home": scene.ee_home.tolist(),
         "rng_seed": scene.rng_seed,
-        "objects": [
-            {"id": o.id, "position": o.position.tolist(), "grasp_radius": o.grasp_radius}
-            for o in scene.objects
-        ],
-        "containers": [
-            {"id": c.id, "center": c.center.tolist(), "accept_radius": c.accept_radius}
-            for c in scene.containers
-        ],
-        "tasks": {
-            name: {
-                "target_object_id": t.target_object_id,
-                "target_container_id": t.target_container_id,
-                "horizon_limit": t.horizon_limit,
-                "family": t.family,
-                "latch_center": None if t.latch_center is None else t.latch_center.tolist(),
-                "latch_radius": t.latch_radius,
-            }
-            for name, t in tasks.items()
-        },
+        "objects": [_entry_doc(o) for o in scene.objects],
+        "containers": [_entry_doc(c) for c in scene.containers],
+        "tasks": {name: _entry_doc(t) for name, t in tasks.items()},
         "camera": {
             "extrinsic": camera.extrinsic.reshape(-1).tolist(),
-            "intrinsic": {
-                "fx": camera.intrinsic.fx,
-                "fy": camera.intrinsic.fy,
-                "cx": camera.intrinsic.cx,
-                "cy": camera.intrinsic.cy,
-                "width": camera.intrinsic.width,
-                "height": camera.intrinsic.height,
-            },
+            "intrinsic": _entry_doc(camera.intrinsic),
         },
     }
 
@@ -608,27 +594,14 @@ def scene_from_json(doc: dict):
     scene = SceneSpec(
         table_lo=doc["table_bounds"]["lo"],
         table_hi=doc["table_bounds"]["hi"],
-        objects=[ObjectSpec(o["id"], o["position"], o["grasp_radius"]) for o in doc["objects"]],
-        containers=[
-            ContainerSpec(c["id"], c["center"], c["accept_radius"]) for c in doc["containers"]
-        ],
+        objects=[_entry(ObjectSpec, o) for o in doc["objects"]],
+        containers=[_entry(ContainerSpec, c) for c in doc["containers"]],
         rng_seed=doc.get("rng_seed", 0),
         ee_home=doc.get("ee_home", [0.0, 0.0, 0.20]),
     )
-    tasks = {
-        name: TaskSpec(
-            target_object_id=t["target_object_id"],
-            target_container_id=t["target_container_id"],
-            horizon_limit=t["horizon_limit"],
-            family=t["family"],
-            latch_center=t.get("latch_center"),
-            latch_radius=t.get("latch_radius", 0.03),
-        )
-        for name, t in doc["tasks"].items()
-    }
-    ci = doc["camera"]["intrinsic"]
+    tasks = {name: _entry(TaskSpec, t) for name, t in doc["tasks"].items()}
     camera = CameraModel(
         extrinsic=np.asarray(doc["camera"]["extrinsic"], dtype=float).reshape(4, 4),
-        intrinsic=CameraIntrinsic(ci["fx"], ci["fy"], ci["cx"], ci["cy"], ci["width"], ci["height"]),
+        intrinsic=_entry(CameraIntrinsic, doc["camera"]["intrinsic"]),
     )
     return scene, tasks, camera

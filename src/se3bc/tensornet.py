@@ -708,17 +708,20 @@ def load_checkpoint(path: str):
         raise TensorError(f"expected ckpt_v1 manifest, got {manifest.get('schema')!r}")
     with open(blob_path, "rb") as f:
         blob = f.read()
+    try:
+        entries = [(entry["name"], tuple(entry["shape"])) for entry in manifest["params"]]
+    except (KeyError, TypeError) as e:
+        raise TensorError(f"malformed ckpt_v1 manifest: {e!r}") from e
     arrays = {}
     offset = 0
-    for entry in manifest["params"]:
-        shape = tuple(entry["shape"])
+    for name, shape in entries:
         if not all(isinstance(n, int) and n >= 0 for n in shape):
-            raise TensorError(f"bad checkpoint shape {list(shape)} for {entry['name']!r}")
+            raise TensorError(f"bad checkpoint shape {list(shape)} for {name!r}")
         count = math.prod(shape)
         nbytes = count * struct.calcsize("<d")
         if offset + nbytes > len(blob):
             raise TensorError("checkpoint blob truncated")
-        arrays[entry["name"]] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape).astype(np.float64)
+        arrays[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape).astype(np.float64)
         offset += nbytes
     if offset != len(blob):
         raise TensorError("checkpoint blob has trailing bytes")

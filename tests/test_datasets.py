@@ -323,6 +323,38 @@ class TestFileFormat:
         with pytest.raises(ds.DatasetFormatError, match=f"line {first + 1}: demo -1"):
             ds.read_dataset(str(path))
 
+    @pytest.mark.parametrize("key", ["demo", "t"])
+    def test_rejects_a_bool_demo_or_timestep(self, tmp_path, small_dataset, key):
+        path = tmp_path / "demos.jsonl"
+        ds.write_dataset(str(path), small_dataset)
+        lines = path.read_text().splitlines()
+        k = 2 + len(small_dataset.demos[0].steps)  # index of demo 1's second record
+        row = json.loads(lines[k])
+        assert (row["demo"], row["t"]) == (1, 1)
+        row[key] = True  # equal to 1, so only its type gives it away
+        lines[k] = json.dumps(row, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ds.DatasetFormatError, match=f"line {k + 1}: (demo|timestep) True"):
+            ds.read_dataset(str(path))
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda header: header.pop("episode_seeds"),
+        lambda header: header["scene"]["objects"][0].pop("position"),
+        lambda header: header["scene"]["tasks"]["task"].update(colour="red"),
+        lambda header: header["sim_config"].update(gravity=9.81),
+    ], ids=["no_episode_seeds", "object_without_position", "task_with_unknown_field",
+            "unknown_sim_field"])
+    def test_malformed_header_names_line_1(self, tmp_path, small_dataset, corrupt):
+        path = tmp_path / "demos.jsonl"
+        ds.write_dataset(str(path), small_dataset)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        corrupt(header)
+        lines[0] = json.dumps(header, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ds.DatasetFormatError, match="line 1: "):
+            ds.read_dataset(str(path))
+
     def test_rejects_a_file_cut_at_a_demo_boundary(self, tmp_path, small_dataset):
         path = tmp_path / "demos.jsonl"
         ds.write_dataset(str(path), small_dataset)

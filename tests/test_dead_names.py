@@ -2,13 +2,16 @@
 
 A name counts as used when src/ or perfbench/ refers to it outside its own
 definition: functions and classes by name, attribute or import, methods by
-attribute. Tests do not count, so a name only tests need must be listed in
-KEPT with the reason it stays.
+attribute, unless that attribute is looked up on another se3bc class (a
+method shares its name with other classes' methods). Tests do not count, so
+a name only tests need must be listed in KEPT with the reason it stays.
 """
 
 import ast
 import pathlib
 from collections import defaultdict
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -29,34 +32,67 @@ KEPT = {
 
 
 def _public_definitions(tree, module):
+    """(qualified name, name, node, owning class or None) of each public definition."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield f"{module}.{node.name}", node.name, node, False
+            yield f"{module}.{node.name}", node.name, node, None
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
-                    yield f"{module}.{node.name}.{sub.name}", sub.name, sub, True
+                    yield f"{module}.{node.name}.{sub.name}", sub.name, sub, node.name
+
+
+def _receiver(node):
+    """The name an attribute is looked up on: `C` in both `C.m` and `mod.C.m`."""
+    if isinstance(node.value, ast.Name):
+        return node.value.id
+    if isinstance(node.value, ast.Attribute):
+        return node.value.attr
+    return None
+
+
+def _unreferenced(modules, users):
+    """Public names of `modules` (name -> tree) that no tree in `users` refers to.
+
+    A method counts as referenced by an attribute of its name, unless the
+    attribute is looked up on another class of `modules`: `A.load` is no
+    caller of `B.load`.
+    """
+    classes = {n.name for tree in modules.values() for n in tree.body if isinstance(n, ast.ClassDef)}
+    by_name = defaultdict(list)  # name -> [(node id, is attribute, class it is looked up on)]
+    for tree in users:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute):
+                receiver = _receiver(n)
+                by_name[n.attr].append((id(n), True, receiver if receiver in classes else None))
+            elif isinstance(n, ast.Name):
+                by_name[n.id].append((id(n), False, None))
+            elif isinstance(n, ast.alias):
+                by_name[n.name.rsplit(".", 1)[-1]].append((id(n), False, None))
+    unused = set()
+    for module, tree in modules.items():
+        for qualname, name, node, owner in _public_definitions(tree, module):
+            own = {id(n) for n in ast.walk(node)}
+            if not any(i not in own and (owner is None or (attr and cls in (None, owner)))
+                       for i, attr, cls in by_name[name]):
+                unused.add(qualname)
+    return unused
 
 
 def unreferenced_names():
     files = sorted((ROOT / "src" / "se3bc").glob("*.py"))
     trees = {p: ast.parse(p.read_text(), str(p)) for p in files + sorted((ROOT / "perfbench").rglob("*.py"))}
-    by_name = defaultdict(list)  # name -> [(node id, is attribute)]
-    for tree in trees.values():
-        for n in ast.walk(tree):
-            if isinstance(n, ast.Attribute):
-                by_name[n.attr].append((id(n), True))
-            elif isinstance(n, ast.Name):
-                by_name[n.id].append((id(n), False))
-            elif isinstance(n, ast.alias):
-                by_name[n.name.rsplit(".", 1)[-1]].append((id(n), False))
-    unused = set()
-    for path in files:
-        for qualname, name, node, is_method in _public_definitions(trees[path], path.stem):
-            own = {id(n) for n in ast.walk(node)}
-            if not any(i not in own and (attr or not is_method) for i, attr in by_name[name]):
-                unused.add(qualname)
-    return unused
+    return _unreferenced({p.stem: trees[p] for p in files}, list(trees.values()))
+
+
+@pytest.mark.parametrize("use,unused", [
+    ("m.A.load({})", {"m.B.load"}),
+    ("A.load({})", {"m.B.load"}),
+    ("spec.load({})", set()),
+])
+def test_a_method_lookup_on_another_class_is_no_caller(use, unused):
+    module = ast.parse("class A:\n    def load(self): pass\n\n\nclass B:\n    def load(self): pass\n")
+    assert _unreferenced({"m": module}, [module, ast.parse(f"import m\nfrom m import A, B\n{use}\n")]) == unused
 
 
 def test_every_public_name_has_a_caller():

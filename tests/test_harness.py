@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -267,14 +266,6 @@ class TestStudySpec:
         assert hs.StudySpec(kind="closed_form").perturb == hs.PerturbSpec()
         assert hs.StudySpec(kind="ladder").perturb is None
 
-    def test_from_json_round_trip(self):
-        spec = hs.StudySpec(kind="closed_form", family="spatial", seeds=(3, 4), episodes=5,
-                            demos=6, steps=150, sigma_p=0.001, root_seed=9,
-                            perturb=hs.PerturbSpec(sigma_p=0.01, sigma_theta=0.02,
-                                                   gripper_latency=3))
-        doc = json.loads(json.dumps(dataclasses.asdict(spec)))
-        assert hs.StudySpec.from_json(doc) == spec
-
 
 @pytest.mark.parametrize("kind,cells", [
     ("ladder", 6), ("rotation", 3), ("depth", 3), ("scaling", 3), ("closed_form", 1),
@@ -357,6 +348,32 @@ def test_load_policy_ignores_cross_attention_key_biases(tmp_path, world):
     assert loaded.params.names() == policy.params.names()
     for name in policy.params.names():
         np.testing.assert_array_equal(loaded.params[name].data, policy.params[name].data)
+
+
+def test_fault_checkpoint_holds_the_last_logged_step(tmp_path, monkeypatch, world):
+    scene, task, _, _ = world
+    data = ds.record_demonstrations(scene, task, 1, seed=2)
+    real_loss, calls, after_step_1 = pol.Policy.loss, [], {}
+
+    def loss_faulting_at_step_3(policy, batch):
+        calls.append(batch)
+        if len(calls) == 2:  # step 2 starts from the parameters step 1 left
+            after_step_1.update({name: t.data.copy() for name, t in policy.params.items()})
+        if len(calls) == 3:
+            raise tn.NumericFaultError("injected at step 3")
+        return real_loss(policy, batch)
+
+    monkeypatch.setattr(pol.Policy, "loss", loss_faulting_at_step_3)
+    cfg = hs.TrainConfig(policy=pol.PolicyConfig(token_dim=sw.feature_dims(scene)[0]),
+                         steps=10, warmup_steps=2, log_every=100)
+    path = str(tmp_path / "fault.ckpt")
+    with pytest.raises(hs.TrainDiverged, match="step 3"):
+        hs.train(data, cfg, ckpt_path=path)
+    manifest, arrays = tn.load_checkpoint(path)
+    assert manifest["step"] == 1
+    assert arrays.keys() == after_step_1.keys()
+    for name, values in after_step_1.items():
+        np.testing.assert_array_equal(arrays[name], values)
 
 
 def test_load_policy_needs_policy_config(tmp_path, world):

@@ -42,6 +42,18 @@ class TestConfig:
         assert back == cfg
         assert back.config_hash() == cfg.config_hash()
 
+    @pytest.mark.parametrize("corrupt,match", [
+        (lambda doc: doc.pop("d_model"), "missing field 'd_model'"),
+        (lambda doc: doc.update(dropout=0.1), "unknown field 'dropout'"),
+        (lambda doc: doc["variant"].pop("depth_mode"), "missing field 'depth_mode'"),
+        (lambda doc: doc["variant"].update(scale=1.0), "unknown field 'scale'"),
+    ], ids=["missing", "unknown", "variant_missing", "variant_unknown"])
+    def test_json_field_errors(self, corrupt, match):
+        doc = pol.PolicyConfig(token_dim=9).to_json()
+        corrupt(doc)
+        with pytest.raises(pol.PolicyConfigError, match=match):
+            pol.PolicyConfig.from_json(doc)
+
 
 
 def loss_terms(policy, batch):

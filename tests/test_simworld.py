@@ -243,23 +243,23 @@ class TestSuccess:
         scene, task, sim = goal_world
         state = sim.reset(1)
         state.object_poses[task.target_object_id] = scene.container(task.target_container_id).center.copy()
-        assert sw.check_success(state, task, scene)
+        assert sim.check_success(state)
 
     def test_attached_at_center_is_not_success(self, goal_world):
         scene, task, sim = goal_world
         state = sim.reset(1)
         state.object_poses[task.target_object_id] = scene.container(task.target_container_id).center.copy()
         state.attached = task.target_object_id
-        assert not sw.check_success(state, task, scene)
+        assert not sim.check_success(state)
 
     def test_long_requires_latch(self):
         scene, task = sw.default_scene("long")
         sim = sw.Simulator(scene, task)
         state = sim.reset(1)
         state.object_poses[task.target_object_id] = scene.container(task.target_container_id).center.copy()
-        assert not sw.check_success(state, task, scene)
+        assert not sim.check_success(state)
         state.latch_visited = True
-        assert sw.check_success(state, task, scene)
+        assert sim.check_success(state)
 
 
 class TestFeaturize:
@@ -339,6 +339,20 @@ class TestSceneJson:
     def test_schema_mismatch(self):
         with pytest.raises(sw.SceneError):
             sw.scene_from_json({"schema": "nope"})
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: doc["objects"][0].pop("position"),
+        lambda doc: doc["containers"][1].update(depth=0.1),
+        lambda doc: doc["tasks"]["long"].pop("target_object_id"),
+        lambda doc: doc["camera"]["intrinsic"].update(fx=-1.0),
+        lambda doc: doc["camera"].update(intrinsic=[220.0, 220.0, 112.0, 112.0, 224, 224]),
+    ], ids=["missing_field", "unknown_field", "task_missing_field", "bad_value", "not_an_object"])
+    def test_malformed_entry(self, corrupt):
+        scene, task = sw.default_scene("long")
+        doc = json.loads(json.dumps(sw.scene_to_json(scene, {"long": task}, sw.default_camera())))
+        corrupt(doc)
+        with pytest.raises(sw.SceneError, match="malformed"):
+            sw.scene_from_json(doc)
 
     def test_scene_validation(self):
         with pytest.raises(sw.SceneError):

@@ -515,7 +515,8 @@ class TestParamSetCheckpoint:
         with pytest.raises(tn.TensorError):
             tn.load_into(other, path)
 
-    @pytest.mark.parametrize("fault", ["schema", "truncated", "trailing", "negative_dim", "missing"])
+    @pytest.mark.parametrize("fault", ["schema", "truncated", "trailing", "negative_dim", "missing",
+                                       "no_params_key", "no_name_key", "no_shape_key"])
     def test_checkpoint_reader_errors(self, tmp_path, fault):
         params = tn.ParamSet(seed=5)
         params.zeros("a", (2, 2))
@@ -532,6 +533,12 @@ class TestParamSetCheckpoint:
             blob += bytes(8)
         elif fault == "negative_dim":
             manifest["params"][0]["shape"] = [2, -2]
+        elif fault == "no_params_key":
+            del manifest["params"]
+        elif fault == "no_name_key":
+            del manifest["params"][1]["name"]
+        elif fault == "no_shape_key":
+            del manifest["params"][1]["shape"]
         else:
             params.zeros("c", (1,))
         manifest_path.write_text(json.dumps(manifest))
