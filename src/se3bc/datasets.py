@@ -266,18 +266,23 @@ def make_windows(demo: Demonstration, horizon: int = HORIZON_DEFAULT) -> list:
 
 
 def make_supervision(window: TrainingWindow, variant: SupervisionVariant, cam: sw.CameraModel):
-    """Per-step target rows (H, variant.target_dim) for a variant.
+    """Per-step target rows (H, variant.target_dim) for a variant; see pose_targets."""
+    return pose_targets(window.target_poses_cam, variant, cam)
 
-    Chart violations (axis-angle at the boundary, Euler gimbal band,
-    keypoints behind the camera) raise DatasetError naming the step.
+
+def pose_targets(poses: np.ndarray, variant: SupervisionVariant, cam: sw.CameraModel) -> np.ndarray:
+    """Target rows (N, variant.target_dim) for camera-frame pose rows [p, theta].
+
+    Each row is converted on its own, so a row's targets do not depend on
+    the rows beside it. Chart violations (axis-angle at the boundary, Euler
+    gimbal band, keypoints behind the camera) raise DatasetError naming the
+    row as the step.
     """
-    horizon = window.target_poses_cam.shape[0]
-    targets = np.zeros((horizon, variant.target_dim))
+    targets = np.zeros((len(poses), variant.target_dim))
     if variant.target == "no_traj":
         return targets
 
-    for h in range(horizon):
-        pose_cam = window.target_poses_cam[h]
+    for h, pose_cam in enumerate(poses):
         if variant.target == "traj_3d_pos":
             targets[h] = pose_cam[:3]
             continue

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import simworld as sw
 from . import tensornet as tn
-from .datasets import SupervisionVariant, make_supervision
+from .datasets import DatasetError, SupervisionVariant, make_supervision, pose_targets
 
 POLICY_CFG_SCHEMA = "policy_cfg_v1"
 
@@ -293,19 +293,26 @@ def collate(windows, variant: SupervisionVariant, cam: sw.CameraModel, scene: sw
     benchmark among them, pass all four arguments positionally. Trajectory
     targets are synthesized per variant.
     """
-    lang, visual, depth, states, traj_t, act_t = [], [], [], [], [], []
-    for w in windows:
-        lang.append(w.features.lang)
-        visual.append(w.features.visual)
-        depth.append(w.features.depth)
-        states.append(w.state_vec.reshape(1, 7))
-        traj_t.append(make_supervision(w, variant, cam))
-        act_t.append(w.target_actions)
     return {
-        "lang": np.stack(lang),
-        "visual": np.stack(visual),
-        "depth": np.stack(depth),
-        "state": np.stack(states),
-        "traj_targets": np.stack(traj_t),
-        "action_targets": np.stack(act_t),
+        "lang": np.stack([w.features.lang for w in windows]),
+        "visual": np.stack([w.features.visual for w in windows]),
+        "depth": np.stack([w.features.depth for w in windows]),
+        "state": np.stack([w.state_vec.reshape(1, 7) for w in windows]),
+        "traj_targets": _traj_targets(windows, variant, cam),
+        "action_targets": np.stack([w.target_actions for w in windows]),
     }
+
+
+def _traj_targets(windows, variant: SupervisionVariant, cam: sw.CameraModel) -> np.ndarray:
+    """make_supervision stacked over the windows, converting each distinct
+    pose row once: overlapping windows share most of their rows."""
+    poses = np.concatenate([w.target_poses_cam for w in windows], dtype=np.float64)
+    rows = {}  # row bytes -> row of `table`, in first-seen order
+    index = [rows.setdefault(row.tobytes(), len(rows)) for row in poses]
+    try:
+        table = pose_targets(np.frombuffer(b"".join(rows)).reshape(-1, 6), variant, cam)
+    except DatasetError:
+        for w in windows:  # raise as the first failing window does, naming its step
+            make_supervision(w, variant, cam)
+        raise
+    return table[index].reshape(len(windows), len(poses) // len(windows), variant.target_dim)

@@ -591,17 +591,20 @@ def scene_from_json(doc: dict):
     """Parse a scene_spec_v1 document into (scene, tasks, camera)."""
     if doc.get("schema") != SCENE_SCHEMA:
         raise SceneError(f"expected schema {SCENE_SCHEMA!r}, got {doc.get('schema')!r}")
-    scene = SceneSpec(
-        table_lo=doc["table_bounds"]["lo"],
-        table_hi=doc["table_bounds"]["hi"],
-        objects=[_entry(ObjectSpec, o) for o in doc["objects"]],
-        containers=[_entry(ContainerSpec, c) for c in doc["containers"]],
-        rng_seed=doc.get("rng_seed", 0),
-        ee_home=doc.get("ee_home", [0.0, 0.0, 0.20]),
-    )
-    tasks = {name: _entry(TaskSpec, t) for name, t in doc["tasks"].items()}
-    camera = CameraModel(
-        extrinsic=np.asarray(doc["camera"]["extrinsic"], dtype=float).reshape(4, 4),
-        intrinsic=_entry(CameraIntrinsic, doc["camera"]["intrinsic"]),
-    )
+    try:
+        scene = SceneSpec(
+            table_lo=doc["table_bounds"]["lo"],
+            table_hi=doc["table_bounds"]["hi"],
+            objects=[_entry(ObjectSpec, o) for o in doc["objects"]],
+            containers=[_entry(ContainerSpec, c) for c in doc["containers"]],
+            rng_seed=doc.get("rng_seed", 0),
+            ee_home=doc.get("ee_home", [0.0, 0.0, 0.20]),
+        )
+        tasks = {name: _entry(TaskSpec, t) for name, t in doc["tasks"].items()}
+        camera = CameraModel(
+            extrinsic=np.asarray(doc["camera"]["extrinsic"], dtype=float).reshape(4, 4),
+            intrinsic=_entry(CameraIntrinsic, doc["camera"]["intrinsic"]),
+        )
+    except KeyError as e:
+        raise SceneError(f"scene_spec_v1 document lacks key {e.args[0]!r}") from None
     return scene, tasks, camera

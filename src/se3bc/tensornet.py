@@ -6,9 +6,14 @@ order, so backward() is a single reverse sweep. A tape supports exactly one
 backward pass.
 
 Ops accept arbitrary leading batch dimensions; the documented shapes below
-are the trailing ones. Every op output is checked finite and raises
-NumericFaultError otherwise. backward() drops each op's vjp once it has
-run, which frees the op's saved inputs without the garbage collector.
+are the trailing ones. Finiteness is checked once per recording, not per op:
+backward() raises NumericFaultError when the loss is not finite, naming the
+first recorded op whose output is not, and when a leaf gradient it returns is
+not finite. A non-finite value that cannot reach the loss therefore no longer
+raises. Op outputs made outside a tape (inference, untracked inputs) are
+checked as they are made, and so is every Tensor built directly. backward()
+drops each op's vjp and output once it has run, which frees the op's saved
+arrays without the garbage collector.
 
 Threading: a tape and the tensors recorded on it belong to one thread
 (the active-tape stack is thread-local); independent tapes may run
@@ -60,14 +65,15 @@ def _active_tape():
 
 
 class _Node:
-    __slots__ = ("op", "node_id", "parents", "vjp", "tensor")
+    __slots__ = ("op", "node_id", "parents", "vjp", "tensor", "out")
 
-    def __init__(self, op, node_id, parents, vjp, tensor=None):
+    def __init__(self, op, node_id, parents, vjp, tensor=None, out=None):
         self.op = op
         self.node_id = node_id
         self.parents = parents  # one per op input: its _Node, or None if untracked
         self.vjp = vjp  # grad_out -> list of grads, one per op input; None for leaves
         self.tensor = tensor  # set for leaves so backward can key results
+        self.out = out  # the op's output array (not its Tensor, so no cycle); None for leaves
 
 
 class GradientTape:
@@ -87,8 +93,8 @@ class GradientTape:
             raise TapeError("tape stack corrupted")
         return False
 
-    def _record(self, op, parents, vjp, tensor=None):
-        node = _Node(op, len(self.nodes), parents, vjp, tensor)
+    def _record(self, op, parents, vjp, tensor=None, out=None):
+        node = _Node(op, len(self.nodes), parents, vjp, tensor, out)
         self.nodes.append(node)
         return node
 
@@ -104,7 +110,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(self.data)):
+        if not np.isfinite(self.data).all():
             raise NumericFaultError("tensor created with non-finite values")
         self.requires_grad = bool(requires_grad)
         self._tape = None
@@ -135,17 +141,26 @@ def as_tensor(x) -> Tensor:
 
 
 def _make(op, out_data, inputs, vjp):
-    """Wrap an op result, recording it when any input is tracked."""
-    try:
-        out = Tensor(out_data)
-    except NumericFaultError:
-        raise NumericFaultError(f"op {op!r} produced non-finite values") from None
+    """Wrap an op result, recording it when any input is tracked.
+
+    A recorded output is not checked here: its array stays on its node, and
+    backward() checks the loss and names this op if the fault reached it. An
+    output that is not recorded is checked now and raises NumericFaultError
+    naming the op.
+    """
+    out = Tensor.__new__(Tensor)  # skips __init__'s per-tensor finiteness check
+    out.data = np.asarray(out_data, dtype=np.float64)
+    out.requires_grad = False
+    out._tape = out._node = None
     tape = _active_tape()
     if tape is not None:
         parents = [t._node_on(tape) if t.requires_grad or t._tape is tape else None for t in inputs]
         if any(p is not None for p in parents):
             out._tape = tape
-            out._node = tape._record(op, parents, vjp)
+            out._node = tape._record(op, parents, vjp, out=out.data)
+            return out
+    if not np.isfinite(out.data).all():
+        raise NumericFaultError(f"op {op!r} produced non-finite values")
     return out
 
 
@@ -198,6 +213,9 @@ def matmul(a, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def vjp(g):
+        if bd.ndim == 2:  # a weight: fold a's leading dimensions into one GEMM per gradient
+            g2 = g.reshape(-1, g.shape[-1])
+            return [(g2 @ bd.T).reshape(a.shape), ad.reshape(-1, ad.shape[-1]).T @ g2]
         ga = _unbroadcast(g @ bd.swapaxes(-1, -2), a.shape)
         gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, b.shape)
         return [ga, gb]
@@ -445,6 +463,10 @@ def backward(tape: GradientTape, loss: Tensor) -> dict:
 
     Returns a dict keyed by leaf Tensor (identity) holding ndarray grads for
     every requires_grad leaf encountered. The tape is consumed.
+
+    Raises NumericFaultError when the loss is not finite, naming the first
+    recorded op whose output is not, and when a returned gradient is not
+    finite (an overflow in the backward pass).
     """
     if tape.consumed:
         raise TapeError("tape already consumed by a previous backward pass")
@@ -453,16 +475,22 @@ def backward(tape: GradientTape, loss: Tensor) -> dict:
     if loss.data.size != 1:
         raise TensorError(f"loss must be scalar, got shape {loss.shape}")
     tape.consumed = True
+    if not np.isfinite(loss.data).all():
+        first = next((n.op for n in tape.nodes if n.out is not None and not np.isfinite(n.out).all()),
+                     loss._node.op)
+        raise NumericFaultError(f"op {first!r} produced non-finite values")
 
     grads = {loss._node.node_id: np.ones_like(loss.data)}
     result = {}
     for node in reversed(tape.nodes):
-        vjp, node.vjp = node.vjp, None  # frees the op's saved inputs
+        vjp, node.vjp, node.out = node.vjp, None, None  # frees the op's saved arrays
         g = grads.pop(node.node_id, None)
         if g is None:
             continue
         if node.op == "leaf":
             if node.tensor is not None and node.tensor.requires_grad:
+                if not np.isfinite(g).all():
+                    raise NumericFaultError(f"backward produced a non-finite gradient of shape {g.shape}")
                 result[node.tensor] = g
             continue
         for parent, pg in zip(node.parents, vjp(g)):
@@ -703,7 +731,10 @@ def load_checkpoint(path: str):
     """Read a ckpt_v1 checkpoint; returns (manifest, name->ndarray)."""
     manifest_path, blob_path = _ckpt_paths(path)
     with open(manifest_path) as f:
-        manifest = json.load(f)
+        try:
+            manifest = json.load(f)
+        except json.JSONDecodeError as e:
+            raise TensorError(f"ckpt_v1 manifest is not valid JSON: {e}") from e
     if manifest.get("schema") != "ckpt_v1":
         raise TensorError(f"expected ckpt_v1 manifest, got {manifest.get('schema')!r}")
     with open(blob_path, "rb") as f:

@@ -376,6 +376,16 @@ def test_fault_checkpoint_holds_the_last_logged_step(tmp_path, monkeypatch, worl
         np.testing.assert_array_equal(arrays[name], values)
 
 
+def test_overflowing_loss_weight_raises_train_diverged(world):
+    # lam = 1e308 makes lam * traj overflow in the first step's forward pass.
+    scene, task, _, _ = world
+    data = ds.record_demonstrations(scene, task, 1, seed=2)
+    cfg = hs.TrainConfig(policy=pol.PolicyConfig(token_dim=sw.feature_dims(scene)[0], lam=1e308),
+                         steps=10, warmup_steps=2)
+    with np.errstate(over="ignore"), pytest.raises(hs.TrainDiverged, match="step 1: op 'scale'"):
+        hs.train(data, cfg)
+
+
 def test_load_policy_needs_policy_config(tmp_path, world):
     _, _, _, policy = world
     path = str(tmp_path / "bare.ckpt")

@@ -327,3 +327,37 @@ class TestCollate:
         policy = make_policy(scene, target="no_traj", depth="none")
         zeroed = {**batch, "depth": np.zeros_like(batch["depth"])}
         assert float(policy.loss(zeroed)[0].data) == float(policy.loss(batch)[0].data)
+
+    @pytest.mark.parametrize("target,rotation", [
+        (t, r) for t in ds.TARGET_KINDS for r in (ds.ROTATION_PARAMS if t in ds.SE3_TARGETS else ["axis_angle"])
+    ])
+    def test_traj_targets_equal_per_window_supervision(self, world, target, rotation):
+        scene, task, data, windows = world
+        variant = ds.SupervisionVariant(target, rotation_param=rotation)
+        batch = pol.collate(windows, variant, data.camera, scene)
+        expect = np.stack([ds.make_supervision(w, variant, data.camera) for w in windows])
+        assert batch["traj_targets"].shape == expect.shape
+        npt.assert_array_equal(batch["traj_targets"], expect)
+
+    def test_chart_violation_names_the_window_step(self, world):
+        scene, task, data, windows = world
+        poses = windows[1].target_poses_cam.copy()
+        poses[5] = [0.0, 0.0, 0.0, np.pi - 1e-9, 0.0, 0.0]  # axis-angle at the chart boundary
+        bad = ds.TrainingWindow(windows[1].features, windows[1].state_vec, poses,
+                                windows[1].target_actions, 0, windows[1].t)
+        with pytest.raises(ds.DatasetError, match="step 5: axis-angle target at the chart boundary"):
+            pol.collate([windows[0], bad, windows[2]], ds.SupervisionVariant(), data.camera, scene)
+
+
+def test_desk_training_step_size(world):
+    # One desk training step on a tape: a change that adds tape ops shows here.
+    scene, task, data, windows = world
+    variant = ds.SupervisionVariant("traj_camera_se3")
+    batch = pol.collate(windows[:16], variant, data.camera, scene)
+    policy = make_policy(scene)
+    with tn.GradientTape() as tape:
+        total, _, _ = policy.loss(batch)
+    assert len(tape.nodes) == 316
+    assert sum(n.op == "matmul" for n in tape.nodes) == 48
+    grads = tn.backward(tape, total)
+    assert len(grads) == len(policy.params.names())

@@ -340,6 +340,18 @@ class TestSceneJson:
         with pytest.raises(sw.SceneError):
             sw.scene_from_json({"schema": "nope"})
 
+    @pytest.mark.parametrize("key", ["table_bounds", "objects", "containers", "tasks", "camera"])
+    def test_missing_top_level_key_names_it(self, key):
+        scene, task = sw.default_scene("long")
+        doc = sw.scene_to_json(scene, {"long": task}, sw.default_camera())
+        del doc[key]
+        with pytest.raises(sw.SceneError, match=f"lacks key '{key}'"):
+            sw.scene_from_json(doc)
+
+    def test_bare_schema_names_first_missing_key(self):
+        with pytest.raises(sw.SceneError, match="lacks key 'table_bounds'"):
+            sw.scene_from_json({"schema": "scene_spec_v1"})
+
     @pytest.mark.parametrize("corrupt", [
         lambda doc: doc["objects"][0].pop("position"),
         lambda doc: doc["containers"][1].update(depth=0.1),

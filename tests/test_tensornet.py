@@ -331,6 +331,27 @@ class TestBackward:
         del y, loss
         assert y_data() is None
 
+    def test_forward_fault_on_a_tape_raises_in_backward_naming_the_op(self):
+        x = tn.Tensor(np.exp(700.0) * np.ones(1), requires_grad=True)
+        with np.errstate(over="ignore"):
+            with tn.GradientTape() as tape:
+                y = tn.mul(x, x)  # -> inf, recorded without a check
+                loss = tn.sum_all(tn.scale(y, 2.0))
+            assert not np.isfinite(y.data).all()
+            with pytest.raises(tn.NumericFaultError, match="op 'mul' produced non-finite values"):
+                tn.backward(tape, loss)
+
+    def test_gradient_overflow_raises(self):
+        # Forward: 1e-300 * 1e300 * 1e300 = 1e300, finite. Backward: the
+        # gradient of x is 1e300 * 1e300, which overflows.
+        x = tn.Tensor(np.full(2, 1e-300), requires_grad=True)
+        with tn.GradientTape() as tape:
+            loss = tn.sum_all(tn.mul(tn.mul(x, tn.Tensor(np.full(2, 1e300))), tn.Tensor(np.full(2, 1e300))))
+        assert np.isfinite(loss.data)
+        with np.errstate(over="ignore"):
+            with pytest.raises(tn.NumericFaultError, match="gradient"):
+                tn.backward(tape, loss)
+
     def test_grad_accumulates_on_reused_tensor(self):
         x = tn.Tensor(np.array([2.0]), requires_grad=True)
         with tn.GradientTape() as tape:
@@ -373,6 +394,17 @@ class TestGradCheckPerOp:
         inputs = [rng.normal(size=shape) for _ in range(arity)]
         res = tn.grad_check(fn, inputs)
         assert res.max_rel_error < 1e-6, f"{name}: {res}"
+
+    @pytest.mark.parametrize("b_shape", [(4, 5), (2, 4, 5)], ids=["weight", "batched"])
+    def test_matmul_leading_dims_gradient(self, b_shape):
+        rng = np.random.default_rng(17)
+        w = rnd(rng, 2, 3, 5)
+
+        def fn(ts):
+            return tn.sum_all(tn.mul(tn.matmul(ts[0], ts[1]), tn.Tensor(w)))
+
+        res = tn.grad_check(fn, [rnd(rng, 2, 3, 4), rnd(rng, *b_shape)])
+        assert res.max_rel_error < 1e-6, res
 
     def test_attention_gradient(self):
         rng = np.random.default_rng(15)
@@ -516,7 +548,7 @@ class TestParamSetCheckpoint:
             tn.load_into(other, path)
 
     @pytest.mark.parametrize("fault", ["schema", "truncated", "trailing", "negative_dim", "missing",
-                                       "no_params_key", "no_name_key", "no_shape_key"])
+                                       "no_params_key", "no_name_key", "no_shape_key", "bad_json"])
     def test_checkpoint_reader_errors(self, tmp_path, fault):
         params = tn.ParamSet(seed=5)
         params.zeros("a", (2, 2))
@@ -539,9 +571,10 @@ class TestParamSetCheckpoint:
             del manifest["params"][1]["name"]
         elif fault == "no_shape_key":
             del manifest["params"][1]["shape"]
-        else:
+        elif fault != "bad_json":
             params.zeros("c", (1,))
-        manifest_path.write_text(json.dumps(manifest))
+        text = json.dumps(manifest)
+        manifest_path.write_text(text[: len(text) // 2] if fault == "bad_json" else text)
         blob_path.write_bytes(blob)
         with pytest.raises(tn.TensorError):
             tn.load_into(params, str(path))
