@@ -157,7 +157,6 @@ def record_demonstrations(
     camera = camera or sw.default_camera()
     sim = sw.Simulator(scene, task, sim_cfg)
     expert = sw.ScriptedExpert(scene, task, expert_cfg)
-    t_wc = geo.se3_inverse(camera.extrinsic)
 
     dataset = DemoDataset(scene, task, camera, sim_cfg, expert_cfg, seed)
     max_attempts = max(10, math.ceil(n / 0.8) + 2)
@@ -170,7 +169,7 @@ def record_demonstrations(
             )
         ep_seed = derive_seed(seed, "episode", attempt)
         attempt += 1
-        demo = _record_episode(sim, expert, camera, t_wc, ep_seed)
+        demo = _record_episode(sim, expert, camera, ep_seed)
         if demo is None:
             continue
         dataset.demos.append(demo)
@@ -180,7 +179,7 @@ def record_demonstrations(
     return dataset
 
 
-def _record_episode(sim, expert, camera, t_wc, ep_seed):
+def _record_episode(sim, expert, camera, ep_seed):
     state = sim.reset(ep_seed)
     expert.reset()
     states = [state]
@@ -206,7 +205,7 @@ def _record_episode(sim, expert, camera, t_wc, ep_seed):
             StepRecord(
                 features=sw.featurize(s, sim.task, sim.scene, camera),
                 ee_pose_world=s.ee_pose.copy(),
-                ee_pose_cam=t_wc @ s.ee_pose,
+                ee_pose_cam=camera.t_wc @ s.ee_pose,
                 state_vec=s.state_vec(),
                 action=geo.RelativeAction(rigid.dp, rigid.dtheta, g_cmd),
             )
@@ -221,16 +220,13 @@ class TrainingWindow:
     target_poses_cam rows are camera-frame pose vectors [p, theta] for steps
     t+1 .. t+H; target_actions rows are [dp, dtheta, gripper] for steps
     t .. t+H-1. Past the end of the episode the final record repeats: its
-    pose, a zero rigid action and the held gripper (n_padded counts the pose
-    rows that repeat it).
+    pose, a zero rigid action and the held gripper.
     """
 
     features: sw.ObservationFeatures
     state_vec: np.ndarray
     target_poses_cam: np.ndarray  # (H, 6)
     target_actions: np.ndarray  # (H, 7)
-    n_padded: int
-    t: int
 
 
 def make_windows(demo: Demonstration, horizon: int = HORIZON_DEFAULT) -> list:
@@ -246,7 +242,6 @@ def make_windows(demo: Demonstration, horizon: int = HORIZON_DEFAULT) -> list:
         raise DatasetError("horizon must be >= 1")
     if not demo.steps:
         return []
-    last = len(demo.steps) - 1
     pad = ((0, horizon), (0, 0))
     poses = np.pad([geo.se3_to_pose(s.ee_pose_cam) for s in demo.steps], pad, mode="edge")
     acts = np.pad([[*s.action.dp, *s.action.dtheta, s.action.gripper] for s in demo.steps], pad,
@@ -258,16 +253,9 @@ def make_windows(demo: Demonstration, horizon: int = HORIZON_DEFAULT) -> list:
             state_vec=s.state_vec,
             target_poses_cam=poses[t + 1 : t + 1 + horizon],
             target_actions=acts[t : t + horizon],
-            n_padded=max(0, t + horizon - last),
-            t=t,
         )
         for t, s in enumerate(demo.steps)
     ]
-
-
-def make_supervision(window: TrainingWindow, variant: SupervisionVariant, cam: sw.CameraModel):
-    """Per-step target rows (H, variant.target_dim) for a variant; see pose_targets."""
-    return pose_targets(window.target_poses_cam, variant, cam)
 
 
 def pose_targets(poses: np.ndarray, variant: SupervisionVariant, cam: sw.CameraModel) -> np.ndarray:
@@ -288,7 +276,7 @@ def pose_targets(poses: np.ndarray, variant: SupervisionVariant, cam: sw.CameraM
             continue
         if variant.target == "traj_2d":
             try:
-                uv, _ = geo.project_pinhole(pose_cam[:3], cam.intrinsic)
+                uv = geo.project_pinhole(pose_cam[:3], cam.intrinsic)
             except geo.BehindCameraError as e:
                 raise DatasetError(f"step {h}: target behind camera") from e
             targets[h] = [uv[0] / cam.intrinsic.width, uv[1] / cam.intrinsic.height]

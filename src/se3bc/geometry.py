@@ -273,17 +273,15 @@ def camera_to_world(t_cam: np.ndarray, extrinsic: np.ndarray) -> np.ndarray:
 
 
 def project_pinhole(p_cam, intr: CameraIntrinsic):
-    """Project a camera-frame point to pixels.
+    """Project a camera-frame point to pixels uv.
 
-    Returns (uv, out_of_frame). Out-of-frame points are returned unclamped
-    with the flag set. Raises BehindCameraError for depth <= MIN_PROJECT_DEPTH.
+    Out-of-frame points are returned unclamped. Raises BehindCameraError for
+    depth <= MIN_PROJECT_DEPTH.
     """
     p = _as_vec3(p_cam, "p_cam")
     if p[2] <= MIN_PROJECT_DEPTH:
         raise BehindCameraError(f"point depth {p[2]:.3g} is at or behind the camera")
-    uv = np.array([intr.fx * p[0] / p[2] + intr.cx, intr.fy * p[1] / p[2] + intr.cy])
-    out_of_frame = not (0.0 <= uv[0] < intr.width and 0.0 <= uv[1] < intr.height)
-    return uv, out_of_frame
+    return np.array([intr.fx * p[0] / p[2] + intr.cx, intr.fy * p[1] / p[2] + intr.cy])
 
 
 # --- rotation chart conversions (all routed through the matrix form) ---

@@ -33,9 +33,6 @@ from .seeding import derive_seed
 log = logging.getLogger(__name__)
 
 WILSON_Z = 1.95996
-# AdamW settings of every training run (see TrainConfig).
-TRAIN_LR = 1e-3
-TRAIN_WEIGHT_DECAY = 1e-4
 
 
 class HarnessError(ValueError):
@@ -65,9 +62,9 @@ def wilson_interval(k: int, n: int):
 
 @dataclass
 class TrainConfig:
-    """One behavior-cloning run: AdamW at peak lr TRAIN_LR with weight decay
-    TRAIN_WEIGHT_DECAY and OptimizerConfig's default betas and eps, warmed up
-    linearly over warmup_steps, then cosine-decayed to zero at `steps`."""
+    """One behavior-cloning run: AdamW at OptimizerConfig's default peak lr,
+    weight decay, betas and eps, warmed up linearly over warmup_steps, then
+    cosine-decayed to zero at `steps`."""
 
     policy: pol.PolicyConfig
     steps: int = 3000
@@ -100,10 +97,8 @@ def train(dataset: ds.DemoDataset, cfg: TrainConfig, ckpt_path: str | None = Non
         raise HarnessError("dataset has no training windows")
     full = pol.collate(windows, variant, dataset.camera, dataset.scene) if windows else None
 
-    opt = tn.OptimizerState(tn.OptimizerConfig(
-        lr=TRAIN_LR, weight_decay=TRAIN_WEIGHT_DECAY, warmup_steps=cfg.warmup_steps,
-        total_steps=max(cfg.steps, 1),
-    ))
+    opt = tn.OptimizerState(tn.OptimizerConfig(warmup_steps=cfg.warmup_steps,
+                                               total_steps=max(cfg.steps, 1)))
     shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
     order = np.array([], dtype=int)
     curve = []
@@ -231,25 +226,20 @@ def _tracks_camera_pose(policy: pol.Policy) -> bool:
 # --- perturbed-predictor protocol ---
 
 
-@dataclass
-class PerturbSpec:
-    """Noise injected at the predictor output, plus execution-side gripper lag.
-
-    Translation noise is per position dimension (meters), rotation noise per
-    axis-angle dimension (radians). The same draws corrupt both the learned
-    decoder's conditioning stream and the hardcoded pipeline's poses.
-    """
-
-    sigma_p: float = 0.005
-    sigma_theta: float = math.radians(2.0)
-    gripper_latency: int = 2
+# Noise injected at the predictor output: per position dimension (meters) and
+# per axis-angle dimension (radians). The same draws corrupt both the learned
+# decoder's conditioning stream and the hardcoded pipeline's poses. Gripper
+# commands are executed PERTURB_GRIPPER_LATENCY steps late.
+PERTURB_SIGMA_P = 0.005
+PERTURB_SIGMA_THETA = math.radians(2.0)
+PERTURB_GRIPPER_LATENCY = 2
 
 
-def _perturbation(spec: PerturbSpec, root_seed: int, episode: int, chunk: int, horizon: int):
+def _perturbation(root_seed: int, episode: int, chunk: int, horizon: int):
     rng = np.random.default_rng(derive_seed(root_seed, "perturb", episode, chunk))
     eps = np.zeros((horizon, 6))
-    eps[:, :3] = rng.normal(0.0, spec.sigma_p, size=(horizon, 3))
-    eps[:, 3:] = rng.normal(0.0, spec.sigma_theta, size=(horizon, 3))
+    eps[:, :3] = rng.normal(0.0, PERTURB_SIGMA_P, size=(horizon, 3))
+    eps[:, 3:] = rng.normal(0.0, PERTURB_SIGMA_THETA, size=(horizon, 3))
     return eps
 
 
@@ -264,45 +254,45 @@ class _Learned:
     For camera-frame axis-angle policies, tau is also scored against the
     camera-frame ee poses the episode then reached.
 
-    With a PerturbSpec, the pose-space noise eps is mapped into the hidden
+    With perturb=True, the pose-space noise eps is mapped into the hidden
     states through the linear head's pseudo-inverse, so head(h_traj + dh) =
     tau + eps exactly: the decoder conditions on hidden states that decode to
     the same corrupted trajectory the hardcoded pipeline reads. Gripper
-    commands are additionally delayed by the spec's latency (the queue
-    persists across chunks within an episode).
+    commands are additionally delayed by PERTURB_GRIPPER_LATENCY steps (the
+    queue persists across chunks within an episode).
     """
 
-    def __init__(self, policy: pol.Policy, scene, task, camera, perturb: PerturbSpec | None,
-                 root_seed: int):
+    def __init__(self, policy: pol.Policy, scene, task, camera, perturb: bool, root_seed: int):
         self._tracks_tau = _tracks_camera_pose(policy)
         variant = policy.cfg.variant
         self._counts_chart = variant.rotation_param == "axis_angle" and variant.target_dim == 6
-        if perturb is not None:
+        if perturb:
             if not self._tracks_tau:
                 raise HarnessError("perturbed protocol needs a camera-frame axis-angle policy")
             self._head_pinv = np.linalg.pinv(policy.params["pred.head.w"].data)  # (6, D)
         self.policy, self.scene, self.task, self.camera = policy, scene, task, camera
         self.perturb, self.root_seed = perturb, root_seed
-        self._t_wc = geo.se3_inverse(camera.extrinsic)
         self.pred_rows = self.violating_rows = 0
         self.traj_err_sum, self.traj_err_n = 0.0, 0
 
     def reset(self, episode: int):
         self._episode, self._chunks = episode, 0
         self._rows = deque()
-        self._grip_queue = deque([0.0] * (self.perturb.gripper_latency if self.perturb else 0))
+        self._grip_queue = deque([0.0] * (PERTURB_GRIPPER_LATENCY if self.perturb else 0))
         self._predicted = []  # (step the chunk was predicted at, tau)
-        self._cam_poses = []  # camera-frame ee pose per step count
+        self._cam_poses = []  # camera-frame ee pose per step count, when tau is scored
 
     def action(self, state: sw.SimState) -> geo.RelativeAction:
-        self._cam_poses.append(geo.se3_to_pose(self._t_wc @ state.ee_pose))
+        if self._tracks_tau:
+            self._cam_poses.append(geo.se3_to_pose(self.camera.t_wc @ state.ee_pose))
         if not self._rows:
             self._predict(state)
         row = self._rows.popleft()
         return geo.RelativeAction(row[:3], row[3:6], 1.0 if row[6] > 0.5 else 0.0)
 
     def finish(self, state: sw.SimState):
-        self._cam_poses.append(geo.se3_to_pose(self._t_wc @ state.ee_pose))
+        if self._tracks_tau:
+            self._cam_poses.append(geo.se3_to_pose(self.camera.t_wc @ state.ee_pose))
         for t0, tau in self._predicted:
             for h in range(tau.shape[0]):
                 idx = t0 + h + 1
@@ -312,10 +302,10 @@ class _Learned:
 
     def _predict(self, state: sw.SimState):
         features = sw.featurize(state, self.task, self.scene, self.camera)
-        if self.perturb is None:
-            out = self.policy.act(features, state.state_vec())
-        else:
+        if self.perturb:
             out = self._perturbed_act(features, state.state_vec())
+        else:
+            out = self.policy.act(features, state.state_vec())
         if out.tau is not None:
             self.pred_rows += out.tau.shape[0]
             if self._counts_chart:
@@ -327,8 +317,7 @@ class _Learned:
     def _perturbed_act(self, features, state_vec) -> pol.PolicyOutput:
         p = self.policy
         h_traj, _ = p.predict_trajectory(p.encode_features(features))
-        eps = _perturbation(self.perturb, self.root_seed, self._episode, self._chunks,
-                            p.cfg.horizon)
+        eps = _perturbation(self.root_seed, self._episode, self._chunks, p.cfg.horizon)
         self._chunks += 1
         h_noisy = tn.Tensor(h_traj.data + eps @ self._head_pinv)
         tau = p.trajectory_head(h_noisy).data
@@ -347,14 +336,14 @@ def rollout(
     seed: int,
     sim_cfg: sw.SimConfig | None = None,
     camera: sw.CameraModel | None = None,
-    perturb: PerturbSpec | None = None,
+    perturb: bool = False,
 ) -> EvalReport:
     """Closed-loop evaluation of the learned decoder.
 
     The policy predicts an H-step action chunk, the simulator executes all of
     it, and prediction repeats until success or the horizon limit. With
-    perturb, the predictor output is corrupted by draws derived from seed, the
-    same draws closed_form_baseline() uses (see _Learned). Episode seeds match
+    perturb=True, the predictor output is corrupted by draws derived from
+    seed, the same draws closed_form_baseline() uses (see _Learned). Episode seeds match
     closed_form_baseline()'s, so comparisons are paired.
     """
     learned = _Learned(policy, scene, task, camera or sw.default_camera(), perturb, seed)
@@ -393,11 +382,11 @@ class _ClosedForm:
     perturbation is added to tau. Each pose row is lifted to the world frame
     via the known extrinsic and chained into relative actions with the exact
     recovery map. The gripper follows privileged simulator proximity at
-    every step, delayed by the perturbation's latency.
+    every step, delayed by PERTURB_GRIPPER_LATENCY steps when perturbed.
     """
 
-    def __init__(self, policy: pol.Policy | None, scene, task, camera,
-                 perturb: PerturbSpec | None, root_seed: int, oracle_horizon: int | None):
+    def __init__(self, policy: pol.Policy | None, scene, task, camera, perturb: bool,
+                 root_seed: int, oracle_horizon: int | None):
         self.policy, self.scene, self.task, self.camera = policy, scene, task, camera
         self.perturb, self.root_seed = perturb, root_seed
         self._expert = None
@@ -405,12 +394,11 @@ class _ClosedForm:
             self._horizon = oracle_horizon
             self._shadow = sw.Simulator(scene, task)
             self._expert = sw.ScriptedExpert(scene, task, sw.ExpertConfig(gripper_latency_steps=0))
-            self._t_wc = geo.se3_inverse(camera.extrinsic)
 
     def reset(self, episode: int):
         self._episode, self._chunks = episode, 0
         self._moves = deque()
-        self._grip_queue = deque([0.0] * (self.perturb.gripper_latency if self.perturb else 0))
+        self._grip_queue = deque([0.0] * (PERTURB_GRIPPER_LATENCY if self.perturb else 0))
         self._grip = 0.0
         if self._expert is not None:
             self._expert.reset()
@@ -434,9 +422,8 @@ class _ClosedForm:
         else:
             features = sw.featurize(state, self.task, self.scene, self.camera)
             tau = self.policy.act(features, state.state_vec()).tau
-        if self.perturb is not None:
-            tau = tau + _perturbation(self.perturb, self.root_seed, self._episode, self._chunks,
-                                      tau.shape[0])
+        if self.perturb:
+            tau = tau + _perturbation(self.root_seed, self._episode, self._chunks, tau.shape[0])
         self._chunks += 1
         prev = state.ee_pose
         for row in tau:
@@ -450,7 +437,7 @@ class _ClosedForm:
         for h in range(self._horizon):
             if state.step_count < self.task.horizon_limit:
                 state = self._shadow.step(state, expert.action(state))
-            rows[h] = geo.se3_to_pose(self._t_wc @ state.ee_pose)
+            rows[h] = geo.se3_to_pose(self.camera.t_wc @ state.ee_pose)
         return rows
 
 
@@ -462,7 +449,7 @@ def closed_form_baseline(
     seed: int,
     sim_cfg: sw.SimConfig | None = None,
     camera: sw.CameraModel | None = None,
-    perturb: PerturbSpec | None = None,
+    perturb: bool = False,
     oracle: bool = False,
 ) -> EvalReport:
     """Closed-loop evaluation of the hardcoded geometric pipeline.
@@ -501,17 +488,13 @@ class StudySpec:
     demos: int = 50
     steps: int = 3000
     batch_size: int = 16
-    sigma_p: float = 0.0
     root_seed: int = 0
-    perturb: PerturbSpec | None = None
 
     def __post_init__(self):
         if self.kind not in STUDY_KINDS:
             raise HarnessError(f"unknown study kind {self.kind!r}")
         if not self.seeds:
             raise HarnessError("study needs at least one seed")
-        if self.kind == "closed_form" and self.perturb is None:
-            self.perturb = PerturbSpec()
 
 
 def study_cells(spec: StudySpec):
@@ -544,7 +527,7 @@ def run_study(spec: StudySpec):
     """
     scene, task = sw.default_scene(spec.family)
     camera = sw.default_camera()
-    sim_cfg = sw.SimConfig(sigma_p=spec.sigma_p)
+    sim_cfg = sw.SimConfig()
     rows = []
     dataset_cache = {}
 
@@ -588,10 +571,10 @@ def _closed_form_rows(spec, policy, scene, task, camera, sim_cfg, seed, eval_see
                                   sim_cfg=sim_cfg, camera=camera, oracle=True)
     out.append(_row(spec, "oracle_hardcoded", seed, oracle, policy.cfg))
     perturbed_learned = rollout(policy, scene, task, spec.episodes, eval_seed,
-                                sim_cfg=sim_cfg, camera=camera, perturb=spec.perturb)
+                                sim_cfg=sim_cfg, camera=camera, perturb=True)
     out.append(_row(spec, "perturbed_learned", seed, perturbed_learned, policy.cfg))
     perturbed_hard = closed_form_baseline(policy, scene, task, spec.episodes, eval_seed,
-                                          sim_cfg=sim_cfg, camera=camera, perturb=spec.perturb)
+                                          sim_cfg=sim_cfg, camera=camera, perturb=True)
     out.append(_row(spec, "perturbed_hardcoded", seed, perturbed_hard, policy.cfg))
     return out
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import simworld as sw
 from . import tensornet as tn
-from .datasets import DatasetError, SupervisionVariant, make_supervision, pose_targets
+from .datasets import DatasetError, SupervisionVariant, pose_targets
 
 POLICY_CFG_SCHEMA = "policy_cfg_v1"
 
@@ -304,7 +304,7 @@ def collate(windows, variant: SupervisionVariant, cam: sw.CameraModel, scene: sw
 
 
 def _traj_targets(windows, variant: SupervisionVariant, cam: sw.CameraModel) -> np.ndarray:
-    """make_supervision stacked over the windows, converting each distinct
+    """pose_targets of each window's poses, stacked, converting each distinct
     pose row once: overlapping windows share most of their rows."""
     poses = np.concatenate([w.target_poses_cam for w in windows], dtype=np.float64)
     rows = {}  # row bytes -> row of `table`, in first-seen order
@@ -313,6 +313,6 @@ def _traj_targets(windows, variant: SupervisionVariant, cam: sw.CameraModel) -> 
         table = pose_targets(np.frombuffer(b"".join(rows)).reshape(-1, 6), variant, cam)
     except DatasetError:
         for w in windows:  # raise as the first failing window does, naming its step
-            make_supervision(w, variant, cam)
+            pose_targets(w.target_poses_cam, variant, cam)
         raise
     return table[index].reshape(len(windows), len(poses) // len(windows), variant.target_dim)

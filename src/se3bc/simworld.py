@@ -144,9 +144,11 @@ class TaskSpec:
 class CameraModel:
     extrinsic: np.ndarray  # camera-to-world, 4x4
     intrinsic: CameraIntrinsic
+    t_wc: np.ndarray = field(init=False, repr=False)  # world-to-camera, inverted at construction
 
     def __post_init__(self):
         self.extrinsic = geo.check_se3(self.extrinsic)
+        self.t_wc = geo.se3_inverse(self.extrinsic)
 
 
 @dataclass
@@ -463,7 +465,6 @@ def featurize(state: SimState, task: TaskSpec, scene: SceneSpec, cam: CameraMode
     from these by the policy's encoder (see relative_depth).
     """
     token_dim, n_kp, payload = feature_dims(scene)
-    t_wc = geo.se3_inverse(cam.extrinsic)
 
     keypoints = [state.object_poses[o.id] for o in scene.objects]
     keypoints.append(state.ee_pose[:3, 3])
@@ -485,8 +486,8 @@ def featurize(state: SimState, task: TaskSpec, scene: SceneSpec, cam: CameraMode
     visual = np.zeros((n_kp, token_dim))
     depth = np.zeros((n_kp, token_dim))
     for i, p in enumerate(keypoints):
-        p_cam = (t_wc @ np.append(p, 1.0))[:3]
-        uv, _ = geo.project_pinhole(p_cam, cam.intrinsic)
+        p_cam = (cam.t_wc @ np.append(p, 1.0))[:3]
+        uv = geo.project_pinhole(p_cam, cam.intrinsic)
         visual[i] = token(i, [uv[0] / cam.intrinsic.width, uv[1] / cam.intrinsic.height])
         depth[i] = token(i, [p_cam[2]])
 
@@ -587,23 +588,32 @@ def scene_to_json(scene: SceneSpec, tasks: dict, camera: CameraModel) -> dict:
     }
 
 
+def _section(doc: dict, key: str, kind: type):
+    """doc[key], checked to be a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(doc[key], kind):
+        raise SceneError(f"scene_spec_v1 key {key!r} is a {type(doc[key]).__name__}, not a {kind.__name__}")
+    return doc[key]
+
+
 def scene_from_json(doc: dict):
     """Parse a scene_spec_v1 document into (scene, tasks, camera)."""
-    if doc.get("schema") != SCENE_SCHEMA:
-        raise SceneError(f"expected schema {SCENE_SCHEMA!r}, got {doc.get('schema')!r}")
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != SCENE_SCHEMA:
+        raise SceneError(f"expected schema {SCENE_SCHEMA!r}, got {schema!r}")
     try:
+        bounds, cam = _section(doc, "table_bounds", dict), _section(doc, "camera", dict)
         scene = SceneSpec(
-            table_lo=doc["table_bounds"]["lo"],
-            table_hi=doc["table_bounds"]["hi"],
-            objects=[_entry(ObjectSpec, o) for o in doc["objects"]],
-            containers=[_entry(ContainerSpec, c) for c in doc["containers"]],
+            table_lo=bounds["lo"],
+            table_hi=bounds["hi"],
+            objects=[_entry(ObjectSpec, o) for o in _section(doc, "objects", list)],
+            containers=[_entry(ContainerSpec, c) for c in _section(doc, "containers", list)],
             rng_seed=doc.get("rng_seed", 0),
             ee_home=doc.get("ee_home", [0.0, 0.0, 0.20]),
         )
-        tasks = {name: _entry(TaskSpec, t) for name, t in doc["tasks"].items()}
+        tasks = {name: _entry(TaskSpec, t) for name, t in _section(doc, "tasks", dict).items()}
         camera = CameraModel(
-            extrinsic=np.asarray(doc["camera"]["extrinsic"], dtype=float).reshape(4, 4),
-            intrinsic=_entry(CameraIntrinsic, doc["camera"]["intrinsic"]),
+            extrinsic=np.asarray(cam["extrinsic"], dtype=float).reshape(4, 4),
+            intrinsic=_entry(CameraIntrinsic, cam["intrinsic"]),
         )
     except KeyError as e:
         raise SceneError(f"scene_spec_v1 document lacks key {e.args[0]!r}") from None

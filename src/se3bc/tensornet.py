@@ -581,12 +581,12 @@ class ParamSet:
 
 @dataclass
 class OptimizerConfig:
-    lr: float = 2e-4
+    warmup_steps: int
+    total_steps: int
+    lr: float = 1e-3
     betas: tuple = (0.9, 0.999)
     eps: float = 1e-8
-    weight_decay: float = 0.0
-    warmup_steps: int = 5000
-    total_steps: int = 50000
+    weight_decay: float = 1e-4
 
 
 @dataclass

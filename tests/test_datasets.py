@@ -76,14 +76,11 @@ class TestWindows:
         length = len(demo.steps)
         windows = ds.make_windows(demo, horizon=8)
         assert len(windows) == length
-        assert [w.n_padded for w in windows[-8:]] == [1, 2, 3, 4, 5, 6, 7, 8]
-        assert all(w.n_padded == 0 for w in windows[: length - 8])
 
     def test_padded_rows_are_stationary(self, small_dataset):
         demo = small_dataset.demos[0]
         windows = ds.make_windows(demo, horizon=8)
         last = windows[-1]
-        assert last.n_padded == 8
         npt.assert_array_equal(last.target_actions[:, :6], np.zeros((8, 6)))
         final_pose = geo.se3_to_pose(demo.steps[-1].ee_pose_cam)
         for h in range(8):
@@ -93,8 +90,8 @@ class TestWindows:
         data = small_dataset
         for demo in data.demos[:2]:
             windows = ds.make_windows(demo, horizon=8)
-            for w in windows[::5]:
-                cur = demo.steps[w.t].ee_pose_world.copy()
+            for t, w in list(enumerate(windows))[::5]:
+                cur = demo.steps[t].ee_pose_world.copy()
                 for h in range(8):
                     a = geo.RelativeAction(w.target_actions[h, :3], w.target_actions[h, 3:6])
                     cur = geo.apply_action(cur, a)
@@ -113,11 +110,10 @@ class TestWindows:
             windows = ds.make_windows(demo, horizon)
             expect = per_step_windows(demo, horizon)
             assert len(windows) == len(expect) == len(demo.steps)
-            for w, (poses, actions, n_padded, t) in zip(windows, expect):
+            for w, (poses, actions, t) in zip(windows, expect):
                 for got, ref in [(w.target_poses_cam, poses), (w.target_actions, actions)]:
                     assert got.dtype == ref.dtype and got.shape == ref.shape
                     assert got.tobytes() == ref.tobytes()
-                assert (w.n_padded, w.t) == (n_padded, t)
                 npt.assert_array_equal(w.state_vec, demo.steps[t].state_vec)
                 assert w.features is demo.steps[t].features
 
@@ -135,23 +131,21 @@ def per_step_windows(demo, horizon):
     """Reference windowing: one (t, h) pair at a time, tail rows rebuilt as a
     zero rigid action with the final gripper command held.
 
-    Returns (target_poses_cam, target_actions, n_padded, t) per timestep.
+    Returns (target_poses_cam, target_actions, t) per timestep.
     """
     last = len(demo.steps) - 1
     poses_cam = [geo.se3_to_pose(s.ee_pose_cam) for s in demo.steps]
     out = []
     for t in range(len(demo.steps)):
-        poses, actions, n_padded = np.zeros((horizon, 6)), np.zeros((horizon, 7)), 0
+        poses, actions = np.zeros((horizon, 6)), np.zeros((horizon, 7))
         for h in range(1, horizon + 1):
-            if t + h > last:
-                n_padded += 1
             poses[h - 1] = poses_cam[min(t + h, last)]
             if t + h - 1 >= last:
                 actions[h - 1] = np.concatenate([np.zeros(6), [demo.steps[last].action.gripper]])
             else:
                 src = demo.steps[t + h - 1]
                 actions[h - 1] = np.concatenate([src.action.dp, src.action.dtheta, [src.action.gripper]])
-        out.append((poses, actions, n_padded, t))
+        out.append((poses, actions, t))
     return out
 
 
@@ -162,14 +156,14 @@ def window(small_dataset):
 
 class TestSupervision:
     def test_camera_se3_is_pose_vector(self, window, small_dataset):
-        targets = ds.make_supervision(window, ds.SupervisionVariant("traj_camera_se3"),
-                                      small_dataset.camera)
+        targets = ds.pose_targets(window.target_poses_cam, ds.SupervisionVariant("traj_camera_se3"),
+                                  small_dataset.camera)
         assert targets.shape == (8, 6)
         npt.assert_allclose(targets, window.target_poses_cam, atol=0)
 
     def test_world_se3_matches_extrinsic_lift(self, window, small_dataset):
-        targets = ds.make_supervision(window, ds.SupervisionVariant("traj_world_se3"),
-                                      small_dataset.camera)
+        targets = ds.pose_targets(window.target_poses_cam, ds.SupervisionVariant("traj_world_se3"),
+                                  small_dataset.camera)
         for h in range(8):
             t_world = geo.camera_to_world(
                 geo.pose_to_se3(window.target_poses_cam[h]), small_dataset.camera.extrinsic
@@ -178,36 +172,38 @@ class TestSupervision:
 
     def test_2d_is_projection_of_3d(self, window, small_dataset):
         cam = small_dataset.camera
-        t2 = ds.make_supervision(window, ds.SupervisionVariant("traj_2d"), cam)
-        t3 = ds.make_supervision(window, ds.SupervisionVariant("traj_3d_pos"), cam)
+        t2 = ds.pose_targets(window.target_poses_cam, ds.SupervisionVariant("traj_2d"), cam)
+        t3 = ds.pose_targets(window.target_poses_cam, ds.SupervisionVariant("traj_3d_pos"), cam)
         assert (t2.shape[1], t3.shape[1]) == (2, 3)
         for h in range(8):
-            uv, _ = geo.project_pinhole(t3[h], cam.intrinsic)
+            uv = geo.project_pinhole(t3[h], cam.intrinsic)
             npt.assert_allclose(t2[h], [uv[0] / cam.intrinsic.width, uv[1] / cam.intrinsic.height],
                                 atol=1e-12)
 
     def test_quaternion_targets_unit_norm(self, window, small_dataset):
-        targets = ds.make_supervision(
-            window, ds.SupervisionVariant("traj_camera_se3", rotation_param="quaternion"),
+        targets = ds.pose_targets(
+            window.target_poses_cam,
+            ds.SupervisionVariant("traj_camera_se3", rotation_param="quaternion"),
             small_dataset.camera)
         assert targets.shape[1] == 7
         npt.assert_allclose(np.linalg.norm(targets[:, 3:], axis=1), np.ones(8), atol=1e-12)
 
     def test_no_traj_empty(self, window, small_dataset):
-        targets = ds.make_supervision(window, ds.SupervisionVariant("no_traj"),
-                                      small_dataset.camera)
+        targets = ds.pose_targets(window.target_poses_cam, ds.SupervisionVariant("no_traj"),
+                                  small_dataset.camera)
         assert targets.shape == (8, 0)
 
     def test_aux_equals_camera_targets(self, window, small_dataset):
-        a = ds.make_supervision(window, ds.SupervisionVariant("aux_traj"), small_dataset.camera)
-        c = ds.make_supervision(window, ds.SupervisionVariant("traj_camera_se3"),
-                                small_dataset.camera)
+        a = ds.pose_targets(window.target_poses_cam, ds.SupervisionVariant("aux_traj"),
+                            small_dataset.camera)
+        c = ds.pose_targets(window.target_poses_cam, ds.SupervisionVariant("traj_camera_se3"),
+                            small_dataset.camera)
         npt.assert_array_equal(a, c)
 
     def test_supervision_deterministic(self, window, small_dataset):
         v = ds.SupervisionVariant("traj_camera_se3")
-        a = ds.make_supervision(window, v, small_dataset.camera)
-        b = ds.make_supervision(window, v, small_dataset.camera)
+        a = ds.pose_targets(window.target_poses_cam, v, small_dataset.camera)
+        b = ds.pose_targets(window.target_poses_cam, v, small_dataset.camera)
         npt.assert_array_equal(a, b)
 
     def test_all_variant_dims(self, window, small_dataset):
@@ -215,7 +211,7 @@ class TestSupervision:
             rotations = ds.ROTATION_PARAMS if target in ds.SE3_TARGETS else ["axis_angle"]
             for rot in rotations:
                 v = ds.SupervisionVariant(target, rotation_param=rot)
-                targets = ds.make_supervision(window, v, small_dataset.camera)
+                targets = ds.pose_targets(window.target_poses_cam, v, small_dataset.camera)
                 assert targets.shape == (8, v.target_dim)
 
     def test_invalid_variant_combo(self):
@@ -232,11 +228,10 @@ class TestSupervision:
                  window.target_poses_cam[6:]]
             ),
             target_actions=window.target_actions,
-            n_padded=0,
-            t=0,
         )
         with pytest.raises(ds.DatasetError, match="step 5"):
-            ds.make_supervision(bad, ds.SupervisionVariant("traj_camera_se3"), small_dataset.camera)
+            ds.pose_targets(bad.target_poses_cam, ds.SupervisionVariant("traj_camera_se3"),
+                            small_dataset.camera)
 
 
 class TestFileFormat:
@@ -342,8 +337,10 @@ class TestFileFormat:
         lambda header: header["scene"]["objects"][0].pop("position"),
         lambda header: header["scene"]["tasks"]["task"].update(colour="red"),
         lambda header: header["sim_config"].update(gravity=9.81),
+        lambda header: header["scene"].update(tasks=[]),
+        lambda header: header.update(scene=[]),
     ], ids=["no_episode_seeds", "object_without_position", "task_with_unknown_field",
-            "unknown_sim_field"])
+            "unknown_sim_field", "scene_tasks_not_an_object", "scene_not_an_object"])
     def test_malformed_header_names_line_1(self, tmp_path, small_dataset, corrupt):
         path = tmp_path / "demos.jsonl"
         ds.write_dataset(str(path), small_dataset)

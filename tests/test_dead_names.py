@@ -1,10 +1,14 @@
-"""Every public function, class and method of se3bc has a caller.
+"""Every public function, class and method of se3bc has a caller, and every
+dataclass field has a reader.
 
 A name counts as used when src/ or perfbench/ refers to it outside its own
 definition: functions and classes by name, attribute or import, methods by
 attribute, unless that attribute is looked up on another se3bc class (a
-method shares its name with other classes' methods). Tests do not count, so
-a name only tests need must be listed in KEPT with the reason it stays.
+method shares its name with other classes' methods). A dataclass field counts
+as read when src/ or perfbench/ loads an attribute of its name outside its
+own class, or when its class serialises itself with `asdict(self)`. Tests do
+not count, so a name or field only tests need must be listed in KEPT or
+KEPT_FIELDS with the reason it stays.
 """
 
 import ast
@@ -28,6 +32,12 @@ KEPT = {
     "tensornet.ParamSet.names": "test probe of the parameters a variant builds",
     "tensornet.ParamSet.total_count": "the parameter count compared across variants in tests",
     "simworld.ScriptedExpert.phase": "test probe of the expert's state machine",
+}
+
+# "module.Class.field", or "module.Class" for all of a class's fields.
+KEPT_FIELDS = {
+    "geometry.RelativeAction.chart_violation": "fault flag: a relative rotation at the chart boundary",
+    "tensornet.GradCheckResult": "the result of a test oracle, read by the tests that call grad_check",
 }
 
 
@@ -79,10 +89,41 @@ def _unreferenced(modules, users):
     return unused
 
 
-def unreferenced_names():
+def _is_dataclass(node):
+    return any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list)
+
+
+def _serialises_itself(node):
+    return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "asdict"
+               and n.args and isinstance(n.args[0], ast.Name) and n.args[0].id == "self"
+               for n in ast.walk(node))
+
+
+def _unread_fields(modules, users):
+    """Fields "module.Class.field" of the dataclasses in `modules` that no
+    tree in `users` loads as an attribute outside the field's own class."""
+    loads = defaultdict(set)  # attribute name -> node ids of its loads
+    for tree in users:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                loads[n.attr].add(id(n))
+    unread = set()
+    for module, tree in modules.items():
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)) or _serialises_itself(cls):
+                continue
+            own = {id(n) for n in ast.walk(cls)}
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    if not loads[stmt.target.id] - own:
+                        unread.add(f"{module}.{cls.name}.{stmt.target.id}")
+    return unread
+
+
+def _trees():
     files = sorted((ROOT / "src" / "se3bc").glob("*.py"))
     trees = {p: ast.parse(p.read_text(), str(p)) for p in files + sorted((ROOT / "perfbench").rglob("*.py"))}
-    return _unreferenced({p.stem: trees[p] for p in files}, list(trees.values()))
+    return {p.stem: trees[p] for p in files}, list(trees.values())
 
 
 @pytest.mark.parametrize("use,unused", [
@@ -96,7 +137,45 @@ def test_a_method_lookup_on_another_class_is_no_caller(use, unused):
 
 
 def test_every_public_name_has_a_caller():
-    unused = unreferenced_names()
+    unused = _unreferenced(*_trees())
     dead, stale = sorted(unused - set(KEPT)), sorted(set(KEPT) - unused)
     assert not dead, f"no caller in src/ or perfbench/; delete them or add them to KEPT: {dead}"
     assert not stale, f"KEPT names that are gone or now have a caller: {stale}"
+
+
+FIELDS_MODULE = """
+from dataclasses import asdict, dataclass
+
+
+@dataclass
+class A:
+    read: int
+    unread: int
+    inside: int
+
+    def __post_init__(self):
+        assert self.inside >= 0
+
+
+@dataclass(frozen=True)
+class B:
+    x: int
+
+    def to_json(self):
+        return asdict(self)
+"""
+
+
+def test_a_field_read_only_inside_its_class_is_unread():
+    module = ast.parse(FIELDS_MODULE)
+    user = ast.parse("import m\na = m.A(1, 2, 3)\na.unread = 4\nprint(a.read)\n")
+    assert _unread_fields({"m": module}, [module, user]) == {"m.A.unread", "m.A.inside"}
+
+
+def test_every_dataclass_field_is_read():
+    unread = _unread_fields(*_trees())
+    kept = {name for name in unread if name in KEPT_FIELDS or name.rsplit(".", 1)[0] in KEPT_FIELDS}
+    dead = sorted(unread - kept)
+    stale = sorted(k for k in KEPT_FIELDS if not any(n == k or n.startswith(k + ".") for n in kept))
+    assert not dead, f"no reader outside their class; delete them or add them to KEPT_FIELDS: {dead}"
+    assert not stale, f"KEPT_FIELDS entries that are gone or now read: {stale}"

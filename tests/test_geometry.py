@@ -244,12 +244,11 @@ class TestPinhole:
     INTR = geo.CameraIntrinsic(fx=100.0, fy=100.0, cx=0.0, cy=0.0, width=200, height=200)
 
     def test_optical_axis(self):
-        uv, out = geo.project_pinhole([0, 0, 1.0], self.INTR)
+        uv = geo.project_pinhole([0, 0, 1.0], self.INTR)
         npt.assert_array_equal(uv, [0.0, 0.0])
-        assert not out
 
     def test_unit_slope_ray(self):
-        uv, _ = geo.project_pinhole([1.0, 0, 1.0], self.INTR)
+        uv = geo.project_pinhole([1.0, 0, 1.0], self.INTR)
         npt.assert_array_equal(uv, [100.0, 0.0])
 
     def test_matches_division_oracle(self):
@@ -257,13 +256,12 @@ class TestPinhole:
         intr = geo.CameraIntrinsic(fx=85.3, fy=91.7, cx=64.0, cy=48.0, width=128, height=96)
         for _ in range(200):
             p = np.array([rng.normal(), rng.normal(), rng.uniform(0.1, 3.0)])
-            uv, _ = geo.project_pinhole(p, intr)
+            uv = geo.project_pinhole(p, intr)
             expect = np.array([85.3 * p[0] / p[2] + 64.0, 91.7 * p[1] / p[2] + 48.0])
             npt.assert_allclose(uv, expect, atol=1e-12)
 
     def test_out_of_frame_flag(self):
-        uv, out = geo.project_pinhole([10.0, 0, 1.0], self.INTR)
-        assert out
+        uv = geo.project_pinhole([10.0, 0, 1.0], self.INTR)
         npt.assert_array_equal(uv, [1000.0, 0.0])  # unclamped
 
     def test_behind_camera(self):

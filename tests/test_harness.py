@@ -68,7 +68,7 @@ class TestRolloutCharacterization:
 
     def test_perturbed(self, world):
         scene, _, short, policy = world
-        report = hs.rollout(policy, scene, short, EPISODES, EVAL_SEED, perturb=hs.PerturbSpec())
+        report = hs.rollout(policy, scene, short, EPISODES, EVAL_SEED, perturb=True)
         assert_same(report.to_json(), {
             **FULL_HORIZON_MISS, "mean_traj_error": 5.062739111847865, "episode_lengths": [40, 40],
         })
@@ -88,7 +88,7 @@ class TestClosedFormCharacterization:
         scene, task, _, _ = world
         report = hs.closed_form_baseline(None, scene, task, EPISODES, EVAL_SEED,
                                          sim_cfg=sw.SimConfig(sigma_p=0.002),
-                                         perturb=hs.PerturbSpec(), oracle=True)
+                                         perturb=True, oracle=True)
         assert_same(report.to_json(), {
             **FULL_HORIZON_MISS, "mean_traj_error": None, "episode_lengths": [200, 200],
         })
@@ -103,7 +103,7 @@ class TestClosedFormCharacterization:
     def test_policy_perturbed(self, world):
         scene, _, short, policy = world
         report = hs.closed_form_baseline(policy, scene, short, EPISODES, EVAL_SEED,
-                                         perturb=hs.PerturbSpec())
+                                         perturb=True)
         assert_same(report.to_json(), {
             **FULL_HORIZON_MISS, "mean_traj_error": None, "episode_lengths": [40, 40],
         })
@@ -118,7 +118,7 @@ class TestClosedFormCharacterization:
         with pytest.raises(hs.HarnessError):
             hs.closed_form_baseline(other, scene, task, 1, EVAL_SEED)
         with pytest.raises(hs.HarnessError):
-            hs.rollout(other, scene, short, 1, EVAL_SEED, perturb=hs.PerturbSpec())
+            hs.rollout(other, scene, short, 1, EVAL_SEED, perturb=True)
 
 
 DEPTH_PINS = {
@@ -261,10 +261,6 @@ class TestStudySpec:
             hs.StudySpec(kind="nope")
         with pytest.raises(hs.HarnessError):
             hs.StudySpec(kind="ladder", seeds=())
-
-    def test_closed_form_defaults_perturb(self):
-        assert hs.StudySpec(kind="closed_form").perturb == hs.PerturbSpec()
-        assert hs.StudySpec(kind="ladder").perturb is None
 
 
 @pytest.mark.parametrize("kind,cells", [

@@ -284,8 +284,6 @@ class TestEndToEndGradient:
                 state_vec=w.state_vec,
                 target_poses_cam=w.target_poses_cam[:2],
                 target_actions=w.target_actions[:2],
-                n_padded=0,
-                t=w.t,
             )
             for w in windows[:2]
         ]
@@ -335,7 +333,7 @@ class TestCollate:
         scene, task, data, windows = world
         variant = ds.SupervisionVariant(target, rotation_param=rotation)
         batch = pol.collate(windows, variant, data.camera, scene)
-        expect = np.stack([ds.make_supervision(w, variant, data.camera) for w in windows])
+        expect = np.stack([ds.pose_targets(w.target_poses_cam, variant, data.camera) for w in windows])
         assert batch["traj_targets"].shape == expect.shape
         npt.assert_array_equal(batch["traj_targets"], expect)
 
@@ -344,7 +342,7 @@ class TestCollate:
         poses = windows[1].target_poses_cam.copy()
         poses[5] = [0.0, 0.0, 0.0, np.pi - 1e-9, 0.0, 0.0]  # axis-angle at the chart boundary
         bad = ds.TrainingWindow(windows[1].features, windows[1].state_vec, poses,
-                                windows[1].target_actions, 0, windows[1].t)
+                                windows[1].target_actions)
         with pytest.raises(ds.DatasetError, match="step 5: axis-angle target at the chart boundary"):
             pol.collate([windows[0], bad, windows[2]], ds.SupervisionVariant(), data.camera, scene)
 

@@ -348,6 +348,17 @@ class TestSceneJson:
         with pytest.raises(sw.SceneError, match=f"lacks key '{key}'"):
             sw.scene_from_json(doc)
 
+    @pytest.mark.parametrize("key,value", [
+        ("table_bounds", [-0.3, 0.3]), ("camera", []), ("tasks", []), ("objects", 3),
+        ("containers", {}),
+    ], ids=["table_bounds", "camera", "tasks", "objects", "containers"])
+    def test_wrong_type_top_level_value_names_it(self, key, value):
+        scene, task = sw.default_scene("long")
+        doc = sw.scene_to_json(scene, {"long": task}, sw.default_camera())
+        doc[key] = value
+        with pytest.raises(sw.SceneError, match=f"key '{key}' is a {type(value).__name__}"):
+            sw.scene_from_json(doc)
+
     def test_bare_schema_names_first_missing_key(self):
         with pytest.raises(sw.SceneError, match="lacks key 'table_bounds'"):
             sw.scene_from_json({"schema": "scene_spec_v1"})
