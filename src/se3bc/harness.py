@@ -9,15 +9,28 @@ of an episode, `action(state)` before every simulator step, and
 steps, execute them, predict again (the chunked execution of ACT). Paired
 comparisons consume identical episode seeds and identical perturbation
 draws, both derived from the root seed by counter-based splitting.
+
+A study is a list of (cell, seed) jobs, each one call of `_study_job`: record
+that seed's demos, train the cell, evaluate it, return its rows. Recording is
+seeded, so the cells of a seed train on the same demos without sharing them.
+`run_study` runs the jobs in min(usable CPUs, jobs) forked workers, longest
+first. Each worker pins the OpenBLAS numpy loaded to one thread and exits
+once its parent is gone. With one worker, or with no OpenBLAS to pin, the
+jobs run in the calling process. Rows come back in serial (seed, cell) order.
 """
 
 from __future__ import annotations
 
 import copy
 import csv
+import ctypes
+import glob
 import json
 import logging
 import math
+import os
+import threading
+import time
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -519,64 +532,138 @@ def study_cells(spec: StudySpec):
 
 
 def run_study(spec: StudySpec):
-    """Train and evaluate every (cell, seed); returns {"rows", "summary"}.
+    """Train and evaluate every (cell, seed) job; returns {"rows", "summary"}.
 
-    Within a seed, all cells share the recorded dataset (matched data) and
-    evaluation episode seeds (paired comparisons). Cell failures are
-    recorded and the study continues.
+    Each job is one call of _study_job: it records its seed's demos, trains
+    its cell and evaluates it. Recording is seeded, so every cell of a seed
+    trains on the same demos (matched data), and all cells of a seed share
+    their evaluation episode seeds (paired comparisons). A cell failure is
+    recorded as an error row and the study continues.
+
+    The jobs run in min(usable CPUs, jobs) worker processes, longest first,
+    each worker pinned to one BLAS thread; with one worker, or when the BLAS
+    numpy loaded cannot be pinned, they run in this process. Rows come back
+    in serial (seed, cell) order either way, so reports are identical.
     """
-    scene, task = sw.default_scene(spec.family)
-    camera = sw.default_camera()
-    sim_cfg = sw.SimConfig()
-    rows = []
-    dataset_cache = {}
-
-    for seed in spec.seeds:
-        eval_seed = derive_seed(spec.root_seed, "eval", seed)
-        for cell, variant, demos in study_cells(spec):
-            try:
-                data_key = (demos, seed)
-                if data_key not in dataset_cache:
-                    dataset_cache[data_key] = ds.record_demonstrations(
-                        scene, task, demos, derive_seed(spec.root_seed, "data", seed),
-                        sim_cfg=sim_cfg, camera=camera,
-                    )
-                data = dataset_cache[data_key]
-                policy_cfg = pol.PolicyConfig(
-                    token_dim=sw.feature_dims(scene)[0], variant=variant,
-                )
-                tcfg = TrainConfig(
-                    policy=policy_cfg, steps=spec.steps, batch_size=spec.batch_size,
-                    seed=derive_seed(spec.root_seed, "train", cell, seed),
-                )
-                policy, _ = train(data, tcfg)
-                if spec.kind == "closed_form":
-                    rows.extend(
-                        _closed_form_rows(spec, policy, scene, task, camera, sim_cfg, seed,
-                                          eval_seed)
-                    )
-                else:
-                    report = rollout(policy, scene, task, spec.episodes, eval_seed,
-                                     sim_cfg=sim_cfg, camera=camera)
-                    rows.append(_row(spec, cell, seed, report, policy_cfg))
-            except Exception as e:  # cell failures recorded, study continues
-                log.warning("cell %s seed %d failed: %s", cell, seed, e)
-                rows.append({"study": spec.kind, "cell": cell, "seed": seed, "error": str(e)})
+    jobs = [(seed, cell, variant, demos)
+            for seed in spec.seeds for cell, variant, demos in study_cells(spec)]
+    workers = min(len(os.sched_getaffinity(0)), len(jobs))
+    if workers < 2 or _openblas_threads() is None:
+        rows = [row for job in jobs for row in _study_job(spec, *job)]
+    else:
+        rows = _pooled_rows(spec, jobs, workers)
     return {"rows": rows, "summary": summarize_rows(rows)}
 
 
-def _closed_form_rows(spec, policy, scene, task, camera, sim_cfg, seed, eval_seed):
+def _study_job(spec: StudySpec, seed: int, cell: str, variant: ds.SupervisionVariant, demos: int):
+    """One (cell, seed) job of a study: record, train, evaluate; returns its rows."""
+    scene, task = sw.default_scene(spec.family)
+    camera = sw.default_camera()
+    eval_seed = derive_seed(spec.root_seed, "eval", seed)
+    try:
+        data = ds.record_demonstrations(scene, task, demos,
+                                        derive_seed(spec.root_seed, "data", seed), camera=camera)
+        policy_cfg = pol.PolicyConfig(token_dim=sw.feature_dims(scene)[0], variant=variant)
+        tcfg = TrainConfig(
+            policy=policy_cfg, steps=spec.steps, batch_size=spec.batch_size,
+            seed=derive_seed(spec.root_seed, "train", cell, seed),
+        )
+        policy, _ = train(data, tcfg)
+        if spec.kind == "closed_form":
+            return _closed_form_rows(spec, policy, scene, task, camera, seed, eval_seed)
+        report = rollout(policy, scene, task, spec.episodes, eval_seed, camera=camera)
+        return [_row(spec, cell, seed, report, policy_cfg)]
+    except Exception as e:  # cell failures recorded, study continues
+        log.warning("cell %s seed %d failed: %s", cell, seed, e)
+        return [_error_row(spec, cell, seed, e)]
+
+
+def _pooled_rows(spec: StudySpec, jobs: list, workers: int):
+    """Run jobs in a fork pool of `workers`; returns their rows in job order.
+
+    Longest first: more demos mean more windows, and a predictor adds a
+    trajectory head and its loss to every training step. A job whose worker
+    died becomes an error row. The pool is shut down, with its workers
+    joined, before this returns or raises.
+    """
+    # Imported here, so that only a pooled study pays their 1.4 MB of memory.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: a worker starts with se3bc and numpy already imported.
+    # The executor forks every worker before it starts its own thread.
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_init_worker, initargs=(os.getpid(),))
+    try:
+        order = sorted(range(len(jobs)), key=lambda i: (jobs[i][3], jobs[i][2].uses_predictor),
+                       reverse=True)
+        futures = {i: pool.submit(_study_job, spec, *jobs[i]) for i in order}
+        rows = []
+        for i, (seed, cell, _, _) in enumerate(jobs):
+            try:
+                rows.extend(futures[i].result())
+            except Exception as e:  # the worker running the job died
+                log.warning("cell %s seed %d failed: %s", cell, seed, e)
+                rows.append(_error_row(spec, cell, seed, e))
+        return rows
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+# Seconds between a worker's checks that the process that started it lives.
+ORPHAN_POLL_S = 0.5
+
+
+def _init_worker(parent_pid: int):
+    """Pin the worker's BLAS to one thread, and exit once the parent is gone.
+
+    Two workers that each keep numpy's BLAS threads oversubscribe the CPUs,
+    and a worker whose parent was killed would otherwise wait on its job
+    queue forever.
+    """
+    _, set_threads = _openblas_threads()
+    set_threads(1)
+    threading.Thread(target=_exit_when_orphaned, args=(parent_pid,), daemon=True).start()
+
+
+def _exit_when_orphaned(parent_pid: int):
+    while os.getppid() == parent_pid:
+        time.sleep(ORPHAN_POLL_S)
+    os._exit(1)
+
+
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy loaded, or None
+    when numpy ships no OpenBLAS of its own."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def _closed_form_rows(spec, policy, scene, task, camera, seed, eval_seed):
     out = []
     oracle = closed_form_baseline(policy, scene, task, spec.episodes, eval_seed,
-                                  sim_cfg=sim_cfg, camera=camera, oracle=True)
+                                  camera=camera, oracle=True)
     out.append(_row(spec, "oracle_hardcoded", seed, oracle, policy.cfg))
     perturbed_learned = rollout(policy, scene, task, spec.episodes, eval_seed,
-                                sim_cfg=sim_cfg, camera=camera, perturb=True)
+                                camera=camera, perturb=True)
     out.append(_row(spec, "perturbed_learned", seed, perturbed_learned, policy.cfg))
     perturbed_hard = closed_form_baseline(policy, scene, task, spec.episodes, eval_seed,
-                                          sim_cfg=sim_cfg, camera=camera, perturb=True)
+                                          camera=camera, perturb=True)
     out.append(_row(spec, "perturbed_hardcoded", seed, perturbed_hard, policy.cfg))
     return out
+
+
+def _error_row(spec, cell, seed, error: Exception):
+    return {"study": spec.kind, "cell": cell, "seed": seed, "error": str(error)}
 
 
 def _row(spec, cell, seed, report: EvalReport, policy_cfg):

@@ -174,8 +174,6 @@ class SimConfig:
     max_dtheta: float = 0.2  # radians per step
     gripper_rate: float = 0.5  # gripper units per step
     jitter_radius: float = 0.03  # object reset jitter (xy plane)
-    sigma_p: float = 0.0  # actuation noise, translation
-    sigma_theta: float = 0.0  # actuation noise, rotation
     jitter_resample_limit: int = 100
 
 
@@ -189,9 +187,8 @@ def _clip_norm(v: np.ndarray, limit: float) -> np.ndarray:
 class Simulator:
     """Owns one episode's state transitions; one instance per rollout worker.
 
-    Actuation noise (when configured) is drawn from a stream reseeded on
-    every reset, so identical (scene, task, seed, action sequence) replays
-    are bit-identical.
+    Only reset draws random numbers, from a stream seeded by its seed, so
+    identical (scene, task, seed, action sequence) replays are bit-identical.
     """
 
     def __init__(self, scene: SceneSpec, task: TaskSpec, config: SimConfig | None = None):
@@ -199,11 +196,9 @@ class Simulator:
         self.scene = scene
         self.task = task
         self.config = config or SimConfig()
-        self._noise_rng = np.random.default_rng(0)
 
     def reset(self, seed: int) -> SimState:
         jitter_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-        self._noise_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
         poses = {}
         for obj in self.scene.objects:
             poses[obj.id] = self._jitter_position(obj, jitter_rng)
@@ -228,15 +223,8 @@ class Simulator:
         if state.step_count >= self.task.horizon_limit:
             raise EpisodeTerminated(f"horizon limit {self.task.horizon_limit} reached")
         cfg = self.config
-        dp = action.dp
-        dtheta = action.dtheta
-        if cfg.sigma_p > 0.0:
-            dp = dp + self._noise_rng.normal(0.0, cfg.sigma_p, size=3)
-        if cfg.sigma_theta > 0.0:
-            dtheta = dtheta + self._noise_rng.normal(0.0, cfg.sigma_theta, size=3)
-        # noise lands before the clamp so executed motion never exceeds it
-        dp = _clip_norm(dp, cfg.max_dp)
-        dtheta = _clip_norm(dtheta, cfg.max_dtheta)
+        dp = _clip_norm(action.dp, cfg.max_dp)
+        dtheta = _clip_norm(action.dtheta, cfg.max_dtheta)
 
         ee = geo.apply_action(state.ee_pose, RelativeAction(dp, dtheta))
         ee[:3, 3] = np.clip(ee[:3, 3], self.scene.table_lo, self.scene.table_hi)

@@ -145,25 +145,6 @@ class TestStep:
         for r in rels[1:]:
             npt.assert_allclose(r, rels[0], atol=1e-12)
 
-    def test_noise_determinism(self):
-        scene, task = sw.default_scene("goal")
-        sim = sw.Simulator(scene, task, sw.SimConfig(sigma_p=0.002, sigma_theta=0.01))
-        actions = [geo.RelativeAction([0.01, 0, 0], [0, 0, 0.05], 0.0) for _ in range(10)]
-
-        def play(seed):
-            s = sim.reset(seed)
-            out = [s]
-            for a in actions:
-                s = sim.step(s, a)
-                out.append(s)
-            return out
-
-        s1, s2 = play(11), play(11)
-        for a, b in zip(s1, s2):
-            npt.assert_array_equal(a.ee_pose, b.ee_pose)
-        s3 = play(12)
-        assert not np.array_equal(s1[-1].ee_pose, s3[-1].ee_pose)
-
 
 class TestExpert:
     @pytest.mark.parametrize("family", ["goal", "spatial", "long"])
