@@ -154,7 +154,7 @@ class Policy:
     # --- forward pieces ---
 
     def _ln(self, x, name):
-        return tn.add(tn.mul(tn.layer_norm(x), self.params[f"{name}.g"]), self.params[f"{name}.b"])
+        return tn.layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
 
     def _attn(self, prefix, q_in, kv_in, positions=None):
         p = self.params

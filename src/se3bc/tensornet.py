@@ -213,9 +213,6 @@ def matmul(a, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def vjp(g):
-        if bd.ndim == 2:  # a weight: fold a's leading dimensions into one GEMM per gradient
-            g2 = g.reshape(-1, g.shape[-1])
-            return [(g2 @ bd.T).reshape(a.shape), ad.reshape(-1, ad.shape[-1]).T @ g2]
         ga = _unbroadcast(g @ bd.swapaxes(-1, -2), a.shape)
         gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, b.shape)
         return [ga, gb]
@@ -275,17 +272,39 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(a) -> Tensor:
-    """tanh-approximation GELU (smooth everywhere)."""
+    """tanh-approximation GELU (smooth everywhere).
+
+    Forward and vjp build their terms in place on their own fresh arrays,
+    in the same operation order as the textbook formula.
+    """
     a = as_tensor(a)
     x = a.data
-    x2 = x * x
-    inner = _GELU_C * (x + 0.044715 * x2 * x)
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
+    t = x * x
+    t *= 0.044715
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= x
+    out *= 0.5
 
     def vjp(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x2)
-        return [g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)]
+        # g * (0.5 * (1 + t) + 0.5 * x * (1 - t^2) * C * (1 + 3 * 0.044715 * x^2))
+        dinner = x * x
+        dinner *= 3 * 0.044715
+        dinner += 1.0
+        dinner *= _GELU_C
+        dt = t * t
+        np.subtract(1.0, dt, out=dt)
+        dt *= x
+        dt *= 0.5
+        dt *= dinner
+        np.add(t, 1.0, out=dinner)
+        dinner *= 0.5
+        dinner += dt
+        dinner *= g
+        return [dinner]
 
     return _make("gelu", out, [a], vjp)
 
@@ -309,24 +328,36 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make("softmax", out, [a], vjp)
 
 
-def layer_norm(a) -> Tensor:
-    """Normalize to zero mean / unit variance along the last axis (no affine).
+def layer_norm(a, gain, bias) -> Tensor:
+    """Normalize to zero mean / unit variance along the last axis, then
+    apply the (d,) affine: xhat * gain + bias.
 
-    Affine gain/bias, when wanted, are applied by the caller with mul/add.
+    One tape node; its vjp returns the gradients of a, gain and bias.
     """
-    a = as_tensor(a)
+    a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
     x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (x - mu) * inv
+    d = x.shape[-1]
+    xhat = x - x.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.square(xhat).sum(axis=-1, keepdims=True) / d + LAYER_NORM_EPS)
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
+    gd = gain.data
 
     def vjp(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gx = (g * xhat).mean(axis=-1, keepdims=True)
-        return [inv * (g - gm - xhat * gx)]
+        g2 = g.reshape(-1, d)
+        tmp = g * xhat
+        d_gain = tmp.reshape(-1, d).sum(axis=0)
+        gx = g * gd  # the gradient of xhat
+        np.multiply(gx, xhat, out=tmp)
+        gxx = tmp.sum(axis=-1, keepdims=True) / d
+        gx -= gx.sum(axis=-1, keepdims=True) / d
+        np.multiply(xhat, gxx, out=tmp)
+        gx -= tmp
+        gx *= inv
+        return [gx, d_gain, g2.sum(axis=0)]
 
-    return _make("layer_norm", xhat, [a], vjp)
+    return _make("layer_norm", out, [a, gain, bias], vjp)
 
 
 def normalize_rows(a) -> Tensor:
@@ -402,8 +433,36 @@ def rope(a, positions) -> Tensor:
 
 
 def linear(x, w, b=None) -> Tensor:
-    out = matmul(x, w)
-    return add(out, b) if b is not None else out
+    """x @ w, plus the bias b when given, as one tape node.
+
+    w is a (d_in, d_out) weight and b a (d_out,) bias; x has any leading
+    axes, which the forward folds into one GEMM. The one vjp does the same
+    per gradient: d_x = g @ w.T, d_w = x.T @ g and d_b = g summed over rows.
+    """
+    x, w = as_tensor(x), as_tensor(w)
+    if x.data.ndim < 2 or w.data.ndim != 2:
+        raise TensorError(f"linear needs a >=2-d input and a 2-d weight, got {x.shape} and {w.shape}")
+    if x.shape[-1] != w.shape[0]:
+        raise TensorError(f"linear shape mismatch: {x.shape} @ {w.shape}")
+    xd, wd = x.data, w.data
+    x2 = xd.reshape(-1, xd.shape[-1])
+    out = x2 @ wd
+    inputs = [x, w]
+    if b is not None:
+        b = as_tensor(b)
+        if b.shape != wd.shape[1:]:
+            raise TensorError(f"linear bias shape {b.shape} does not match weight {w.shape}")
+        out += b.data
+        inputs.append(b)
+
+    def vjp(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        grads = [(g2 @ wd.T).reshape(xd.shape), x2.T @ g2]
+        if b is not None:
+            grads.append(g2.sum(axis=0))
+        return grads
+
+    return _make("linear", out.reshape(xd.shape[:-1] + wd.shape[1:]), inputs, vjp)
 
 
 def multi_head_attention(
@@ -610,7 +669,17 @@ def lr_at(config: OptimizerConfig, step: int) -> float:
 
 
 def adamw_step(params: ParamSet, grads: dict, state: OptimizerState) -> None:
-    """One decoupled-weight-decay Adam update, in place.
+    """One decoupled-weight-decay Adam update.
+
+    Updates in place: each parameter's `data` array and its moments in
+    `state.m` and `state.v` are overwritten, not replaced, so a caller that
+    keeps a parameter's old values must copy them first. The arithmetic
+    follows the reference formula's operation order, so results are
+    bit-identical to it:
+
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        p = p - lr * (m / (1 - b1^t) / (sqrt(v / (1 - b2^t)) + eps) + wd * p)
 
     grads is name-keyed. Steps past total_steps clamp the lr to 0 and warn
     once; the run continues.
@@ -623,22 +692,32 @@ def adamw_step(params: ParamSet, grads: dict, state: OptimizerState) -> None:
         state._warned_past_total = True
     lr = lr_at(cfg, t)
     b1, b2 = cfg.betas
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
             continue
         m = state.m.get(name)
         if m is None:
-            m = np.zeros_like(p.data)
+            m = state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
         v = state.v[name]
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        mhat = m / (1.0 - b1**t)
-        vhat = v / (1.0 - b2**t)
-        p.data = p.data - lr * (mhat / (np.sqrt(vhat) + cfg.eps) + cfg.weight_decay * p.data)
+        tmp = g * (1.0 - b1)
+        m *= b1
+        m += tmp
+        np.multiply(g, 1.0 - b2, out=tmp)
+        tmp *= g
+        v *= b2
+        v += tmp
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += cfg.eps
+        update = m / c1
+        update /= tmp
+        np.multiply(p.data, cfg.weight_decay, out=tmp)
+        update += tmp
+        update *= lr
+        p.data -= update
 
 
 # --- finite-difference gradient checking ---

@@ -2,6 +2,7 @@ import json
 import math
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -305,6 +306,20 @@ def test_summarize_rows_mixes_errors_and_results():
     summary = hs.summarize_rows([{"cell": "a", "seed": 0, "error": "boom"}, ok])
     assert summary["a"]["seeds"] == 1 and summary["a"]["errors"] == 1
     assert summary["a"]["pooled"]["k"] == 1 and summary["a"]["pooled"]["n"] == 2
+
+
+def test_param_snapshot_survives_an_in_place_step():
+    # adamw_step overwrites parameter arrays in place; a snapshot must be a copy.
+    params = tn.ParamSet(seed=5)
+    params.linear_weight("w", 3, 2)
+    params.zeros("b", (2,))
+    snapshot = hs._param_snapshot(SimpleNamespace(params=params))
+    before = {name: data.copy() for name, data in snapshot.items()}
+    state = tn.OptimizerState(tn.OptimizerConfig(lr=0.1, warmup_steps=1, total_steps=10))
+    tn.adamw_step(params, {name: np.ones_like(t.data) for name, t in params.items()}, state)
+    for name, data in before.items():
+        assert not np.array_equal(params[name].data, data), name
+        np.testing.assert_array_equal(snapshot[name], data)
 
 
 def test_load_policy_round_trip(tmp_path, world):

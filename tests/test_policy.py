@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -355,7 +357,10 @@ def test_desk_training_step_size(world):
     policy = make_policy(scene)
     with tn.GradientTape() as tape:
         total, _, _ = policy.loss(batch)
-    assert len(tape.nodes) == 316
-    assert sum(n.op == "matmul" for n in tape.nodes) == 48
+    assert collections.Counter(n.op for n in tape.nodes) == {
+        "leaf": 99, "linear": 36, "swapaxes": 30, "reshape": 24, "layer_norm": 14, "matmul": 12,
+        "add": 10, "scale": 7, "rope": 6, "softmax": 6, "concat": 3, "gelu": 3, "l1_loss": 2,
+        "narrow": 2, "sigmoid": 1,
+    }
     grads = tn.backward(tape, total)
     assert len(grads) == len(policy.params.names())

@@ -50,15 +50,28 @@ class TestForwardPrimitives:
 
     def test_layer_norm_zero_mean(self):
         rng = np.random.default_rng(3)
-        out = tn.layer_norm(tn.Tensor(rnd(rng, 4, 16)))
+        out = tn.layer_norm(tn.Tensor(rnd(rng, 4, 16)), np.ones(16), np.zeros(16))
         npt.assert_allclose(out.data.mean(axis=-1), np.zeros(4), atol=1e-10)
 
     def test_layer_norm_unit_variance_for_large_scale(self):
         # eps=1e-5 biases the variance by eps/sigma^2; with sigma ~1e3 the
         # residual is ~1e-11, inside the 1e-10 property tolerance.
         rng = np.random.default_rng(4)
-        out = tn.layer_norm(tn.Tensor(rnd(rng, 4, 64) * 1e3))
+        out = tn.layer_norm(tn.Tensor(rnd(rng, 4, 64) * 1e3), np.ones(64), np.zeros(64))
         npt.assert_allclose(out.data.var(axis=-1), np.ones(4), atol=1e-10)
+
+    def test_gelu_matches_the_reference_formula_bit_for_bit(self):
+        rng = np.random.default_rng(28)
+        x_arr, g = rnd(rng, 4, 16) * 3, rnd(rng, 4, 16)
+        c = math.sqrt(2.0 / math.pi)
+        t = np.tanh(c * (x_arr + 0.044715 * (x_arr * x_arr) * x_arr))
+        dinner = c * (1.0 + 3 * 0.044715 * (x_arr * x_arr))
+        x = tn.Tensor(x_arr, requires_grad=True)
+        with tn.GradientTape() as tape:
+            out = tn.gelu(x)
+            loss = tn.sum_all(tn.mul(out, tn.Tensor(g)))
+        npt.assert_array_equal(out.data, 0.5 * x_arr * (1.0 + t))
+        npt.assert_array_equal(tn.backward(tape, loss)[x], g * (0.5 * (1.0 + t) + 0.5 * x_arr * (1.0 - t * t) * dinner))
 
     def test_concat_narrow_round_trip(self):
         rng = np.random.default_rng(5)
@@ -158,6 +171,58 @@ def per_head_attention(q_in, kv_in, heads, wq, wk, wv, wo, bq, bk, bv, bo, posit
         scores = tn.scale(tn.matmul(qh, tn.swapaxes(kh, -1, -2)), 1.0 / math.sqrt(dh))
         outs.append(tn.matmul(tn.softmax(scores, axis=-1), vh))
     return tn.linear(tn.concat(outs, axis=-1), wo, bo)
+
+
+class TestFusedOps:
+    """Each fused op equals its composition of primitives, in value and gradient."""
+
+    @staticmethod
+    def value_and_grads(fn, arrays):
+        leaves = [tn.Tensor(a, requires_grad=True) for a in arrays]
+        with tn.GradientTape() as tape:
+            out = fn(*leaves)
+            weight = np.linspace(-1.0, 1.0, out.data.size).reshape(out.shape)
+            loss = tn.sum_all(tn.mul(out, tn.Tensor(weight)))
+        grads = tn.backward(tape, loss)
+        return out.data, [grads[t] for t in leaves]
+
+    def assert_same(self, fused, composed, arrays):
+        out, grads = self.value_and_grads(fused, arrays)
+        ref_out, ref_grads = self.value_and_grads(composed, arrays)
+        npt.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+        for g, ref in zip(grads, ref_grads):
+            npt.assert_allclose(g, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("x_shape", [(2, 3, 4), (3, 4)], ids=["batched", "unbatched"])
+    def test_linear_is_matmul_plus_bias(self, x_shape):
+        rng = np.random.default_rng(21)
+        x, w, b = rnd(rng, *x_shape), rnd(rng, 4, 5), rnd(rng, 5)
+        self.assert_same(tn.linear, lambda x, w, b: tn.add(tn.matmul(x, w), b), [x, w, b])
+        self.assert_same(tn.linear, tn.matmul, [x, w])
+
+    def test_affine_layer_norm_is_normalize_mul_add(self):
+        rng = np.random.default_rng(22)
+        x, g, b = rnd(rng, 2, 3, 6), rnd(rng, 6), rnd(rng, 6)
+
+        def composed(x, g, b):
+            return tn.add(tn.mul(tn.layer_norm(x, np.ones(6), np.zeros(6)), g), b)
+
+        self.assert_same(tn.layer_norm, composed, [x, g, b])
+
+    def test_linear_is_one_tape_node(self):
+        rng = np.random.default_rng(23)
+        x = tn.Tensor(rnd(rng, 2, 3, 4), requires_grad=True)
+        with tn.GradientTape() as tape:
+            tn.linear(x, tn.Tensor(rnd(rng, 4, 5)), tn.Tensor(rnd(rng, 5)))
+        assert [n.op for n in tape.nodes] == ["leaf", "linear"]
+
+    def test_linear_rejects_bad_shapes(self):
+        with pytest.raises(tn.TensorError, match=r"\(2, 3\) @ \(4, 2\)"):
+            tn.linear(tn.Tensor(np.zeros((2, 3))), tn.Tensor(np.zeros((4, 2))))
+        with pytest.raises(tn.TensorError, match="2-d weight"):
+            tn.linear(tn.Tensor(np.zeros((2, 3))), tn.Tensor(np.zeros((2, 3, 2))))
+        with pytest.raises(tn.TensorError, match="bias shape"):
+            tn.linear(tn.Tensor(np.zeros((2, 3))), tn.Tensor(np.zeros((3, 2))), tn.Tensor(np.zeros((1, 2))))
 
 
 class TestAttention:
@@ -368,7 +433,7 @@ OPS_FOR_GRADCHECK = [
     ("gelu", lambda ts: tn.sum_all(tn.mul(tn.gelu(ts[0]), tn.Tensor(_W33))), 1),
     ("sigmoid", lambda ts: tn.sum_all(tn.mul(tn.sigmoid(ts[0]), tn.Tensor(_W33))), 1),
     ("softmax", lambda ts: tn.sum_all(tn.mul(tn.softmax(ts[0]), tn.Tensor(_W33))), 1),
-    ("layer_norm", lambda ts: tn.sum_all(tn.mul(tn.layer_norm(ts[0]), tn.Tensor(_W33))), 1),
+    ("layer_norm", lambda ts: tn.sum_all(tn.mul(tn.layer_norm(ts[0], np.ones(3), np.zeros(3)), tn.Tensor(_W33))), 1),
     ("normalize_rows", lambda ts: tn.sum_all(tn.mul(tn.normalize_rows(ts[0]), tn.Tensor(_W33))), 1),
     ("concat", lambda ts: tn.sum_all(tn.mul(tn.concat(ts, axis=-1), tn.Tensor(_W36))), 2),
     ("narrow", lambda ts: tn.sum_all(tn.mul(tn.narrow(ts[0], -1, 1, 2), tn.Tensor(_W32))), 1),
@@ -404,6 +469,40 @@ class TestGradCheckPerOp:
             return tn.sum_all(tn.mul(tn.matmul(ts[0], ts[1]), tn.Tensor(w)))
 
         res = tn.grad_check(fn, [rnd(rng, 2, 3, 4), rnd(rng, *b_shape)])
+        assert res.max_rel_error < 1e-6, res
+
+    @pytest.mark.parametrize("x_shape", [(2, 3, 4), (3, 4)], ids=["batched", "unbatched"])
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+    def test_linear_gradient(self, x_shape, bias):
+        rng = np.random.default_rng(24)
+        out_weight = rnd(rng, *x_shape[:-1], 5)
+
+        def fn(ts):
+            return tn.sum_all(tn.mul(tn.linear(*ts), tn.Tensor(out_weight)))
+
+        inputs = [rnd(rng, *x_shape), rnd(rng, 4, 5)] + ([rnd(rng, 5)] if bias else [])
+        res = tn.grad_check(fn, inputs)
+        assert res.max_rel_error < 1e-6, res
+
+    def test_linear_untracked_input_gradient(self):
+        # The encoder's case: the observation tokens are constants.
+        rng = np.random.default_rng(25)
+        x, out_weight = rnd(rng, 2, 3, 4), rnd(rng, 2, 3, 5)
+
+        def fn(ts):
+            return tn.sum_all(tn.mul(tn.linear(tn.Tensor(x), *ts), tn.Tensor(out_weight)))
+
+        res = tn.grad_check(fn, [rnd(rng, 4, 5), rnd(rng, 5)])
+        assert res.max_rel_error < 1e-6, res
+
+    def test_layer_norm_affine_gradient(self):
+        rng = np.random.default_rng(26)
+        out_weight = rnd(rng, 2, 3, 4)
+
+        def fn(ts):
+            return tn.sum_all(tn.mul(tn.layer_norm(*ts), tn.Tensor(out_weight)))
+
+        res = tn.grad_check(fn, [rnd(rng, 2, 3, 4), rnd(rng, 4), rnd(rng, 4)])
         assert res.max_rel_error < 1e-6, res
 
     def test_attention_gradient(self):
@@ -479,6 +578,32 @@ class TestAdamW:
             ref_p = ref_p - sched * (mhat / (math.sqrt(vhat) + eps) + wd * ref_p)
             tn.adamw_step(params, {"p": np.ones(1)}, state)
         npt.assert_allclose(p.data, [ref_p], atol=1e-12)
+
+    def test_in_place_steps_match_the_reference_formula_bit_for_bit(self):
+        cfg = tn.OptimizerConfig(lr=0.05, weight_decay=0.01, warmup_steps=2, total_steps=10)
+        b1, b2 = cfg.betas
+        params = tn.ParamSet(seed=3)
+        params.linear_weight("w", 4, 5)
+        params.ones("g", (5,))
+        state = tn.OptimizerState(cfg)
+        ref = {name: [t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data)] for name, t in params.items()}
+        rng = np.random.default_rng(27)
+        for t in range(1, 6):
+            grads = {name: rng.normal(size=p.data.shape) for name, p in params.items()}
+            tn.adamw_step(params, grads, state)
+            lr = tn.lr_at(cfg, t)
+            for name, (p, m, v) in ref.items():
+                g = grads[name]
+                m = b1 * m + (1.0 - b1) * g
+                v = b2 * v + (1.0 - b2) * g * g
+                mhat = m / (1.0 - b1**t)
+                vhat = v / (1.0 - b2**t)
+                p = p - lr * (mhat / (np.sqrt(vhat) + cfg.eps) + cfg.weight_decay * p)
+                ref[name] = [p, m, v]
+        for name, (p, m, v) in ref.items():
+            npt.assert_array_equal(params[name].data, p)
+            npt.assert_array_equal(state.m[name], m)
+            npt.assert_array_equal(state.v[name], v)
 
     def test_warns_once_past_total(self):
         cfg = tn.OptimizerConfig(lr=0.1, warmup_steps=1, total_steps=2)
