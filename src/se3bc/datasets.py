@@ -1,26 +1,19 @@
-"""Demonstration recording, horizon windowing, supervision synthesis, file I/O.
+"""Demonstration recording, horizon windowing and supervision synthesis.
 
 A demonstration is a sequence of per-timestep records; the last record is the
 final state with a zero rigid action and held gripper command, so every
 record carries the same fields. It is also the stationary pad that
-make_windows repeats past the end of the episode, so read_dataset rejects a
-final record that moves and a gripper_cmd that differs from the action's.
+make_windows repeats past the end of the episode (test_per_step_invariants
+checks that it does not move and that it holds the gripper command).
 Features are recorded with metric depth only; Policy.encode re-expresses it
 per variant (relative / none are derived exactly from the metric values).
-
-The `demos_v1` file format is JSON lines: a header object, then one object
-per (demo, timestep). Floats are written in Python's shortest round-trip
-decimal form, so read(write(x)) reproduces every numeric field exactly and
-identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,8 +22,6 @@ from . import simworld as sw
 from .seeding import derive_seed
 
 log = logging.getLogger(__name__)
-
-DEMOS_SCHEMA = "demos_v1"
 
 HORIZON_DEFAULT = 8
 
@@ -43,10 +34,6 @@ DEPTH_MODES = ("metric", "relative", "none")
 
 class DatasetError(ValueError):
     """Recording or supervision-synthesis failure."""
-
-
-class DatasetFormatError(ValueError):
-    """demos_v1 parse failure; message names the offending line."""
 
 
 @dataclass(frozen=True)
@@ -113,27 +100,12 @@ class Demonstration:
 
 @dataclass
 class DemoDataset:
-    """Demonstrations plus the context needed to replay and supervise them."""
+    """Demonstrations plus the scene and camera they were recorded in."""
 
     scene: sw.SceneSpec
-    task: sw.TaskSpec
     camera: sw.CameraModel
-    sim_config: sw.SimConfig
-    expert_config: sw.ExpertConfig
-    root_seed: int
     demos: list = field(default_factory=list)
     n_discarded: int = 0
-
-    def config_hash(self) -> str:
-        doc = {
-            "scene": sw.scene_to_json(self.scene, {"task": self.task}, self.camera),
-            "sim": asdict(self.sim_config),
-            "expert": asdict(self.expert_config),
-            "root_seed": self.root_seed,
-            "n": len(self.demos),
-        }
-        blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def record_demonstrations(
@@ -141,7 +113,6 @@ def record_demonstrations(
     task: sw.TaskSpec,
     n: int,
     seed: int,
-    sim_cfg: sw.SimConfig | None = None,
     camera: sw.CameraModel | None = None,
 ) -> DemoDataset:
     """Record n successful expert episodes.
@@ -152,18 +123,15 @@ def record_demonstrations(
     """
     if n <= 0:
         raise DatasetError("n must be > 0")
-    expert_cfg = sw.ExpertConfig()
-    sim_cfg = sim_cfg or sw.SimConfig()
     camera = camera or sw.default_camera()
-    sim = sw.Simulator(scene, task, sim_cfg)
-    expert = sw.ScriptedExpert(scene, task, expert_cfg)
+    sim = sw.Simulator(scene, task)
+    expert = sw.ScriptedExpert(scene, task)
 
-    dataset = DemoDataset(scene, task, camera, sim_cfg, expert_cfg, seed)
+    dataset = DemoDataset(scene, camera)
     max_attempts = max(10, math.ceil(n / 0.8) + 2)
     attempt = 0
     while len(dataset.demos) < n:
         if attempt >= max_attempts:
-            dataset.n_discarded = attempt - len(dataset.demos)
             raise DatasetError(
                 f"expert failure rate above 20%: {len(dataset.demos)} successes in {attempt} attempts"
             )
@@ -234,8 +202,8 @@ def make_windows(demo: Demonstration, horizon: int = HORIZON_DEFAULT) -> list:
 
     The table holds every record's camera-frame pose and [dp, dtheta,
     gripper] row, then `horizon` copies of the final record, which is the
-    stationary pad (read_dataset checks that it does not move and that its
-    gripper is the recorded command). Windows share their arrays with each
+    stationary pad (test_per_step_invariants checks that it does not move and
+    that it holds the gripper command). Windows share their arrays with each
     other and with the demo's records: they are read-only.
     """
     if horizon < 1:
@@ -299,117 +267,3 @@ def _rotation_block(rot: np.ndarray, rotation_param: str, h: int) -> np.ndarray:
         raise DatasetError(f"step {h}: axis-angle target at the chart boundary")
     return block
 
-
-# --- demos_v1 serialization ---
-
-
-def _features_doc(f: sw.ObservationFeatures) -> dict:
-    blocks = {b.name: getattr(f, b.name).tolist() for b in fields(f)}
-    return {**blocks, "depth_mode": "metric", "token_dim": f.token_dim}
-
-
-def _features_from_doc(doc: dict) -> sw.ObservationFeatures:
-    if doc["depth_mode"] != "metric":  # read_dataset prefixes the line number
-        raise ValueError(f"depth_mode {doc['depth_mode']!r} is not 'metric'")
-    return sw.ObservationFeatures(**{b.name: np.asarray(doc[b.name], dtype=float)
-                                     for b in fields(sw.ObservationFeatures)})
-
-
-def write_dataset(path: str, dataset: DemoDataset) -> None:
-    header = {
-        "schema": DEMOS_SCHEMA,
-        "scene": sw.scene_to_json(dataset.scene, {"task": dataset.task}, dataset.camera),
-        "sim_config": asdict(dataset.sim_config),
-        "expert_config": asdict(dataset.expert_config),
-        "root_seed": dataset.root_seed,
-        "episode_seeds": [d.seed for d in dataset.demos],
-        "n_demos": len(dataset.demos),
-        "n_discarded": dataset.n_discarded,
-        "config_hash": dataset.config_hash(),
-    }
-    with open(path, "w") as f:
-        f.write(json.dumps(header, sort_keys=True) + "\n")
-        for i, demo in enumerate(dataset.demos):
-            for t, s in enumerate(demo.steps):
-                row = {
-                    "demo": i,
-                    "t": t,
-                    "features": _features_doc(s.features),
-                    "pose_world": s.ee_pose_world.reshape(-1).tolist(),
-                    "pose_cam": s.ee_pose_cam.reshape(-1).tolist(),
-                    "state": s.state_vec.tolist(),
-                    "action": {
-                        "dp": s.action.dp.tolist(),
-                        "dtheta": s.action.dtheta.tolist(),
-                        "gripper": s.action.gripper,
-                    },
-                    "gripper_cmd": s.action.gripper,
-                }
-                f.write(json.dumps(row, sort_keys=True) + "\n")
-
-
-def read_dataset(path: str) -> DemoDataset:
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise DatasetFormatError("line 1: empty file")
-
-    def parse(i, text):
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as e:
-            raise DatasetFormatError(f"line {i + 1}: {e.msg}") from e
-
-    header = parse(0, lines[0])
-    if header.get("schema") != DEMOS_SCHEMA:
-        raise DatasetFormatError(f"line 1: expected schema {DEMOS_SCHEMA!r}, got {header.get('schema')!r}")
-    try:
-        scene, tasks, camera = sw.scene_from_json(header["scene"])
-        dataset = DemoDataset(
-            scene=scene,
-            task=tasks["task"],
-            camera=camera,
-            sim_config=sw.SimConfig(**header["sim_config"]),
-            expert_config=sw.ExpertConfig(**header["expert_config"]),
-            root_seed=header["root_seed"],
-            n_discarded=header.get("n_discarded", 0),
-        )
-        demos = [Demonstration(steps=[], seed=s) for s in header["episode_seeds"]]
-        if header["n_demos"] != len(demos):
-            raise ValueError("n_demos does not match episode_seeds")
-    except (KeyError, TypeError, ValueError) as e:
-        raise DatasetFormatError(f"line 1: bad header: {e}") from e
-    final_line = {}  # demo index -> line of its latest record
-    for i, text in enumerate(lines[1:], start=1):
-        row = parse(i, text)
-        try:
-            d = row["demo"]  # typed checks: a JSON true or false is an int to Python
-            if type(d) is not int or not 0 <= d < len(demos):
-                raise DatasetFormatError(f"line {i + 1}: demo {d!r} is not one of the header's {len(demos)}")
-            demo = demos[d]
-            if type(row["t"]) is not int or row["t"] != len(demo.steps):
-                raise DatasetFormatError(f"line {i + 1}: timestep {row['t']!r} out of order")
-            if row["gripper_cmd"] != row["action"]["gripper"]:
-                raise DatasetFormatError(f"line {i + 1}: gripper_cmd differs from action.gripper")
-            demo.steps.append(
-                StepRecord(
-                    features=_features_from_doc(row["features"]),
-                    ee_pose_world=np.asarray(row["pose_world"], dtype=float).reshape(4, 4),
-                    ee_pose_cam=np.asarray(row["pose_cam"], dtype=float).reshape(4, 4),
-                    state_vec=np.asarray(row["state"], dtype=float),
-                    action=geo.RelativeAction(**row["action"]),
-                )
-            )
-            final_line[d] = i + 1
-        except DatasetFormatError:
-            raise
-        except (KeyError, IndexError, TypeError, ValueError) as e:
-            raise DatasetFormatError(f"line {i + 1}: {e}") from e
-    for d, demo in enumerate(demos):
-        if not demo.steps:
-            raise DatasetFormatError(f"line 1: demo {d} has no records")
-        final = demo.steps[-1].action
-        if np.any(final.dp) or np.any(final.dtheta):
-            raise DatasetFormatError(f"line {final_line[d]}: final record of demo {d} has a non-zero rigid action")
-    dataset.demos = demos
-    return dataset

@@ -207,8 +207,7 @@ def _report(successes: int, lengths: list, chart_violation_rate: float = 0.0,
     )
 
 
-def _drive(controller, scene: sw.SceneSpec, task: sw.TaskSpec, episodes: int, seed: int,
-           sim_cfg: sw.SimConfig | None):
+def _drive(controller, scene: sw.SceneSpec, task: sw.TaskSpec, episodes: int, seed: int):
     """The seeded episode loop; returns (successes, episode lengths).
 
     Episode i resets the simulator with derive_seed(seed, "episode", i), so
@@ -216,7 +215,7 @@ def _drive(controller, scene: sw.SceneSpec, task: sw.TaskSpec, episodes: int, se
     The controller hears reset(i), then action(state) -> RelativeAction before
     every step, then finish(final state).
     """
-    sim = sw.Simulator(scene, task, sim_cfg)
+    sim = sw.Simulator(scene, task)
     successes, lengths = 0, []
     for i in range(episodes):
         state = sim.reset(derive_seed(seed, "episode", i))
@@ -347,7 +346,6 @@ def rollout(
     task: sw.TaskSpec,
     episodes: int,
     seed: int,
-    sim_cfg: sw.SimConfig | None = None,
     camera: sw.CameraModel | None = None,
     perturb: bool = False,
 ) -> EvalReport:
@@ -360,7 +358,7 @@ def rollout(
     closed_form_baseline()'s, so comparisons are paired.
     """
     learned = _Learned(policy, scene, task, camera or sw.default_camera(), perturb, seed)
-    successes, lengths = _drive(learned, scene, task, episodes, seed, sim_cfg)
+    successes, lengths = _drive(learned, scene, task, episodes, seed)
     return _report(
         successes, lengths,
         chart_violation_rate=(learned.violating_rows / learned.pred_rows
@@ -460,7 +458,6 @@ def closed_form_baseline(
     task: sw.TaskSpec,
     episodes: int,
     seed: int,
-    sim_cfg: sw.SimConfig | None = None,
     camera: sw.CameraModel | None = None,
     perturb: bool = False,
     oracle: bool = False,
@@ -481,7 +478,7 @@ def closed_form_baseline(
         oracle_horizon = policy.cfg.horizon if policy is not None else ds.HORIZON_DEFAULT
     controller = _ClosedForm(policy, scene, task, camera or sw.default_camera(), perturb, seed,
                              oracle_horizon)
-    return _report(*_drive(controller, scene, task, episodes, seed, sim_cfg))
+    return _report(*_drive(controller, scene, task, episodes, seed))
 
 
 # --- studies ---

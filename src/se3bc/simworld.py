@@ -21,14 +21,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geometry as geo
 from .geometry import CameraIntrinsic, RelativeAction
-
-SCENE_SCHEMA = "scene_spec_v1"
 
 TASK_FAMILIES = ("goal", "spatial", "long")
 
@@ -80,7 +78,6 @@ class SceneSpec:
     table_hi: np.ndarray
     objects: list
     containers: list
-    rng_seed: int = 0
     ee_home: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 0.20]))
 
     def __post_init__(self):
@@ -433,10 +430,6 @@ class ObservationFeatures:
     visual: np.ndarray  # (n_keypoints, token_dim)
     depth: np.ndarray  # (n_keypoints, token_dim), metric
 
-    @property
-    def token_dim(self) -> int:
-        return self.lang.shape[1]
-
 
 def feature_dims(scene: SceneSpec):
     """(token_dim, n_keypoints, payload_width) for a scene."""
@@ -544,65 +537,3 @@ def default_scene(family: str = "goal"):
         raise SceneError(f"unknown task family {family!r}")
     return scene, task
 
-
-# --- scene_spec_v1 JSON ---
-
-
-def _entry_doc(spec) -> dict:
-    """A scene dataclass as a JSON object: one key per field, arrays as lists."""
-    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in asdict(spec).items()}
-
-
-def _entry(cls, doc):
-    try:
-        return cls(**doc)
-    except (TypeError, ValueError) as e:
-        raise SceneError(f"malformed {cls.__name__} entry {doc!r}: {e}") from e
-
-
-def scene_to_json(scene: SceneSpec, tasks: dict, camera: CameraModel) -> dict:
-    return {
-        "schema": SCENE_SCHEMA,
-        "table_bounds": {"lo": scene.table_lo.tolist(), "hi": scene.table_hi.tolist()},
-        "ee_home": scene.ee_home.tolist(),
-        "rng_seed": scene.rng_seed,
-        "objects": [_entry_doc(o) for o in scene.objects],
-        "containers": [_entry_doc(c) for c in scene.containers],
-        "tasks": {name: _entry_doc(t) for name, t in tasks.items()},
-        "camera": {
-            "extrinsic": camera.extrinsic.reshape(-1).tolist(),
-            "intrinsic": _entry_doc(camera.intrinsic),
-        },
-    }
-
-
-def _section(doc: dict, key: str, kind: type):
-    """doc[key], checked to be a JSON object (kind dict) or array (kind list)."""
-    if not isinstance(doc[key], kind):
-        raise SceneError(f"scene_spec_v1 key {key!r} is a {type(doc[key]).__name__}, not a {kind.__name__}")
-    return doc[key]
-
-
-def scene_from_json(doc: dict):
-    """Parse a scene_spec_v1 document into (scene, tasks, camera)."""
-    schema = doc.get("schema") if isinstance(doc, dict) else None
-    if schema != SCENE_SCHEMA:
-        raise SceneError(f"expected schema {SCENE_SCHEMA!r}, got {schema!r}")
-    try:
-        bounds, cam = _section(doc, "table_bounds", dict), _section(doc, "camera", dict)
-        scene = SceneSpec(
-            table_lo=bounds["lo"],
-            table_hi=bounds["hi"],
-            objects=[_entry(ObjectSpec, o) for o in _section(doc, "objects", list)],
-            containers=[_entry(ContainerSpec, c) for c in _section(doc, "containers", list)],
-            rng_seed=doc.get("rng_seed", 0),
-            ee_home=doc.get("ee_home", [0.0, 0.0, 0.20]),
-        )
-        tasks = {name: _entry(TaskSpec, t) for name, t in _section(doc, "tasks", dict).items()}
-        camera = CameraModel(
-            extrinsic=np.asarray(cam["extrinsic"], dtype=float).reshape(4, 4),
-            intrinsic=_entry(CameraIntrinsic, cam["intrinsic"]),
-        )
-    except KeyError as e:
-        raise SceneError(f"scene_spec_v1 document lacks key {e.args[0]!r}") from None
-    return scene, tasks, camera

@@ -1,14 +1,19 @@
-"""Every public function, class and method of se3bc has a caller, and every
-dataclass field has a reader.
+"""Every public function, class and method of se3bc has a caller, every
+dataclass field has a reader, and every defaulted parameter has a call that
+passes it.
 
 A name counts as used when src/ or perfbench/ refers to it outside its own
 definition: functions and classes by name, attribute or import, methods by
 attribute, unless that attribute is looked up on another se3bc class (a
 method shares its name with other classes' methods). A dataclass field counts
 as read when src/ or perfbench/ loads an attribute of its name outside its
-own class, or when its class serialises itself with `asdict(self)`. Tests do
-not count, so a name or field only tests need must be listed in KEPT or
-KEPT_FIELDS with the reason it stays.
+own class, or when its class serialises itself with `asdict(self)`. A
+defaulted parameter of a public function, method or `__init__` counts as
+passed when a call in src/ or perfbench/ outside its own function, to a
+callable of that name (the class's, for `__init__`), passes it by keyword or
+by position; `*args` and `**kwargs` pass every parameter they could. Tests do
+not count, so a name, field or parameter only tests need must be listed in
+KEPT, KEPT_FIELDS or KEPT_PARAMS with the reason it stays.
 """
 
 import ast
@@ -20,8 +25,6 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 KEPT = {
-    "datasets.write_dataset": "entry point: saves recorded demos as demos_v1",
-    "datasets.read_dataset": "entry point: loads a demos_v1 file",
     "harness.load_policy": "entry point: rebuilds a trained policy from its ckpt_v1 checkpoint",
     "harness.emit_report": "entry point: writes a study's CSV and JSON report",
     "geometry.world_to_camera": "test oracle for the camera-frame poses recorded in demos",
@@ -37,8 +40,18 @@ KEPT = {
 
 # "module.Class.field", or "module.Class" for all of a class's fields.
 KEPT_FIELDS = {
+    "datasets.StepRecord.ee_pose_world": "test reference: recorded actions replayed against it must land on it",
     "geometry.RelativeAction.chart_violation": "fault flag: a relative rotation at the chart boundary",
     "tensornet.GradCheckResult": "the result of a test oracle, read by the tests that call grad_check",
+}
+
+# "module.function.param", "module.Class.method.param", or "module.Class.param"
+# for a parameter of the class's __init__.
+KEPT_PARAMS = {
+    "harness.train.ckpt_path": "deployment path: where train writes the ckpt_v1 checkpoint",
+    "simworld.Simulator.config": "lets the jitter tests set jitter_radius",
+    "tensornet.multi_head_attention.return_weights": "test probe of the attention weights",
+    "geometry.check_se3.atol": "lets test_manifold_by_construction tighten the tolerance to 1e-9",
 }
 
 
@@ -121,6 +134,55 @@ def _unread_fields(modules, users):
     return unread
 
 
+def _defaulted_params(tree, module):
+    """(qualified name, callee name, positional index or None, node) of each
+    defaulted parameter of a public function, method or __init__ of `tree`."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield from _params(f"{module}.{node.name}", node.name, node, bound=False)
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if not isinstance(sub, ast.FunctionDef):
+                    continue
+                bound = "staticmethod" not in (ast.unparse(d) for d in sub.decorator_list)
+                if sub.name == "__init__":
+                    yield from _params(f"{module}.{node.name}", node.name, sub, bound)
+                elif not sub.name.startswith("_"):
+                    yield from _params(f"{module}.{node.name}.{sub.name}", sub.name, sub, bound)
+
+
+def _params(qualname, callee, node, bound):
+    args = node.args
+    positional = (args.posonlyargs + args.args)[1 if bound else 0:]
+    for i, arg in enumerate(positional[len(positional) - len(args.defaults):],
+                            start=len(positional) - len(args.defaults)):
+        yield f"{qualname}.{arg.arg}", callee, i, node
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield f"{qualname}.{arg.arg}", callee, None, node
+
+
+def _unpassed_params(modules, users):
+    """Defaulted parameters of `modules` that no call in `users` passes."""
+    calls = defaultdict(list)  # callee name -> [(node id, positional count, keyword names or None)]
+    for tree in users:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+                callee = n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+                starred = any(isinstance(a, ast.Starred) for a in n.args)
+                keywords = None if any(k.arg is None for k in n.keywords) else {k.arg for k in n.keywords}
+                calls[callee].append((id(n), float("inf") if starred else len(n.args), keywords))
+    unpassed = set()
+    for module, tree in modules.items():
+        for qualname, callee, index, node in _defaulted_params(tree, module):
+            own, name = {id(n) for n in ast.walk(node)}, qualname.rsplit(".", 1)[1]
+            if not any(i not in own and ((index is not None and n_pos > index)
+                                         or keywords is None or name in keywords)
+                       for i, n_pos, keywords in calls[callee]):
+                unpassed.add(qualname)
+    return unpassed
+
+
 def _trees():
     files = sorted((ROOT / "src" / "se3bc").glob("*.py"))
     trees = {p: ast.parse(p.read_text(), str(p)) for p in files + sorted((ROOT / "perfbench").rglob("*.py"))}
@@ -180,3 +242,39 @@ def test_every_dataclass_field_is_read():
     stale = sorted(k for k in KEPT_FIELDS if not any(n == k or n.startswith(k + ".") for n in kept))
     assert not dead, f"no reader outside their class; delete them or add them to KEPT_FIELDS: {dead}"
     assert not stale, f"KEPT_FIELDS entries that are gone or now read: {stale}"
+
+
+PARAMS_MODULE = """
+def f(a, b=1, c=2, *, d=3):
+    return f(a, d=d)
+
+
+class A:
+    def __init__(self, x=0):
+        self.x = x
+
+    def m(self, y=1):
+        return y
+
+    @staticmethod
+    def s(z=1):
+        return z
+"""
+
+
+@pytest.mark.parametrize("use,unpassed", [
+    ("f(1, 2, 3, d=4)\nA(0).m(1)\nA.s(1)", set()),
+    ("f(1, 2)\nA(x=1).m()\nA.s(**kw)", {"m.f.c", "m.f.d", "m.A.m.y"}),
+    ("f(*args)\nA()", {"m.f.d", "m.A.x", "m.A.m.y", "m.A.s.z"}),
+], ids=["all_passed", "own_call_and_missing_keyword", "star_args"])
+def test_a_parameter_passed_only_by_its_own_function_is_unpassed(use, unpassed):
+    module = ast.parse(PARAMS_MODULE)
+    user = ast.parse(f"from m import A, f\n{use}\n")
+    assert _unpassed_params({"m": module}, [module, user]) == unpassed
+
+
+def test_every_defaulted_parameter_is_passed():
+    unpassed = _unpassed_params(*_trees())
+    dead, stale = sorted(unpassed - set(KEPT_PARAMS)), sorted(set(KEPT_PARAMS) - unpassed)
+    assert not dead, f"no call in src/ or perfbench/ passes them; delete them or add them to KEPT_PARAMS: {dead}"
+    assert not stale, f"KEPT_PARAMS entries that are gone or now passed: {stale}"

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -305,71 +303,34 @@ class TestRelativeDepth:
         assert np.all(depth[0, :, col] == 0.7)  # input left as it was
 
 
-class TestSceneJson:
-    def test_round_trip(self):
-        scene, task = sw.default_scene("long")
-        cam = sw.default_camera()
-        doc = json.loads(json.dumps(sw.scene_to_json(scene, {"long": task}, cam)))
-        scene2, tasks2, cam2 = sw.scene_from_json(doc)
-        npt.assert_array_equal(scene2.table_lo, scene.table_lo)
-        assert [o.id for o in scene2.objects] == [o.id for o in scene.objects]
-        npt.assert_array_equal(tasks2["long"].latch_center, task.latch_center)
-        npt.assert_array_equal(cam2.extrinsic, cam.extrinsic)
-        assert cam2.intrinsic == cam.intrinsic
+def _scene(objects=(), containers=(), table_lo=(0, 0, 0)):
+    return sw.SceneSpec(table_lo=table_lo, table_hi=[1, 1, 1], objects=list(objects),
+                        containers=list(containers))
 
-    def test_schema_mismatch(self):
-        with pytest.raises(sw.SceneError):
-            sw.scene_from_json({"schema": "nope"})
 
-    @pytest.mark.parametrize("key", ["table_bounds", "objects", "containers", "tasks", "camera"])
-    def test_missing_top_level_key_names_it(self, key):
-        scene, task = sw.default_scene("long")
-        doc = sw.scene_to_json(scene, {"long": task}, sw.default_camera())
-        del doc[key]
-        with pytest.raises(sw.SceneError, match=f"lacks key '{key}'"):
-            sw.scene_from_json(doc)
+def _simulate_task(object_id, container_id):
+    scene, _ = sw.default_scene("goal")
+    return sw.Simulator(scene, sw.TaskSpec(object_id, container_id))
 
-    @pytest.mark.parametrize("key,value", [
-        ("table_bounds", [-0.3, 0.3]), ("camera", []), ("tasks", []), ("objects", 3),
-        ("containers", {}),
-    ], ids=["table_bounds", "camera", "tasks", "objects", "containers"])
-    def test_wrong_type_top_level_value_names_it(self, key, value):
-        scene, task = sw.default_scene("long")
-        doc = sw.scene_to_json(scene, {"long": task}, sw.default_camera())
-        doc[key] = value
-        with pytest.raises(sw.SceneError, match=f"key '{key}' is a {type(value).__name__}"):
-            sw.scene_from_json(doc)
 
-    def test_bare_schema_names_first_missing_key(self):
-        with pytest.raises(sw.SceneError, match="lacks key 'table_bounds'"):
-            sw.scene_from_json({"schema": "scene_spec_v1"})
-
-    @pytest.mark.parametrize("corrupt", [
-        lambda doc: doc["objects"][0].pop("position"),
-        lambda doc: doc["containers"][1].update(depth=0.1),
-        lambda doc: doc["tasks"]["long"].pop("target_object_id"),
-        lambda doc: doc["camera"]["intrinsic"].update(fx=-1.0),
-        lambda doc: doc["camera"].update(intrinsic=[220.0, 220.0, 112.0, 112.0, 224, 224]),
-    ], ids=["missing_field", "unknown_field", "task_missing_field", "bad_value", "not_an_object"])
-    def test_malformed_entry(self, corrupt):
-        scene, task = sw.default_scene("long")
-        doc = json.loads(json.dumps(sw.scene_to_json(scene, {"long": task}, sw.default_camera())))
-        corrupt(doc)
-        with pytest.raises(sw.SceneError, match="malformed"):
-            sw.scene_from_json(doc)
-
-    def test_scene_validation(self):
-        with pytest.raises(sw.SceneError):
-            sw.SceneSpec(
-                table_lo=[0, 0, 0],
-                table_hi=[1, 1, 1],
-                objects=[sw.ObjectSpec("a", [2, 0, 0])],
-                containers=[],
-            )
-        with pytest.raises(sw.SceneError):
-            sw.SceneSpec(
-                table_lo=[0, 0, 0],
-                table_hi=[1, 1, 1],
-                objects=[sw.ObjectSpec("a", [0.5, 0.5, 0]), sw.ObjectSpec("a", [0.2, 0.2, 0])],
-                containers=[],
-            )
+class TestSceneSpec:
+    @pytest.mark.parametrize("build,message", [
+        (lambda: sw.ObjectSpec("a", [0, 0, 0], grasp_radius=0.0), "'a' grasp_radius must be > 0"),
+        (lambda: sw.ContainerSpec("c", [0, 0, 0], accept_radius=-0.01), "'c' accept_radius must be > 0"),
+        (lambda: _scene(table_lo=[0, 0, 1]), "table_lo must be strictly below table_hi"),
+        (lambda: _scene([sw.ObjectSpec("a", [2, 0, 0])]), "object 'a' outside table bounds"),
+        (lambda: _scene(containers=[sw.ContainerSpec("c", [0, 0, -1])]),
+         "container 'c' outside table bounds"),
+        (lambda: _scene([sw.ObjectSpec("a", [0.5, 0.5, 0]), sw.ObjectSpec("a", [0.2, 0.2, 0])]),
+         "ids must be unique"),
+        (lambda: sw.TaskSpec("a", "c", family="kitchen"), "unknown task family 'kitchen'"),
+        (lambda: sw.TaskSpec("a", "c", horizon_limit=0), "horizon_limit must be > 0"),
+        (lambda: sw.TaskSpec("a", "c", family="long"), "long tasks need a latch_center"),
+        (lambda: _simulate_task("block_green", "bin_a"), "unknown object 'block_green'"),
+        (lambda: _simulate_task("block_red", "bin_c"), "unknown container 'bin_c'"),
+    ], ids=["grasp_radius", "accept_radius", "table_bounds_order", "object_outside_table",
+            "container_outside_table", "duplicate_ids", "unknown_family", "horizon_limit",
+            "long_without_latch", "task_unknown_object", "task_unknown_container"])
+    def test_scene_validation(self, build, message):
+        with pytest.raises(sw.SceneError, match=message):
+            build()
