@@ -40,6 +40,13 @@ class SceneError(ValueError):
     """Invalid scene or task specification."""
 
 
+def _vec3(v, name: str) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if v.size != 3:
+        raise SceneError(f"{name} must hold 3 values, got {v.size}")
+    return v.reshape(3)
+
+
 class EpisodeTerminated(RuntimeError):
     """step() called at the horizon limit."""
 
@@ -55,7 +62,7 @@ class ObjectSpec:
     grasp_radius: float = DEFAULT_GRASP_RADIUS
 
     def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).reshape(3)
+        self.position = _vec3(self.position, f"object {self.id!r} position")
         if self.grasp_radius <= 0:
             raise SceneError(f"object {self.id!r} grasp_radius must be > 0")
 
@@ -67,7 +74,7 @@ class ContainerSpec:
     accept_radius: float = DEFAULT_ACCEPT_RADIUS
 
     def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float).reshape(3)
+        self.center = _vec3(self.center, f"container {self.id!r} center")
         if self.accept_radius <= 0:
             raise SceneError(f"container {self.id!r} accept_radius must be > 0")
 
@@ -81,9 +88,9 @@ class SceneSpec:
     ee_home: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 0.20]))
 
     def __post_init__(self):
-        self.table_lo = np.asarray(self.table_lo, dtype=float).reshape(3)
-        self.table_hi = np.asarray(self.table_hi, dtype=float).reshape(3)
-        self.ee_home = np.asarray(self.ee_home, dtype=float).reshape(3)
+        self.table_lo = _vec3(self.table_lo, "table_lo")
+        self.table_hi = _vec3(self.table_hi, "table_hi")
+        self.ee_home = _vec3(self.ee_home, "ee_home")
         if not np.all(self.table_lo < self.table_hi):
             raise SceneError("table_lo must be strictly below table_hi")
         ids = [o.id for o in self.objects] + [c.id for c in self.containers]
@@ -128,7 +135,7 @@ class TaskSpec:
         if self.horizon_limit <= 0:
             raise SceneError("horizon_limit must be > 0")
         if self.latch_center is not None:
-            self.latch_center = np.asarray(self.latch_center, dtype=float).reshape(3)
+            self.latch_center = _vec3(self.latch_center, "latch_center")
         if self.family == "long" and self.latch_center is None:
             raise SceneError("long tasks need a latch_center")
 

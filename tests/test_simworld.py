@@ -303,6 +303,43 @@ class TestRelativeDepth:
         assert np.all(depth[0, :, col] == 0.7)  # input left as it was
 
 
+class TestSceneJson:
+    """Scene entries given as plain values (lists and numbers), as a scene file holds them."""
+
+    @pytest.mark.parametrize("key,value", [("table_lo", [-0.3, 0.3]), ("ee_home", [0.0, 0.2])],
+                             ids=["table_bounds", "ee_home"])
+    def test_wrong_type_top_level_value_names_it(self, key, value):
+        entries = {"table_lo": [-0.3, -0.3, 0.0], "table_hi": [0.3, 0.3, 0.3], key: value}
+        with pytest.raises(sw.SceneError, match=f"{key} must hold 3 values, got 2"):
+            sw.SceneSpec(**entries, objects=[], containers=[])
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: sw.ObjectSpec("a", [0.5, 0.5]), "object 'a' position must hold 3 values, got 2"),
+        (lambda: sw.TaskSpec("a", "c", family="long", latch_center=[0.1, 0.1]),
+         "latch_center must hold 3 values, got 2"),
+        (lambda: _scene([sw.ObjectSpec("a", [0.5, np.nan, 0.5])]), "object 'a' outside table bounds"),
+    ], ids=["missing_field", "task_missing_field", "bad_value"])
+    def test_malformed_entry(self, build, message):
+        with pytest.raises(sw.SceneError, match=message):
+            build()
+
+    def test_scene_validation(self):
+        with pytest.raises(sw.SceneError):
+            sw.SceneSpec(
+                table_lo=[0, 0, 0],
+                table_hi=[1, 1, 1],
+                objects=[sw.ObjectSpec("a", [2, 0, 0])],
+                containers=[],
+            )
+        with pytest.raises(sw.SceneError):
+            sw.SceneSpec(
+                table_lo=[0, 0, 0],
+                table_hi=[1, 1, 1],
+                objects=[sw.ObjectSpec("a", [0.5, 0.5, 0]), sw.ObjectSpec("a", [0.2, 0.2, 0])],
+                containers=[],
+            )
+
+
 def _scene(objects=(), containers=(), table_lo=(0, 0, 0)):
     return sw.SceneSpec(table_lo=table_lo, table_hi=[1, 1, 1], objects=list(objects),
                         containers=list(containers))
