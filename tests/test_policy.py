@@ -24,6 +24,15 @@ def make_policy(scene, target="traj_camera_se3", rotation="axis_angle", depth="m
     return pol.build_variant(cfg)
 
 
+def float64_params(policy):
+    """Swap each parameter for a float64 tensor of its values rounded to
+    float32, so the policy computes in float64 on float32 parameters."""
+    for name, t in list(policy.params.items()):
+        policy.params.swap(name, tn.Tensor(t.data.astype(np.float32).astype(np.float64),
+                                           requires_grad=True))
+    return policy
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(pol.PolicyConfigError):
@@ -364,3 +373,18 @@ def test_desk_training_step_size(world):
     }
     grads = tn.backward(tape, total)
     assert len(grads) == len(policy.params.names())
+
+
+def test_float64_desk_step_is_pinned(world):
+    # The desk loss and a gradient checksum of the all-float64 program, on
+    # float32-representable parameters.
+    scene, task, data, windows = world
+    variant = ds.SupervisionVariant("traj_camera_se3")
+    batch = pol.collate(windows[:16], variant, data.camera, scene)
+    policy = float64_params(make_policy(scene))
+    with tn.GradientTape() as tape:
+        total, _, _ = policy.loss(batch)
+    grads = policy.params.grads_by_name(tn.backward(tape, total))
+    assert total.data.dtype == np.float64
+    assert float(total.data) == 2.843557711651525
+    assert sum(float(np.abs(g).sum()) for g in grads.values()) == 16241.475854942206
