@@ -53,7 +53,8 @@ class HarnessError(ValueError):
 
 
 class TrainDiverged(RuntimeError):
-    """Numeric fault during training; a last-good checkpoint was kept."""
+    """Numeric fault during training; with a checkpoint path, the last
+    logged parameters were written there."""
 
 
 def wilson_interval(k: int, n: int):
@@ -97,9 +98,10 @@ def train(dataset: ds.DemoDataset, cfg: TrainConfig, ckpt_path: str | None = Non
     """Behavior-clone a policy on a demonstration dataset.
 
     Returns (policy, curve) where curve rows are (step, loss_traj, loss_act,
-    loss_total, lr). Deterministic per cfg.seed. On a numeric fault the last
-    logged parameters are written to ckpt_path, labelled with the step they
-    were logged at, and TrainDiverged is raised.
+    loss_total, lr). Deterministic per cfg.seed. On a numeric fault
+    TrainDiverged is raised; with ckpt_path given, the last logged parameters
+    are first written there, labelled with the step they were logged at. Only
+    then does a logged step copy the parameters.
     """
     policy_cfg = replace(cfg.policy, seed=derive_seed(cfg.seed, "init"))
     policy = pol.build_variant(policy_cfg)
@@ -115,7 +117,8 @@ def train(dataset: ds.DemoDataset, cfg: TrainConfig, ckpt_path: str | None = Non
     shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
     order = np.array([], dtype=int)
     curve = []
-    last_good, last_good_step = _param_snapshot(policy), 0
+    last_good = _param_snapshot(policy) if ckpt_path else None
+    last_good_step = 0
     n = len(windows)
 
     for step in range(1, cfg.steps + 1):
@@ -129,8 +132,8 @@ def train(dataset: ds.DemoDataset, cfg: TrainConfig, ckpt_path: str | None = Non
             grads = policy.params.grads_by_name(tn.backward(tape, total))
             tn.adamw_step(policy.params, grads, opt)
         except tn.NumericFaultError as e:
-            _restore_snapshot(policy, last_good)
             if ckpt_path:
+                _restore_snapshot(policy, last_good)
                 tn.save_checkpoint(ckpt_path, policy.params, policy_cfg.config_hash(),
                                    last_good_step, extra={"policy_cfg": policy_cfg.to_json()})
             raise TrainDiverged(f"numeric fault at step {step}: {e}") from e
@@ -138,7 +141,8 @@ def train(dataset: ds.DemoDataset, cfg: TrainConfig, ckpt_path: str | None = Non
             row = (step, float(traj.data), float(act.data), float(total.data),
                    tn.lr_at(opt.config, step))
             curve.append(row)
-            last_good, last_good_step = _param_snapshot(policy), step
+            if ckpt_path:
+                last_good, last_good_step = _param_snapshot(policy), step
             log.debug("step %d traj %.4f act %.4f total %.4f lr %.2e", *row)
 
     if ckpt_path:
@@ -268,8 +272,12 @@ class _Learned:
 
     With perturb=True, the pose-space noise eps is mapped into the hidden
     states through the linear head's pseudo-inverse, so head(h_traj + dh) =
-    tau + eps exactly: the decoder conditions on hidden states that decode to
-    the same corrupted trajectory the hardcoded pipeline reads. Gripper
+    tau + eps: the decoder conditions on hidden states that decode to the
+    same corrupted trajectory the hardcoded pipeline reads. The pseudo-inverse
+    and dh are float64, but the policy rounds dh to float32 and computes in
+    float32, so the equality holds to float32 roundoff only: on the desk
+    policy, with |tau| up to 1.5, head(h_traj + dh) and tau + eps differ by
+    up to 5e-7 per element. Gripper
     commands are additionally delayed by PERTURB_GRIPPER_LATENCY steps (the
     queue persists across chunks within an episode).
     """
@@ -281,7 +289,8 @@ class _Learned:
         if perturb:
             if not self._tracks_tau:
                 raise HarnessError("perturbed protocol needs a camera-frame axis-angle policy")
-            self._head_pinv = np.linalg.pinv(policy.params["pred.head.w"].data)  # (6, D)
+            head_w = policy.params["pred.head.w"].data.astype(np.float64)  # (D, 6)
+            self._head_pinv = np.linalg.pinv(head_w)  # (6, D)
         self.policy, self.scene, self.task, self.camera = policy, scene, task, camera
         self.perturb, self.root_seed = perturb, root_seed
         self.pred_rows = self.violating_rows = 0
@@ -327,17 +336,13 @@ class _Learned:
         self._rows.extend(out.chunk)
 
     def _perturbed_act(self, features, state_vec) -> pol.PolicyOutput:
-        p = self.policy
-        h_traj, _ = p.predict_trajectory(p.encode_features(features))
-        eps = _perturbation(self.root_seed, self._episode, self._chunks, p.cfg.horizon)
+        eps = _perturbation(self.root_seed, self._episode, self._chunks, self.policy.cfg.horizon)
         self._chunks += 1
-        h_noisy = tn.Tensor(h_traj.data + eps @ self._head_pinv)
-        tau = p.trajectory_head(h_noisy).data
-        chunk = p.decode_actions(h_noisy, state_vec.reshape(1, 7)).data
-        for h in range(chunk.shape[0]):
-            self._grip_queue.append(chunk[h, 6])
-            chunk[h, 6] = self._grip_queue.popleft()
-        return pol.PolicyOutput(chunk=chunk, tau=tau)
+        out = self.policy.act(features, state_vec, h_noise=eps @ self._head_pinv)
+        for row in out.chunk:
+            self._grip_queue.append(row[6])
+            row[6] = self._grip_queue.popleft()
+        return out
 
 
 def rollout(

@@ -18,7 +18,10 @@ still exists and is trained by the trajectory loss, but its hidden states
 never reach the decoder).
 
 Everything runs in the numpy autodiff core; inference uses the same code
-path without a tape.
+path without a tape. The policy computes in its parameters' dtype (float32
+from ParamSet): it casts every array it receives (features, state, loss
+targets, hidden-state noise) to that dtype, and `act` returns float64, so
+callers see float64 only.
 """
 
 from __future__ import annotations
@@ -92,8 +95,8 @@ class PolicyConfig:
 class PolicyOutput:
     """One inference step: the action chunk plus predictor readouts."""
 
-    chunk: np.ndarray  # (H, 7): dp, dtheta, gripper in [0, 1]
-    tau: np.ndarray | None  # (H, target_dim) predicted trajectory, if any
+    chunk: np.ndarray  # (H, 7) float64: dp, dtheta, gripper in [0, 1]
+    tau: np.ndarray | None  # (H, target_dim) float64 predicted trajectory, if any
 
 
 class Policy:
@@ -153,6 +156,10 @@ class Policy:
 
     # --- forward pieces ---
 
+    def _input(self, x) -> tn.Tensor:
+        """An array the policy receives, as an untracked tensor of its parameters' dtype."""
+        return tn.Tensor(np.asarray(x, dtype=self.params["dec.head.w"].data.dtype))
+
     def _ln(self, x, name):
         return tn.layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
 
@@ -194,25 +201,26 @@ class Policy:
         """
         p = self.params
         blocks = [
-            tn.linear(tn.as_tensor(lang), p["enc.lang.w"], p["enc.lang.b"]),
-            tn.linear(tn.as_tensor(visual), p["enc.vis.w"], p["enc.vis.b"]),
+            tn.linear(self._input(lang), p["enc.lang.w"], p["enc.lang.b"]),
+            tn.linear(self._input(visual), p["enc.vis.w"], p["enc.vis.b"]),
         ]
         mode = self.cfg.variant.depth_mode
         if mode != "none":
             if mode == "relative":
                 depth = sw.relative_depth(depth)
-            blocks.append(tn.linear(tn.as_tensor(depth), p["enc.dep.w"], p["enc.dep.b"]))
+            blocks.append(tn.linear(self._input(depth), p["enc.dep.w"], p["enc.dep.b"]))
         return tn.concat(blocks, axis=-2)
 
     def encode_features(self, features: sw.ObservationFeatures) -> tn.Tensor:
         return self.encode(features.lang, features.visual, features.depth)
 
-    def predict_trajectory(self, h3d: tn.Tensor):
+    def predict_trajectory(self, h3d: tn.Tensor, h_noise=None):
         """Refine the trajectory queries against the encoded tokens.
 
         Returns (h_traj, tau); tau is recomputable as the linear head applied
-        to h_traj. Skipped entirely (returns None) for the no-trajectory
-        variant.
+        to h_traj. An (H, d_model) h_noise array is added to h_traj before
+        the head reads it (the perturbed protocol). Skipped entirely (returns
+        None) for the no-trajectory variant.
         """
         if not self.cfg.variant.uses_predictor:
             return None
@@ -220,6 +228,8 @@ class Policy:
         for i in range(self.cfg.predictor_blocks):
             x = self._block(f"pred.b{i}", x, h3d)
         h_traj = self._ln(x, "pred.lnf")
+        if h_noise is not None:
+            h_traj = tn.add(h_traj, self._input(h_noise))
         tau = self.trajectory_head(h_traj)
         return h_traj, tau
 
@@ -233,7 +243,7 @@ class Policy:
 
     def decode_actions(self, conditioning: tn.Tensor, state_vec) -> tn.Tensor:
         """Action chunk from the conditioning stream and the raw 7-d state."""
-        state = tn.as_tensor(state_vec)
+        state = self._input(state_vec)
         h_state = tn.linear(state, self.params["state.w"], self.params["state.b"])
         h_ctx = tn.concat([conditioning, h_state], axis=-2)
         x = self.params["dec.q"]
@@ -247,10 +257,14 @@ class Policy:
 
     # --- training/inference entry points ---
 
-    def forward(self, lang, visual, depth, state_vec):
-        """Full pass; returns dict with h3d, h_traj, tau, chunk tensors."""
+    def forward(self, lang, visual, depth, state_vec, h_noise=None):
+        """Full pass; returns dict with h3d, h_traj, tau, chunk tensors.
+
+        h_noise is predict_trajectory's: the decoder then conditions on the
+        noisy h_traj when its variant reads h_traj.
+        """
         h3d = self.encode(lang, visual, depth)
-        pred = self.predict_trajectory(h3d)
+        pred = self.predict_trajectory(h3d, h_noise)
         h_traj, tau = pred if pred is not None else (None, None)
         conditioning = h_traj if self.cfg.variant.decoder_sees_trajectory else h3d
         chunk = self.decode_actions(conditioning, state_vec)
@@ -264,20 +278,19 @@ class Policy:
         """
         out = self.forward(batch["lang"], batch["visual"], batch["depth"], batch["state"])
         if out["tau"] is None:
-            traj = tn.Tensor(np.asarray(0.0))
+            traj = self._input(0.0)
         else:
-            traj = tn.l1_loss(out["tau"], tn.Tensor(batch["traj_targets"]))
-        act = tn.l1_loss(out["chunk"], tn.Tensor(batch["action_targets"]))
+            traj = tn.l1_loss(out["tau"], self._input(batch["traj_targets"]))
+        act = tn.l1_loss(out["chunk"], self._input(batch["action_targets"]))
         return tn.add(tn.scale(traj, self.cfg.lam), act), traj, act
 
-    def act(self, features: sw.ObservationFeatures, state_vec) -> PolicyOutput:
-        """Inference (no tape): one action chunk for the current observation."""
-        out = self.forward(
-            features.lang, features.visual, features.depth,
-            np.asarray(state_vec, dtype=float).reshape(1, 7),
-        )
-        tau = None if out["tau"] is None else out["tau"].data.copy()
-        return PolicyOutput(chunk=out["chunk"].data.copy(), tau=tau)
+    def act(self, features: sw.ObservationFeatures, state_vec, h_noise=None) -> PolicyOutput:
+        """Inference (no tape): one action chunk for the current observation,
+        as float64 arrays. h_noise is predict_trajectory's."""
+        out = self.forward(features.lang, features.visual, features.depth,
+                           np.reshape(state_vec, (1, 7)), h_noise)
+        tau = None if out["tau"] is None else out["tau"].data.astype(np.float64)
+        return PolicyOutput(chunk=out["chunk"].data.astype(np.float64), tau=tau)
 
 
 def build_variant(cfg: PolicyConfig) -> Policy:

@@ -1,9 +1,12 @@
 """Minimal reverse-mode differentiable compute core on numpy.
 
-A Tensor wraps a float64 ndarray. Ops executed while a GradientTape is
-active append nodes to it in creation order, which is already a topological
-order, so backward() is a single reverse sweep. A tape supports exactly one
-backward pass.
+A Tensor wraps a floating ndarray. It keeps a floating input's dtype and
+makes anything else float64, and ops compute in the dtype numpy promotes
+their inputs to. ParamSet stores its parameters as float32, so a model trains
+in float32; finite-difference checks pass float64 arrays and stay float64.
+Ops executed while a GradientTape is active append nodes to it in creation
+order, which is already a topological order, so backward() is a single
+reverse sweep. A tape supports exactly one backward pass.
 
 Ops accept arbitrary leading batch dimensions; the documented shapes below
 are the trailing ones. Finiteness is checked once per recording, not per op:
@@ -49,6 +52,12 @@ class NumericFaultError(ArithmeticError):
 
 class TapeError(RuntimeError):
     """Tape contract violation (reuse after backward, foreign nodes)."""
+
+
+def _floating(data) -> np.ndarray:
+    """data as an ndarray: a floating dtype is kept, anything else becomes float64."""
+    a = np.asarray(data)
+    return a if a.dtype.kind == "f" else a.astype(np.float64)
 
 
 class _ThreadState(threading.local):
@@ -109,7 +118,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "_tape", "_node")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = _floating(data)
         if not np.isfinite(self.data).all():
             raise NumericFaultError("tensor created with non-finite values")
         self.requires_grad = bool(requires_grad)
@@ -149,7 +158,7 @@ def _make(op, out_data, inputs, vjp):
     naming the op.
     """
     out = Tensor.__new__(Tensor)  # skips __init__'s per-tensor finiteness check
-    out.data = np.asarray(out_data, dtype=np.float64)
+    out.data = _floating(out_data)
     out.requires_grad = False
     out._tape = out._node = None
     tape = _active_tape()
@@ -402,7 +411,8 @@ def rope(a, positions) -> Tensor:
 
     Adjacent coordinate pairs (2i, 2i+1) of the row at sequence position m
     are rotated by m * ROPE_BASE^(-2i/d). Requires an even last axis. positions
-    has one entry per row along the second-to-last axis.
+    has one entry per row along the second-to-last axis. The angles are
+    computed in float64; their cos/sin tables take the input's dtype.
     """
     a = as_tensor(a)
     d = a.shape[-1]
@@ -415,8 +425,8 @@ def rope(a, positions) -> Tensor:
         )
     freqs = ROPE_BASE ** (-2.0 * np.arange(d // 2) / d)
     ang = positions[:, None] * freqs[None, :]  # (T, d/2)
-    cos, sin = np.cos(ang), np.sin(ang)
     x = a.data
+    cos, sin = np.cos(ang).astype(x.dtype), np.sin(ang).astype(x.dtype)
     xe, xo = x[..., 0::2], x[..., 1::2]
     out = np.empty_like(x)
     out[..., 0::2] = xe * cos - xo * sin
@@ -569,11 +579,16 @@ def _name_seed(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(zlib.crc32(name.encode()),)))
 
 
+# The dtype parameters are stored and trained in.
+PARAM_DTYPE = np.float32
+
+
 class ParamSet:
-    """Named parameter tensors.
+    """Named parameter tensors, stored as PARAM_DTYPE.
 
     Each parameter's init stream is derived from (seed, name), so values do
-    not depend on creation order. Names are unique and shapes immutable.
+    not depend on creation order. Draws are made in float64 and rounded to
+    PARAM_DTYPE. Names are unique and shapes immutable.
     """
 
     def __init__(self, seed: int = 0):
@@ -583,7 +598,7 @@ class ParamSet:
     def _register(self, name, data):
         if name in self._params:
             raise TensorError(f"duplicate parameter name {name!r}")
-        t = Tensor(data, requires_grad=True)
+        t = Tensor(np.asarray(data, dtype=PARAM_DTYPE), requires_grad=True)
         self._params[name] = t
         return t
 
@@ -673,7 +688,9 @@ def adamw_step(params: ParamSet, grads: dict, state: OptimizerState) -> None:
 
     Updates in place: each parameter's `data` array and its moments in
     `state.m` and `state.v` are overwritten, not replaced, so a caller that
-    keeps a parameter's old values must copy them first. The arithmetic
+    keeps a parameter's old values must copy them first. The moments take
+    their parameter's dtype, and so does the whole update for a gradient of
+    that dtype (Python-float constants do not promote it). The arithmetic
     follows the reference formula's operation order, so results are
     bit-identical to it:
 
@@ -792,7 +809,10 @@ def _ckpt_paths(path: str):
 
 
 def save_checkpoint(path: str, params: ParamSet, config_hash: str = "", step: int = 0, extra=None):
-    """Write a ckpt_v1 checkpoint: JSON manifest + little-endian f64 blob."""
+    """Write a ckpt_v1 checkpoint: JSON manifest + little-endian f64 blob.
+
+    float64 holds a float32 parameter exactly, so the blob loses nothing.
+    """
     manifest_path, blob_path = _ckpt_paths(path)
     entries = [{"name": n, "shape": list(t.data.shape)} for n, t in params.items()]
     manifest = {"schema": "ckpt_v1", "config_hash": config_hash, "step": int(step), "params": entries}
@@ -839,7 +859,12 @@ def load_checkpoint(path: str):
 
 
 def load_into(params: ParamSet, path: str) -> dict:
-    """Load checkpoint values into an existing ParamSet (shapes must match)."""
+    """Load checkpoint values into an existing ParamSet (shapes must match).
+
+    Each value is cast to its parameter's dtype: float32 parameters get the
+    float64 values rounded to nearest. A value that then is not finite (one
+    beyond float32's range) raises TensorError.
+    """
     manifest, arrays = load_checkpoint(path)
     for name, t in params.items():
         if name not in arrays:
@@ -848,5 +873,9 @@ def load_into(params: ParamSet, path: str) -> dict:
             raise TensorError(
                 f"checkpoint shape {arrays[name].shape} != parameter shape {t.data.shape} for {name!r}"
             )
-        t.data = arrays[name].copy()
+        with np.errstate(over="ignore"):
+            data = arrays[name].astype(t.data.dtype)
+        if not np.isfinite(data).all():
+            raise TensorError(f"checkpoint values of {name!r} are not finite as {data.dtype}")
+        t.data = data
     return manifest

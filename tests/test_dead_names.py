@@ -32,6 +32,7 @@ KEPT = {
     "tensornet.grad_check": "test oracle: finite-difference check of every tape op",
     "tensornet.sum_all": "test oracle: reduces an op's output to the scalar grad_check needs",
     "tensornet.mul": "test oracle: weights an op's output before sum_all",
+    "policy.Policy.encode_features": "test probe of the encoder and of the predictor and decoder fed from it",
     "tensornet.ParamSet.swap": "binds parameters for the finite-difference check of a whole policy",
     "tensornet.ParamSet.names": "test probe of the parameters a variant builds",
     "tensornet.ParamSet.total_count": "the parameter count compared across variants in tests",

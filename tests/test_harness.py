@@ -56,14 +56,14 @@ class TestRolloutCharacterization:
         scene, _, short, policy = world
         report = hs.rollout(policy, scene, short, EPISODES, EVAL_SEED)
         assert_same(report.to_json(), {
-            **FULL_HORIZON_MISS, "mean_traj_error": 5.0507304889785205, "episode_lengths": [40, 40],
+            **FULL_HORIZON_MISS, "mean_traj_error": 5.050730474259801, "episode_lengths": [40, 40],
         })
 
     def test_perturbed(self, world):
         scene, _, short, policy = world
         report = hs.rollout(policy, scene, short, EPISODES, EVAL_SEED, perturb=True)
         assert_same(report.to_json(), {
-            **FULL_HORIZON_MISS, "mean_traj_error": 5.062739111847865, "episode_lengths": [40, 40],
+            **FULL_HORIZON_MISS, "mean_traj_error": 5.062739132663498, "episode_lengths": [40, 40],
         })
 
 
@@ -116,54 +116,54 @@ class TestClosedFormCharacterization:
 DEPTH_PINS = {
     "metric": {
         "curve": [
-            [1, 2.813627345444843, 2.7048216435409165, 2.986184378085401, 0.0005],
-            [2, 4.118521500177808, 3.0755110927083766, 3.4873632427261576, 0.001],
-            [3, 4.4161087579768115, 3.700516040711316, 4.142126916508997, 0.0009755282581475768],
-            [4, 4.0021966114686, 2.5945204497301297, 2.9947401108769895, 0.0009045084971874737],
-            [5, 3.5295924097064595, 2.2539189519365337, 2.6068781929071796, 0.0007938926261462366],
-            [6, 3.189988569168122, 1.913062517708396, 2.232061374625208, 0.0006545084971874737],
-            [7, 3.0395785896335896, 1.7515444937294993, 2.055502352692858, 0.0005],
-            [8, 2.9651213211182146, 1.382986061059459, 1.6794981931712805, 0.00034549150281252633],
-            [9, 3.0380173483032316, 1.0615166760074177, 1.365318410837741, 0.00020610737385376348],
-            [10, 2.8094145933367924, 0.9103224048765647, 1.191263864210244, 9.549150281252633e-05],
-            [11, 2.7632839853286018, 0.838217724359988, 1.1145461228928482, 2.4471741852423235e-05],
-            [12, 2.7715181338971666, 0.8661604651214441, 1.1433122785111607, 0.0],
+            [1, 2.8136274814605713, 2.7048215866088867, 2.9861843585968018, 0.0005],
+            [2, 4.118520736694336, 3.075509548187256, 3.4873616695404053, 0.001],
+            [3, 4.416108131408691, 3.7005162239074707, 4.14212703704834, 0.0009755282581475768],
+            [4, 4.002196311950684, 2.5945210456848145, 2.9947407245635986, 0.0009045084971874737],
+            [5, 3.5295920372009277, 2.2539186477661133, 2.6068778038024902, 0.0007938926261462366],
+            [6, 3.189988136291504, 1.913062572479248, 2.2320613861083984, 0.0006545084971874737],
+            [7, 3.0395779609680176, 1.75154447555542, 2.05550217628479, 0.0005],
+            [8, 2.965120792388916, 1.382986068725586, 1.6794981956481934, 0.00034549150281252633],
+            [9, 3.0380167961120605, 1.0615170001983643, 1.3653186559677124, 0.00020610737385376348],
+            [10, 2.8094139099121094, 0.910322904586792, 1.191264271736145, 9.549150281252633e-05],
+            [11, 2.7632837295532227, 0.8382182717323303, 1.1145466566085815, 2.4471741852423235e-05],
+            [12, 2.771517515182495, 0.866161048412323, 1.1433128118515015, 0.0],
         ],
-        "mean_traj_error": 4.66271346178634,
+        "mean_traj_error": 4.662706223405417,
     },
     "relative": {
         "curve": [
-            [1, 3.233632977740214, 2.759165263863106, 3.0825285616371274, 0.0005],
-            [2, 4.336075959588784, 3.2791802094452036, 3.712787805404082, 0.001],
-            [3, 4.561111256374638, 3.8357305635420404, 4.291841689179504, 0.0009755282581475768],
-            [4, 4.271818411887468, 2.5694384295043724, 2.996620270693119, 0.0009045084971874737],
-            [5, 3.8926613110013673, 2.206890199422369, 2.5961563305225055, 0.0007938926261462366],
-            [6, 3.543429743764978, 2.114084914194609, 2.4684278885711066, 0.0006545084971874737],
-            [7, 3.2115738591291523, 1.8788797155885593, 2.2000371015014744, 0.0005],
-            [8, 3.023255758340942, 1.545437127149611, 1.8477627029837052, 0.00034549150281252633],
-            [9, 3.0191876275877596, 1.2248992748358916, 1.5268180375946676, 0.00020610737385376348],
-            [10, 2.8262706665578246, 1.1115082748910206, 1.394135341546803, 9.549150281252633e-05],
-            [11, 2.8166515060678963, 1.0090431204108843, 1.290708271017674, 2.4471741852423235e-05],
-            [12, 2.8001514629603736, 1.017753366629648, 1.2977685129256855, 0.0],
+            [1, 3.233633279800415, 2.759164810180664, 3.0825281143188477, 0.0005],
+            [2, 4.3360748291015625, 3.2791783809661865, 3.7127859592437744, 0.001],
+            [3, 4.561110496520996, 3.83573055267334, 4.291841506958008, 0.0009755282581475768],
+            [4, 4.271817684173584, 2.56943941116333, 2.9966211318969727, 0.0009045084971874737],
+            [5, 3.892660617828369, 2.206890106201172, 2.596156120300293, 0.0007938926261462366],
+            [6, 3.543429374694824, 2.1140851974487305, 2.468428134918213, 0.0006545084971874737],
+            [7, 3.211573362350464, 1.8788797855377197, 2.2000370025634766, 0.0005],
+            [8, 3.023254871368408, 1.5454370975494385, 1.8477625846862793, 0.00034549150281252633],
+            [9, 3.0191867351531982, 1.2249000072479248, 1.5268187522888184, 0.00020610737385376348],
+            [10, 2.8262698650360107, 1.1115093231201172, 1.3941363096237183, 9.549150281252633e-05],
+            [11, 2.816650629043579, 1.0090441703796387, 1.2907092571258545, 2.4471741852423235e-05],
+            [12, 2.8001508712768555, 1.0177545547485352, 1.2977696657180786, 0.0],
         ],
-        "mean_traj_error": 4.084379838644821,
+        "mean_traj_error": 4.084380086954438,
     },
     "none": {
         "curve": [
-            [1, 3.227330375669549, 2.5330792813530425, 2.8558123189199973, 0.0005],
-            [2, 4.337903778495146, 3.2197932267485747, 3.653583604598089, 0.001],
-            [3, 4.155913969215998, 3.377484933977855, 3.7930763308994546, 0.0009755282581475768],
-            [4, 3.6242480167786857, 2.781325613972691, 3.14375041565056, 0.0009045084971874737],
-            [5, 2.963749407866079, 2.4879386236637604, 2.7843135644503683, 0.0007938926261462366],
-            [6, 2.4610195462214093, 2.01521662501159, 2.261318579633731, 0.0006545084971874737],
-            [7, 2.1576741588935677, 1.5709946557295293, 1.7867620716188861, 0.0005],
-            [8, 1.9848811520657648, 1.3841492678429494, 1.582637383049526, 0.00034549150281252633],
-            [9, 1.9216791747058417, 1.2039921328996424, 1.3961600503702265, 0.00020610737385376348],
-            [10, 1.856690736794107, 1.123255623893999, 1.3089246975734097, 9.549150281252633e-05],
-            [11, 1.8958139568987313, 1.0619457991244412, 1.2515271948143143, 2.4471741852423235e-05],
-            [12, 1.8436620377839592, 1.0681656297451438, 1.2525318335235398, 0.0],
+            [1, 3.227330207824707, 2.533079147338867, 2.8558120727539062, 0.0005],
+            [2, 4.337903022766113, 3.2197909355163574, 3.653581142425537, 0.001],
+            [3, 4.15591287612915, 3.3774852752685547, 3.793076515197754, 0.0009755282581475768],
+            [4, 3.6242475509643555, 2.781325578689575, 3.1437504291534424, 0.0009045084971874737],
+            [5, 2.9637489318847656, 2.4879393577575684, 2.7843141555786133, 0.0007938926261462366],
+            [6, 2.4610190391540527, 2.0152173042297363, 2.261319160461426, 0.0006545084971874737],
+            [7, 2.1576735973358154, 1.57099449634552, 1.7867618799209595, 0.0005],
+            [8, 1.9848806858062744, 1.3841501474380493, 1.5826382637023926, 0.00034549150281252633],
+            [9, 1.9216787815093994, 1.2039926052093506, 1.3961604833602905, 0.00020610737385376348],
+            [10, 1.8566904067993164, 1.1232556104660034, 1.308924674987793, 9.549150281252633e-05],
+            [11, 1.8958134651184082, 1.061945915222168, 1.2515273094177246, 2.4471741852423235e-05],
+            [12, 1.8436617851257324, 1.068165898323059, 1.2525321245193481, 0.0],
         ],
-        "mean_traj_error": 3.796040332168026,
+        "mean_traj_error": 3.796037573951667,
     },
 }
 
@@ -207,8 +207,8 @@ def test_tiny_closed_form_study_rows():
     miss = {"successes": 0, "success_rate": 0.0, "wilson_lo": 0.0,
             "wilson_hi": 0.7934500192691468}
     expected = []
-    for seed, config_hash, traj_error in [(0, "b68c6e105eb3c1d8", 4.803432016433238),
-                                          (1, "788deb1936ded518", 3.340108843083265)]:
+    for seed, config_hash, traj_error in [(0, "b68c6e105eb3c1d8", 4.512152337651668),
+                                          (1, "788deb1936ded518", 4.047120355895518)]:
         common = {"study": "closed_form", "seed": seed, "episodes": 1,
                   "chart_violation_rate": 0.0, "config_hash": config_hash}
         expected += [
@@ -320,6 +320,38 @@ def test_param_snapshot_survives_an_in_place_step():
     for name, data in before.items():
         assert not np.array_equal(params[name].data, data), name
         np.testing.assert_array_equal(snapshot[name], data)
+
+
+def test_train_without_a_checkpoint_path_takes_no_snapshot(monkeypatch, world):
+    # Without ckpt_path a numeric fault only raises, so no logged step copies the parameters.
+    scene, task, _, _ = world
+    data = ds.record_demonstrations(scene, task, 1, seed=2)
+    snapshots = []
+    monkeypatch.setattr(hs, "_param_snapshot", lambda policy: snapshots.append(policy) or {})
+    cfg = hs.TrainConfig(policy=pol.PolicyConfig(token_dim=sw.feature_dims(scene)[0]),
+                         steps=4, warmup_steps=2, log_every=1)
+    _, curve = hs.train(data, cfg)
+    assert len(curve) == 4 and snapshots == []
+
+
+def test_inference_computes_in_float32_and_returns_float64(monkeypatch, world):
+    scene, _, short, policy = world
+    real_act, outputs = pol.Policy.act, []
+
+    def act(self, features, state_vec, h_noise=None):
+        out = real_act(self, features, state_vec, h_noise)
+        outputs.append((h_noise is not None, out))
+        return out
+
+    monkeypatch.setattr(pol.Policy, "act", act)
+    with tn.GradientTape() as tape:  # records the policy's ops, so their dtypes show
+        for perturb in (False, True):
+            hs.rollout(policy, scene, short, 1, EVAL_SEED, perturb=perturb)
+    assert {perturbed for perturbed, _ in outputs} == {False, True}
+    assert {(n.tensor.data if n.out is None else n.out).dtype for n in tape.nodes} == {
+        np.dtype(np.float32)}
+    for _, out in outputs:
+        assert out.chunk.dtype == out.tau.dtype == np.float64
 
 
 def test_load_policy_round_trip(tmp_path, world):

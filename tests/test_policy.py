@@ -25,11 +25,10 @@ def make_policy(scene, target="traj_camera_se3", rotation="axis_angle", depth="m
 
 
 def float64_params(policy):
-    """Swap each parameter for a float64 tensor of its values rounded to
-    float32, so the policy computes in float64 on float32 parameters."""
+    """Swap each (float32) parameter for a float64 tensor of the same values,
+    so the policy computes in float64; for checks of float64 exactness."""
     for name, t in list(policy.params.items()):
-        policy.params.swap(name, tn.Tensor(t.data.astype(np.float32).astype(np.float64),
-                                           requires_grad=True))
+        policy.params.swap(name, tn.Tensor(t.data.astype(np.float64), requires_grad=True))
     return policy
 
 
@@ -93,7 +92,7 @@ class TestLosses:
         # trajectory head makes tau exactly 0
         scene, _, data, _ = world
         for horizon in [1, 4, 8]:
-            policy = make_policy(scene, horizon=horizon)
+            policy = float64_params(make_policy(scene, horizon=horizon))
             policy.params["pred.head.w"].data[...] = 0.0
             policy.params["pred.head.b"].data[...] = 0.0
             windows = [w for d in data.demos for w in ds.make_windows(d, horizon)][:3]
@@ -103,13 +102,13 @@ class TestLosses:
             assert abs(traj - 0.06) < 1e-15
 
     def test_lambda_combination(self, world, batch):
-        policy = make_policy(world[0], lam=0.3)
+        policy = float64_params(make_policy(world[0], lam=0.3))
         total, traj, act = loss_terms(policy, batch)
         assert traj > 0 and act > 0
         assert total == 0.3 * traj + act
 
     def test_matches_scalar_loop_oracle(self, world, batch):
-        policy = make_policy(world[0])
+        policy = float64_params(make_policy(world[0]))
         out = self.forward(policy, batch)
         _, traj, act = loss_terms(policy, batch)
         assert abs(traj - l1_rows(out["tau"].data, batch["traj_targets"])) < 1e-12
@@ -193,7 +192,7 @@ class TestPredictor:
 
     def test_quaternion_head_unit_norm(self, world):
         scene, task, data, windows = world
-        policy = make_policy(scene, rotation="quaternion")
+        policy = float64_params(make_policy(scene, rotation="quaternion"))
         out = policy.act(windows[0].features, windows[0].state_vec)
         assert out.tau.shape == (8, 7)
         npt.assert_allclose(np.linalg.norm(out.tau[:, 3:], axis=1), np.ones(8), atol=1e-9)
@@ -375,9 +374,28 @@ def test_desk_training_step_size(world):
     assert len(grads) == len(policy.params.names())
 
 
+def test_desk_training_step_is_float32(world):
+    # collate hands over float64; every array of the step itself is float32.
+    scene, task, data, windows = world
+    batch = pol.collate(windows[:16], ds.SupervisionVariant("traj_camera_se3"), data.camera, scene)
+    assert {a.dtype for a in batch.values()} == {np.dtype(np.float64)}
+    policy = make_policy(scene)
+    with tn.GradientTape() as tape:
+        total, _, _ = policy.loss(batch)
+    f32 = {np.dtype(np.float32)}
+    assert {(n.tensor.data if n.out is None else n.out).dtype for n in tape.nodes} == f32
+    grads = policy.params.grads_by_name(tn.backward(tape, total))
+    assert {g.dtype for g in grads.values()} == f32
+    state = tn.OptimizerState(tn.OptimizerConfig(warmup_steps=1, total_steps=10))
+    tn.adamw_step(policy.params, grads, state)
+    assert {a.dtype for moments in (state.m, state.v) for a in moments.values()} == f32
+    assert {t.data.dtype for _, t in policy.params.items()} == f32
+
+
 def test_float64_desk_step_is_pinned(world):
-    # The desk loss and a gradient checksum of the all-float64 program, on
-    # float32-representable parameters.
+    # The desk loss and a gradient checksum, pinned when every op ran in
+    # float64, on these same parameter values: a float64-swapped policy
+    # reproduces them exactly.
     scene, task, data, windows = world
     variant = ds.SupervisionVariant("traj_camera_se3")
     batch = pol.collate(windows[:16], variant, data.camera, scene)

@@ -582,28 +582,32 @@ class TestAdamW:
     def test_in_place_steps_match_the_reference_formula_bit_for_bit(self):
         cfg = tn.OptimizerConfig(lr=0.05, weight_decay=0.01, warmup_steps=2, total_steps=10)
         b1, b2 = cfg.betas
-        params = tn.ParamSet(seed=3)
-        params.linear_weight("w", 4, 5)
-        params.ones("g", (5,))
-        state = tn.OptimizerState(cfg)
-        ref = {name: [t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data)] for name, t in params.items()}
-        rng = np.random.default_rng(27)
-        for t in range(1, 6):
-            grads = {name: rng.normal(size=p.data.shape) for name, p in params.items()}
-            tn.adamw_step(params, grads, state)
-            lr = tn.lr_at(cfg, t)
+        for dtype in (np.float64, np.float32):
+            params = tn.ParamSet(seed=3)
+            params.linear_weight("w", 4, 5)
+            params.ones("g", (5,))
+            for name, t in list(params.items()):
+                params.swap(name, tn.Tensor(t.data.astype(dtype), requires_grad=True))
+            state = tn.OptimizerState(cfg)
+            ref = {name: [t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data)] for name, t in params.items()}
+            rng = np.random.default_rng(27)
+            for t in range(1, 6):
+                grads = {name: rng.normal(size=p.data.shape).astype(dtype) for name, p in params.items()}
+                tn.adamw_step(params, grads, state)
+                lr = tn.lr_at(cfg, t)
+                for name, (p, m, v) in ref.items():
+                    g = grads[name]
+                    m = b1 * m + (1.0 - b1) * g
+                    v = b2 * v + (1.0 - b2) * g * g
+                    mhat = m / (1.0 - b1**t)
+                    vhat = v / (1.0 - b2**t)
+                    p = p - lr * (mhat / (np.sqrt(vhat) + cfg.eps) + cfg.weight_decay * p)
+                    ref[name] = [p, m, v]
             for name, (p, m, v) in ref.items():
-                g = grads[name]
-                m = b1 * m + (1.0 - b1) * g
-                v = b2 * v + (1.0 - b2) * g * g
-                mhat = m / (1.0 - b1**t)
-                vhat = v / (1.0 - b2**t)
-                p = p - lr * (mhat / (np.sqrt(vhat) + cfg.eps) + cfg.weight_decay * p)
-                ref[name] = [p, m, v]
-        for name, (p, m, v) in ref.items():
-            npt.assert_array_equal(params[name].data, p)
-            npt.assert_array_equal(state.m[name], m)
-            npt.assert_array_equal(state.v[name], v)
+                assert params[name].data.dtype == state.m[name].dtype == state.v[name].dtype == dtype
+                npt.assert_array_equal(params[name].data, p)
+                npt.assert_array_equal(state.m[name], m)
+                npt.assert_array_equal(state.v[name], v)
 
     def test_warns_once_past_total(self):
         cfg = tn.OptimizerConfig(lr=0.1, warmup_steps=1, total_steps=2)
@@ -661,6 +665,46 @@ class TestParamSetCheckpoint:
         assert manifest["config_hash"] == "abc"
         for name in params.names():
             npt.assert_array_equal(params2[name].data, params[name].data)
+
+    def test_float32_parameters_survive_a_round_trip_exactly(self, tmp_path):
+        params = tn.ParamSet(seed=5)
+        params.linear_weight("w", 6, 4)
+        params.query_normal("q", (3, 4))
+        path = str(tmp_path / "ckpt")
+        tn.save_checkpoint(path, params)
+        _, arrays = tn.load_checkpoint(path)
+        loaded = tn.ParamSet(seed=6)
+        loaded.zeros("w", (6, 4))
+        loaded.zeros("q", (3, 4))
+        tn.load_into(loaded, path)
+        for name in params.names():
+            assert params[name].data.dtype == loaded[name].data.dtype == np.float32
+            assert arrays[name].dtype == np.float64
+            npt.assert_array_equal(arrays[name], params[name].data)
+            npt.assert_array_equal(loaded[name].data, params[name].data)
+
+    def test_float64_values_load_rounded_to_float32(self, tmp_path):
+        wide = tn.ParamSet()
+        values = np.array([0.1, 1.0 / 3.0, -2.0])
+        wide.zeros("a", (3,)).data = values
+        path = str(tmp_path / "ckpt")
+        tn.save_checkpoint(path, wide)
+        narrow = tn.ParamSet()
+        narrow.zeros("a", (3,))
+        tn.load_into(narrow, path)
+        assert narrow["a"].data.dtype == np.float32
+        npt.assert_array_equal(narrow["a"].data, values.astype(np.float32))
+        assert not np.array_equal(narrow["a"].data, values)
+
+    def test_a_value_beyond_float32_range_is_rejected(self, tmp_path):
+        wide = tn.ParamSet()
+        wide.zeros("a", (2,)).data = np.array([1.0, 1e39])
+        path = str(tmp_path / "ckpt")
+        tn.save_checkpoint(path, wide)
+        narrow = tn.ParamSet()
+        narrow.zeros("a", (2,))
+        with pytest.raises(tn.TensorError, match="'a' are not finite as float32"):
+            tn.load_into(narrow, path)
 
     def test_checkpoint_shape_mismatch(self, tmp_path):
         params = tn.ParamSet(seed=5)
