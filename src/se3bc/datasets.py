@@ -104,8 +104,8 @@ class DemoDataset:
 
     scene: sw.SceneSpec
     camera: sw.CameraModel
-    demos: list = field(default_factory=list)
-    n_discarded: int = 0
+    demos: list = field(init=False, default_factory=list)
+    n_discarded: int = field(init=False, default=0)
 
 
 def record_demonstrations(

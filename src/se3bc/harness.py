@@ -76,9 +76,9 @@ def wilson_interval(k: int, n: int):
 
 @dataclass
 class TrainConfig:
-    """One behavior-cloning run: AdamW at OptimizerConfig's default peak lr,
-    weight decay, betas and eps, warmed up linearly over warmup_steps, then
-    cosine-decayed to zero at `steps`."""
+    """One behavior-cloning run: AdamW at tensornet's ADAMW_LR peak lr and its
+    fixed betas, eps and weight decay, warmed up linearly over warmup_steps,
+    then cosine-decayed to zero at `steps`."""
 
     policy: pol.PolicyConfig
     steps: int = 3000
@@ -164,7 +164,7 @@ def load_policy(path: str) -> pol.Policy:
     """Rebuild a policy from a ckpt_v1 checkpoint written by train()."""
     manifest, _ = tn.load_checkpoint(path)
     extra = manifest.get("extra") or {}
-    if "policy_cfg" not in extra:
+    if not isinstance(extra, dict) or "policy_cfg" not in extra:
         raise HarnessError("checkpoint manifest lacks a policy config")
     policy = pol.build_variant(pol.PolicyConfig.from_json(extra["policy_cfg"]))
     tn.load_into(policy.params, path)
@@ -381,10 +381,9 @@ def _privileged_gripper(state: sw.SimState, scene: sw.SceneSpec, task: sw.TaskSp
     """Simulator-state gripper rule unavailable to the learned policy."""
     ee = state.ee_pose[:3, 3]
     cont = scene.container(task.target_container_id)
-    if np.linalg.norm(ee - cont.center) <= cont.accept_radius:
+    if np.linalg.norm(ee - cont.center) <= sw.ACCEPT_RADIUS:
         return 0.0
-    obj = scene.object(task.target_object_id)
-    if np.linalg.norm(ee - state.object_poses[task.target_object_id]) <= obj.grasp_radius:
+    if np.linalg.norm(ee - state.object_poses[task.target_object_id]) <= sw.GRASP_RADIUS:
         return 1.0
     return prev
 
@@ -409,7 +408,7 @@ class _ClosedForm:
         if oracle_horizon is not None:
             self._horizon = oracle_horizon
             self._shadow = sw.Simulator(scene, task)
-            self._expert = sw.ScriptedExpert(scene, task, sw.ExpertConfig(gripper_latency_steps=0))
+            self._expert = sw.ScriptedExpert(scene, task, gripper_latency_steps=0)
 
     def reset(self, episode: int):
         self._episode, self._chunks = episode, 0
@@ -546,7 +545,13 @@ def run_study(spec: StudySpec):
     each worker pinned to one BLAS thread; with one worker, or when the BLAS
     numpy loaded cannot be pinned, they run in this process. Rows come back
     in serial (seed, cell) order either way, so reports are identical.
+    A spec with no episodes or a repeated seed raises HarnessError before
+    any job starts.
     """
+    if spec.episodes < 1:
+        raise HarnessError("study needs episodes >= 1")
+    if len(set(spec.seeds)) != len(spec.seeds):
+        raise HarnessError(f"study seeds repeat: {list(spec.seeds)}")
     jobs = [(seed, cell, variant, demos)
             for seed in spec.seeds for cell, variant, demos in study_cells(spec)]
     workers = min(len(os.sched_getaffinity(0)), len(jobs))

@@ -42,13 +42,23 @@ class PolicyConfigError(ValueError):
     pass
 
 
+# JSON types a policy_cfg_v1 field of each annotation accepts (bools excluded).
+_JSON_TYPES = {"int": (int,), "float": (int, float), "SupervisionVariant": (dict,)}
+
+
 def _check_fields(cls, doc: dict):
-    """A policy_cfg_v1 document carries exactly the dataclass's fields."""
+    """A policy_cfg_v1 document carries exactly the dataclass's fields, each
+    of a JSON type its annotation accepts."""
     names = {f.name for f in fields(cls)}
     bad = sorted(names ^ set(doc))
     if bad:
         kind = "missing" if bad[0] in names else "unknown"
         raise PolicyConfigError(f"{cls.__name__}: {kind} field {bad[0]!r}")
+    for f in fields(cls):
+        value = doc[f.name]
+        types = _JSON_TYPES.get(f.type)
+        if types and (isinstance(value, bool) or not isinstance(value, types)):
+            raise PolicyConfigError(f"{cls.__name__}: field {f.name!r} must be {f.type}, got {value!r}")
 
 
 @dataclass
@@ -77,6 +87,8 @@ class PolicyConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "PolicyConfig":
+        if not isinstance(doc, dict):
+            raise PolicyConfigError(f"policy config must be a JSON object, got {type(doc).__name__}")
         if doc.get("schema") != POLICY_CFG_SCHEMA:
             raise PolicyConfigError(f"expected schema {POLICY_CFG_SCHEMA!r}, got {doc.get('schema')!r}")
         doc = {k: v for k, v in doc.items() if k != "schema"}

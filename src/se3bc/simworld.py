@@ -30,10 +30,19 @@ from .geometry import CameraIntrinsic, RelativeAction
 
 TASK_FAMILIES = ("goal", "spatial", "long")
 
-# Default grasp geometry: tight enough that millimeter placement errors stay
+# Grasp geometry: tight enough that millimeter placement errors stay
 # observable under noise, loose enough for a reliable expert.
-DEFAULT_GRASP_RADIUS = 0.02
-DEFAULT_ACCEPT_RADIUS = 0.04
+GRASP_RADIUS = 0.02  # an object attaches within this distance of the gripper
+ACCEPT_RADIUS = 0.04  # a released object counts as placed within this of a container
+LATCH_RADIUS = 0.03  # a long task's latch region
+EE_HOME = (0.0, 0.0, 0.20)  # end-effector position at reset
+
+# Actuation limits and reset jitter.
+MAX_DP = 0.05  # meters per step
+MAX_DTHETA = 0.2  # radians per step
+GRIPPER_RATE = 0.5  # gripper units per step
+JITTER_RADIUS = 0.03  # object reset jitter (xy plane)
+JITTER_RESAMPLE_LIMIT = 100
 
 
 class SceneError(ValueError):
@@ -59,24 +68,18 @@ class ExpertFailure(RuntimeError):
 class ObjectSpec:
     id: str
     position: np.ndarray
-    grasp_radius: float = DEFAULT_GRASP_RADIUS
 
     def __post_init__(self):
         self.position = _vec3(self.position, f"object {self.id!r} position")
-        if self.grasp_radius <= 0:
-            raise SceneError(f"object {self.id!r} grasp_radius must be > 0")
 
 
 @dataclass
 class ContainerSpec:
     id: str
     center: np.ndarray
-    accept_radius: float = DEFAULT_ACCEPT_RADIUS
 
     def __post_init__(self):
         self.center = _vec3(self.center, f"container {self.id!r} center")
-        if self.accept_radius <= 0:
-            raise SceneError(f"container {self.id!r} accept_radius must be > 0")
 
 
 @dataclass
@@ -85,12 +88,10 @@ class SceneSpec:
     table_hi: np.ndarray
     objects: list
     containers: list
-    ee_home: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 0.20]))
 
     def __post_init__(self):
         self.table_lo = _vec3(self.table_lo, "table_lo")
         self.table_hi = _vec3(self.table_hi, "table_hi")
-        self.ee_home = _vec3(self.ee_home, "ee_home")
         if not np.all(self.table_lo < self.table_hi):
             raise SceneError("table_lo must be strictly below table_hi")
         ids = [o.id for o in self.objects] + [c.id for c in self.containers]
@@ -127,7 +128,6 @@ class TaskSpec:
     family: str = "goal"
     # Long tasks must pass through this region before placing.
     latch_center: np.ndarray | None = None
-    latch_radius: float = 0.03
 
     def __post_init__(self):
         if self.family not in TASK_FAMILIES:
@@ -172,15 +172,6 @@ class SimState:
         )
 
 
-@dataclass
-class SimConfig:
-    max_dp: float = 0.05  # meters per step
-    max_dtheta: float = 0.2  # radians per step
-    gripper_rate: float = 0.5  # gripper units per step
-    jitter_radius: float = 0.03  # object reset jitter (xy plane)
-    jitter_resample_limit: int = 100
-
-
 def _clip_norm(v: np.ndarray, limit: float) -> np.ndarray:
     n = float(np.linalg.norm(v))
     if n > limit:
@@ -191,15 +182,17 @@ def _clip_norm(v: np.ndarray, limit: float) -> np.ndarray:
 class Simulator:
     """Owns one episode's state transitions; one instance per rollout worker.
 
-    Only reset draws random numbers, from a stream seeded by its seed, so
-    identical (scene, task, seed, action sequence) replays are bit-identical.
+    Actions are clamped to MAX_DP and MAX_DTHETA per step and the gripper
+    slews at GRIPPER_RATE. Only reset draws random numbers: it jitters each
+    object within JITTER_RADIUS in the xy plane, from a stream seeded by its
+    seed, so identical (scene, task, seed, action sequence) replays are
+    bit-identical.
     """
 
-    def __init__(self, scene: SceneSpec, task: TaskSpec, config: SimConfig | None = None):
+    def __init__(self, scene: SceneSpec, task: TaskSpec):
         task.validate_against(scene)
         self.scene = scene
         self.task = task
-        self.config = config or SimConfig()
 
     def reset(self, seed: int) -> SimState:
         jitter_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
@@ -207,34 +200,30 @@ class Simulator:
         for obj in self.scene.objects:
             poses[obj.id] = self._jitter_position(obj, jitter_rng)
         ee = np.eye(4)
-        ee[:3, 3] = self.scene.ee_home
+        ee[:3, 3] = EE_HOME
         return SimState(ee_pose=ee, gripper=0.0, object_poses=poses, attached=None, step_count=0)
 
     def _jitter_position(self, obj: ObjectSpec, rng) -> np.ndarray:
-        r = self.config.jitter_radius
-        for _ in range(self.config.jitter_resample_limit):
+        for _ in range(JITTER_RESAMPLE_LIMIT):
             # uniform in the xy disc; objects stay at their spec height
             ang = rng.uniform(0.0, 2.0 * math.pi)
-            rad = r * math.sqrt(rng.uniform())
+            rad = JITTER_RADIUS * math.sqrt(rng.uniform())
             p = obj.position + np.array([rad * math.cos(ang), rad * math.sin(ang), 0.0])
             if self.scene._inside(p):
                 return p
-            if r == 0.0:
-                break
         raise SceneError(f"could not place object {obj.id!r} inside table bounds")
 
     def step(self, state: SimState, action: RelativeAction) -> SimState:
         if state.step_count >= self.task.horizon_limit:
             raise EpisodeTerminated(f"horizon limit {self.task.horizon_limit} reached")
-        cfg = self.config
-        dp = _clip_norm(action.dp, cfg.max_dp)
-        dtheta = _clip_norm(action.dtheta, cfg.max_dtheta)
+        dp = _clip_norm(action.dp, MAX_DP)
+        dtheta = _clip_norm(action.dtheta, MAX_DTHETA)
 
         ee = geo.apply_action(state.ee_pose, RelativeAction(dp, dtheta))
         ee[:3, 3] = np.clip(ee[:3, 3], self.scene.table_lo, self.scene.table_hi)
 
         g_cmd = min(1.0, max(0.0, action.gripper))
-        delta = max(-cfg.gripper_rate, min(cfg.gripper_rate, g_cmd - state.gripper))
+        delta = max(-GRIPPER_RATE, min(GRIPPER_RATE, g_cmd - state.gripper))
         g_new = state.gripper + delta
 
         attached = state.attached
@@ -249,7 +238,7 @@ class Simulator:
             best, best_d = None, None
             for obj in self.scene.objects:
                 d = float(np.linalg.norm(poses[obj.id] - ee_p))
-                if d <= obj.grasp_radius and (best_d is None or d < best_d):
+                if d <= GRASP_RADIUS and (best_d is None or d < best_d):
                     best, best_d = obj.id, d
             if best is not None:
                 attached = best
@@ -259,7 +248,7 @@ class Simulator:
 
         latch = state.latch_visited
         if self.task.family == "long" and self.task.latch_center is not None and not latch:
-            latch = float(np.linalg.norm(ee_p - self.task.latch_center)) <= self.task.latch_radius
+            latch = float(np.linalg.norm(ee_p - self.task.latch_center)) <= LATCH_RADIUS
 
         return SimState(
             ee_pose=ee,
@@ -281,35 +270,27 @@ class Simulator:
             return False
         container = self.scene.container(task.target_container_id)
         dist = float(np.linalg.norm(state.object_poses[task.target_object_id] - container.center))
-        return dist <= container.accept_radius
+        return dist <= ACCEPT_RADIUS
 
 
 # --- scripted expert ---
 
 
-@dataclass
-class ExpertConfig:
-    gripper_latency_steps: int = 1  # gripper commands trail motion decisions
-    approach_height: float = 0.08
-    lift_height: float = 0.10
-    place_height: float = 0.02
-    retreat_height: float = 0.12
-    waypoint_tol: float = 0.01
-    descend_tol: float = 0.008
-    tilt: float = 0.25  # grasp-orientation pitch, radians
-    # Brisk pacing keeps gripper flips tightly correlated with coarse scene
-    # geometry (most training windows straddle a flip); the final descent is
-    # slower so re-prediction happens close to the grasp, where open-loop
-    # drift matters most.
-    max_step: float = 0.05
-    max_rot_step: float = 0.2
-    descend_step: float = 0.015
-    close_hold_steps: int = 0
-
-    def __post_init__(self):
-        if self.gripper_latency_steps < 0:
-            raise SceneError("gripper_latency_steps must be >= 0")
-
+# Waypoint heights over the object or container and arrival tolerances, in meters.
+APPROACH_HEIGHT = 0.08
+LIFT_HEIGHT = 0.10
+PLACE_HEIGHT = 0.02
+RETREAT_HEIGHT = 0.12
+WAYPOINT_TOL = 0.01
+DESCEND_TOL = 0.008
+GRASP_TILT = 0.25  # grasp-orientation pitch, radians
+# Brisk pacing keeps gripper flips tightly correlated with coarse scene
+# geometry (most training windows straddle a flip); the final descent is
+# slower so re-prediction happens close to the grasp, where open-loop
+# drift matters most.
+EXPERT_MAX_STEP = 0.05
+EXPERT_MAX_ROT_STEP = 0.2
+DESCEND_STEP = 0.015
 
 _PHASES = ("latch", "approach", "descend", "close", "lift", "traverse", "place", "open", "retreat")
 
@@ -317,16 +298,19 @@ _PHASES = ("latch", "approach", "descend", "close", "lift", "traverse", "place",
 class ScriptedExpert:
     """Waypoint finite-state controller for pick-and-place episodes.
 
-    Motion commands react to the current state immediately; gripper commands
-    pass through a delay queue of gripper_latency_steps, the timing residual
-    a learned decoder has to absorb.
+    Motion commands react to the current state immediately, paced by the
+    module's waypoint constants; gripper commands pass through a delay queue
+    of gripper_latency_steps (1 for recorded demos), the timing residual a
+    learned decoder has to absorb.
     """
 
-    def __init__(self, scene: SceneSpec, task: TaskSpec, cfg: ExpertConfig | None = None):
+    def __init__(self, scene: SceneSpec, task: TaskSpec, gripper_latency_steps: int = 1):
         task.validate_against(scene)
+        if gripper_latency_steps < 0:
+            raise SceneError("gripper_latency_steps must be >= 0")
         self.scene = scene
         self.task = task
-        self.cfg = cfg or ExpertConfig()
+        self.gripper_latency_steps = gripper_latency_steps
         if not scene._inside(scene.object(task.target_object_id).position):
             raise ExpertFailure("target object outside table bounds")
         if not scene._inside(scene.container(task.target_container_id).center):
@@ -335,8 +319,7 @@ class ScriptedExpert:
 
     def reset(self):
         self._phase = 0 if self.task.family == "long" else 1
-        self._grip_queue = deque([0.0] * self.cfg.gripper_latency_steps)
-        self._hold = 0
+        self._grip_queue = deque([0.0] * self.gripper_latency_steps)
 
     @property
     def phase(self) -> str:
@@ -346,14 +329,13 @@ class ScriptedExpert:
         # yaw follows the object bearing (halved to stay well inside the
         # chart), plus a fixed approach tilt: observation-coupled rotation.
         yaw = 0.5 * math.atan2(obj_p[1], obj_p[0])
-        return geo.euler_to_matrix([0.0, self.cfg.tilt, yaw])
+        return geo.euler_to_matrix([0.0, GRASP_TILT, yaw])
 
     def _carry_orientation(self, cont_p: np.ndarray) -> np.ndarray:
         yaw = 0.5 * math.atan2(cont_p[1], cont_p[0])
-        return geo.euler_to_matrix([0.0, -0.6 * self.cfg.tilt, yaw])
+        return geo.euler_to_matrix([0.0, -0.6 * GRASP_TILT, yaw])
 
     def action(self, state: SimState) -> RelativeAction:
-        cfg = self.cfg
         task = self.task
         obj_p = state.object_poses[task.target_object_id]
         cont = self.scene.container(task.target_container_id)
@@ -369,7 +351,7 @@ class ScriptedExpert:
         if phase == "latch":
             wp, goal_r, g = task.latch_center, np.eye(3), 0.0
         elif phase == "approach":
-            wp, goal_r, g = obj_p + cfg.approach_height * up, grasp_r, 0.0
+            wp, goal_r, g = obj_p + APPROACH_HEIGHT * up, grasp_r, 0.0
         elif phase == "descend":
             wp, goal_r, g = obj_p, grasp_r, 0.0
         elif phase == "close":
@@ -378,45 +360,41 @@ class ScriptedExpert:
             # absolute height over the object's rest height (the live object
             # position rises with the gripper while attached)
             rest_z = self.scene.object(task.target_object_id).position[2]
-            wp, goal_r, g = np.array([ee_p[0], ee_p[1], rest_z + cfg.lift_height]), grasp_r, 1.0
+            wp, goal_r, g = np.array([ee_p[0], ee_p[1], rest_z + LIFT_HEIGHT]), grasp_r, 1.0
         elif phase == "traverse":
-            wp, goal_r, g = cont.center + cfg.lift_height * up, carry_r, 1.0
+            wp, goal_r, g = cont.center + LIFT_HEIGHT * up, carry_r, 1.0
         elif phase == "place":
-            wp, goal_r, g = cont.center + cfg.place_height * up, carry_r, 1.0
+            wp, goal_r, g = cont.center + PLACE_HEIGHT * up, carry_r, 1.0
         elif phase == "open":
-            wp, goal_r, g = cont.center + cfg.place_height * up, carry_r, 0.0
+            wp, goal_r, g = cont.center + PLACE_HEIGHT * up, carry_r, 0.0
         else:  # retreat
-            wp, goal_r, g = cont.center + cfg.retreat_height * up, np.eye(3), 0.0
+            wp, goal_r, g = cont.center + RETREAT_HEIGHT * up, np.eye(3), 0.0
 
-        speed = cfg.descend_step if phase in ("descend", "close", "place") else cfg.max_step
+        speed = DESCEND_STEP if phase in ("descend", "close", "place") else EXPERT_MAX_STEP
         dp_world = _clip_norm(wp - ee_p, speed)
         dp = ee_r.T @ dp_world
-        dtheta = _clip_norm(geo.log_so3(ee_r.T @ goal_r), cfg.max_rot_step)
+        dtheta = _clip_norm(geo.log_so3(ee_r.T @ goal_r), EXPERT_MAX_ROT_STEP)
         self._grip_queue.append(g)
         g_emit = self._grip_queue.popleft()
         return RelativeAction(dp, dtheta, g_emit)
 
     def _advance(self, state: SimState, obj_p, cont_c, ee_p):
-        cfg = self.cfg
         phase = _PHASES[self._phase]
         if phase == "latch" and state.latch_visited:
             self._phase += 1
-        elif phase == "approach" and np.linalg.norm(ee_p - (obj_p + [0, 0, cfg.approach_height])) <= cfg.waypoint_tol:
+        elif phase == "approach" and np.linalg.norm(ee_p - (obj_p + [0, 0, APPROACH_HEIGHT])) <= WAYPOINT_TOL:
             self._phase += 1
-        elif phase == "descend" and np.linalg.norm(ee_p - obj_p) <= cfg.descend_tol:
+        elif phase == "descend" and np.linalg.norm(ee_p - obj_p) <= DESCEND_TOL:
             self._phase += 1
         elif phase == "close" and state.attached == self.task.target_object_id:
-            if self._hold < cfg.close_hold_steps:
-                self._hold += 1
-            else:
-                self._phase += 1
+            self._phase += 1
         elif phase == "lift":
             rest_z = self.scene.object(self.task.target_object_id).position[2]
-            if ee_p[2] >= rest_z + cfg.lift_height - cfg.waypoint_tol:
+            if ee_p[2] >= rest_z + LIFT_HEIGHT - WAYPOINT_TOL:
                 self._phase += 1
-        elif phase == "traverse" and np.linalg.norm(ee_p - (cont_c + [0, 0, cfg.lift_height])) <= cfg.waypoint_tol:
+        elif phase == "traverse" and np.linalg.norm(ee_p - (cont_c + [0, 0, LIFT_HEIGHT])) <= WAYPOINT_TOL:
             self._phase += 1
-        elif phase == "place" and np.linalg.norm(ee_p - (cont_c + [0, 0, cfg.place_height])) <= cfg.descend_tol:
+        elif phase == "place" and np.linalg.norm(ee_p - (cont_c + [0, 0, PLACE_HEIGHT])) <= DESCEND_TOL:
             self._phase += 1
         elif phase == "open" and state.attached is None and state.gripper < 0.5:
             self._phase += 1
@@ -537,9 +515,7 @@ def default_scene(family: str = "goal"):
     elif family == "spatial":
         task = TaskSpec("block_blue", "bin_b", family="spatial")
     elif family == "long":
-        task = TaskSpec(
-            "block_red", "bin_a", family="long", latch_center=[-0.05, 0.20, 0.10], latch_radius=0.03
-        )
+        task = TaskSpec("block_red", "bin_a", family="long", latch_center=[-0.05, 0.20, 0.10])
     else:
         raise SceneError(f"unknown task family {family!r}")
     return scene, task

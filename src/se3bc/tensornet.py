@@ -652,35 +652,36 @@ class ParamSet:
 
 # --- AdamW with linear warmup + cosine decay ---
 
+ADAMW_LR = 1e-3  # peak learning rate
+ADAMW_BETAS = (0.9, 0.999)
+ADAMW_EPS = 1e-8
+ADAMW_WEIGHT_DECAY = 1e-4
+
 
 @dataclass
 class OptimizerConfig:
     warmup_steps: int
     total_steps: int
-    lr: float = 1e-3
-    betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
-    weight_decay: float = 1e-4
 
 
 @dataclass
 class OptimizerState:
     config: OptimizerConfig
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-    step: int = 0
-    _warned_past_total: bool = False
+    m: dict = field(init=False, default_factory=dict)
+    v: dict = field(init=False, default_factory=dict)
+    step: int = field(init=False, default=0)
+    _warned_past_total: bool = field(init=False, default=False)
 
 
 def lr_at(config: OptimizerConfig, step: int) -> float:
-    """Schedule value at 1-based step: linear ramp, then cosine to zero."""
+    """Schedule value at 1-based step: linear ramp to ADAMW_LR, then cosine to zero."""
     if step <= config.warmup_steps:
-        return config.lr * step / max(1, config.warmup_steps)
+        return ADAMW_LR * step / max(1, config.warmup_steps)
     if step > config.total_steps:
         return 0.0
     span = max(1, config.total_steps - config.warmup_steps)
     progress = (step - config.warmup_steps) / span
-    return config.lr * 0.5 * (1.0 + math.cos(math.pi * progress))
+    return ADAMW_LR * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
 def adamw_step(params: ParamSet, grads: dict, state: OptimizerState) -> None:
@@ -698,8 +699,9 @@ def adamw_step(params: ParamSet, grads: dict, state: OptimizerState) -> None:
         v = b2 * v + (1 - b2) * g * g
         p = p - lr * (m / (1 - b1^t) / (sqrt(v / (1 - b2^t)) + eps) + wd * p)
 
-    grads is name-keyed. Steps past total_steps clamp the lr to 0 and warn
-    once; the run continues.
+    with (b1, b2) = ADAMW_BETAS, eps = ADAMW_EPS and wd = ADAMW_WEIGHT_DECAY,
+    read at call time. grads is name-keyed. Steps past total_steps clamp
+    the lr to 0 and warn once; the run continues.
     """
     cfg = state.config
     state.step += 1
@@ -708,7 +710,7 @@ def adamw_step(params: ParamSet, grads: dict, state: OptimizerState) -> None:
         warnings.warn("optimizer stepped past total_steps; lr clamped to 0", stacklevel=2)
         state._warned_past_total = True
     lr = lr_at(cfg, t)
-    b1, b2 = cfg.betas
+    b1, b2 = ADAMW_BETAS
     c1, c2 = 1.0 - b1**t, 1.0 - b2**t
     for name, p in params.items():
         g = grads.get(name)
@@ -728,10 +730,10 @@ def adamw_step(params: ParamSet, grads: dict, state: OptimizerState) -> None:
         v += tmp
         np.divide(v, c2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += cfg.eps
+        tmp += ADAMW_EPS
         update = m / c1
         update /= tmp
-        np.multiply(p.data, cfg.weight_decay, out=tmp)
+        np.multiply(p.data, ADAMW_WEIGHT_DECAY, out=tmp)
         update += tmp
         update *= lr
         p.data -= update
@@ -834,6 +836,8 @@ def load_checkpoint(path: str):
             manifest = json.load(f)
         except json.JSONDecodeError as e:
             raise TensorError(f"ckpt_v1 manifest is not valid JSON: {e}") from e
+    if not isinstance(manifest, dict):
+        raise TensorError(f"ckpt_v1 manifest must be a JSON object, got {type(manifest).__name__}")
     if manifest.get("schema") != "ckpt_v1":
         raise TensorError(f"expected ckpt_v1 manifest, got {manifest.get('schema')!r}")
     with open(blob_path, "rb") as f:

@@ -1,6 +1,6 @@
 """Every public function, class and method of se3bc has a caller, every
-dataclass field has a reader, and every defaulted parameter has a call that
-passes it.
+dataclass field has a reader, every defaulted parameter has a call that
+passes it, and every defaulted dataclass field has a call that sets it.
 
 A name counts as used when src/ or perfbench/ refers to it outside its own
 definition: functions and classes by name, attribute or import, methods by
@@ -11,9 +11,19 @@ own class, or when its class serialises itself with `asdict(self)`. A
 defaulted parameter of a public function, method or `__init__` counts as
 passed when a call in src/ or perfbench/ outside its own function, to a
 callable of that name (the class's, for `__init__`), passes it by keyword or
-by position; `*args` and `**kwargs` pass every parameter they could. Tests do
-not count, so a name, field or parameter only tests need must be listed in
-KEPT, KEPT_FIELDS or KEPT_PARAMS with the reason it stays.
+by position; `*args` and `**kwargs` pass every parameter they could. A
+defaulted dataclass field that the generated `__init__` takes (not
+`field(init=False)`) counts as set when a call in src/ or perfbench/ outside
+its own class, to a callable of the class's name, passes it by keyword or by
+position, or when a `replace(...)` call passes it by keyword; a value that
+no such call sets is a module constant, not a field. Tests do not count, so
+a name, field or parameter only tests need must be listed in KEPT,
+KEPT_FIELDS, KEPT_PARAMS or KEPT_FIELDS_SET with the reason it stays.
+
+Names are matched, not resolved, so every guard errs towards "used" and
+misses a dead member while another class has a member of its name: a
+`replace(x, f=...)` call sets the field `f` of every dataclass, whatever `x`
+is, just as a load of `x.f` reads every field `f`.
 """
 
 import ast
@@ -50,9 +60,21 @@ KEPT_FIELDS = {
 # for a parameter of the class's __init__.
 KEPT_PARAMS = {
     "harness.train.ckpt_path": "deployment path: where train writes the ckpt_v1 checkpoint",
-    "simworld.Simulator.config": "lets the jitter tests set jitter_radius",
     "tensornet.multi_head_attention.return_weights": "test probe of the attention weights",
     "geometry.check_se3.atol": "lets test_manifold_by_construction tighten the tolerance to 1e-9",
+}
+
+# "module.Class.field" of a defaulted dataclass field.
+KEPT_FIELDS_SET = {
+    "policy.PolicyConfig.d_model": "tiny test policies: d_model 8 keeps test_tiny_policy_full_gradcheck fast",
+    "policy.PolicyConfig.heads": "tiny test policies (2 heads), and the d_model/heads divisibility check",
+    "policy.PolicyConfig.predictor_blocks": "tiny test policies: one predictor block",
+    "policy.PolicyConfig.decoder_blocks": "tiny test policies: one decoder block",
+    "policy.PolicyConfig.horizon": "tiny test policies (horizon 1 and 2) and the loss tests' horizon sweep",
+    "policy.PolicyConfig.lam": "the divergence test sets lam=1e308 to overflow the first forward pass",
+    "policy.PolicyConfig.ffn_factor": "a size stored in every policy_cfg_v1 document and config hash; "
+                                      "folding it would change both",
+    "simworld.TaskSpec.horizon_limit": "the harness tests shorten episodes to 40 steps",
 }
 
 
@@ -163,9 +185,11 @@ def _params(qualname, callee, node, bound):
             yield f"{qualname}.{arg.arg}", callee, None, node
 
 
-def _unpassed_params(modules, users):
-    """Defaulted parameters of `modules` that no call in `users` passes."""
-    calls = defaultdict(list)  # callee name -> [(node id, positional count, keyword names or None)]
+def _calls(users):
+    """callee name -> [(node id, positional count, keyword names)] of the
+    calls in `users`; `*args` counts as infinitely many positional arguments
+    and `**kwargs` as None, every keyword."""
+    calls = defaultdict(list)
     for tree in users:
         for n in ast.walk(tree):
             if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
@@ -173,15 +197,60 @@ def _unpassed_params(modules, users):
                 starred = any(isinstance(a, ast.Starred) for a in n.args)
                 keywords = None if any(k.arg is None for k in n.keywords) else {k.arg for k in n.keywords}
                 calls[callee].append((id(n), float("inf") if starred else len(n.args), keywords))
+    return calls
+
+
+def _passes(calls, own, index, name):
+    """Whether a call outside the node ids `own` passes the argument at
+    positional `index` (None: keyword-only) or keyword `name`."""
+    return any(i not in own and ((index is not None and n_pos > index) or keywords is None or name in keywords)
+               for i, n_pos, keywords in calls)
+
+
+def _unpassed_params(modules, users):
+    """Defaulted parameters of `modules` that no call in `users` passes."""
+    calls = _calls(users)
     unpassed = set()
     for module, tree in modules.items():
         for qualname, callee, index, node in _defaulted_params(tree, module):
-            own, name = {id(n) for n in ast.walk(node)}, qualname.rsplit(".", 1)[1]
-            if not any(i not in own and ((index is not None and n_pos > index)
-                                         or keywords is None or name in keywords)
-                       for i, n_pos, keywords in calls[callee]):
+            if not _passes(calls[callee], {id(n) for n in ast.walk(node)}, index, qualname.rsplit(".", 1)[1]):
                 unpassed.add(qualname)
     return unpassed
+
+
+def _init_false(value):
+    return (isinstance(value, ast.Call) and ast.unparse(value.func) == "field"
+            and any(k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+                    for k in value.keywords))
+
+
+def _defaulted_fields(tree, module):
+    """(qualified name, class name, positional index, class node) of each
+    defaulted field that the generated __init__ of a dataclass in `tree` takes."""
+    for cls in tree.body:
+        if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+            continue
+        index = 0
+        for stmt in cls.body:
+            if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)) or _init_false(stmt.value):
+                continue
+            if stmt.value is not None:
+                yield f"{module}.{cls.name}.{stmt.target.id}", cls.name, index, cls
+            index += 1
+
+
+def _unset_fields(modules, users):
+    """Defaulted dataclass fields of `modules` that no call in `users` to
+    their class, and no `replace(...)` keyword, passes."""
+    calls = _calls(users)
+    replaced = [(i, 0, keywords) for i, _, keywords in calls["replace"]]  # its one positional is the instance
+    unset = set()
+    for module, tree in modules.items():
+        for qualname, cls, index, node in _defaulted_fields(tree, module):
+            own, name = {id(n) for n in ast.walk(node)}, qualname.rsplit(".", 1)[1]
+            if not (_passes(calls[cls], own, index, name) or _passes(replaced, own, None, name)):
+                unset.add(qualname)
+    return unset
 
 
 def _trees():
@@ -279,3 +348,40 @@ def test_every_defaulted_parameter_is_passed():
     dead, stale = sorted(unpassed - set(KEPT_PARAMS)), sorted(set(KEPT_PARAMS) - unpassed)
     assert not dead, f"no call in src/ or perfbench/ passes them; delete them or add them to KEPT_PARAMS: {dead}"
     assert not stale, f"KEPT_PARAMS entries that are gone or now passed: {stale}"
+
+
+FIELDS_SET_MODULE = """
+from dataclasses import dataclass, field, replace
+
+
+@dataclass
+class A:
+    required: int
+    state: list = field(init=False, default_factory=list)
+    by_position: int = 0
+    by_keyword: int = 0
+    replaced: int = 0
+    never: int = 0
+
+    def copy(self):
+        return replace(A(0, 0, 0, 0, 0), never=1)
+"""
+
+
+@pytest.mark.parametrize("use,unset", [
+    ("A(1, 2, by_keyword=3)\nreplace(a, replaced=4)", {"m.A.never"}),
+    ("A(1)\nreplace(a, by_position=2)", {"m.A.by_keyword", "m.A.replaced", "m.A.never"}),
+    ("A(*args)", set()),
+    ("A(1, **kw)", set()),
+], ids=["position_keyword_replace", "replace_by_field_name", "star_args", "star_kwargs"])
+def test_a_field_set_only_by_its_own_class_is_unset(use, unset):
+    module = ast.parse(FIELDS_SET_MODULE)
+    user = ast.parse(f"from dataclasses import replace\nfrom m import A\n{use}\n")
+    assert _unset_fields({"m": module}, [module, user]) == unset
+
+
+def test_every_defaulted_field_is_set():
+    unset = _unset_fields(*_trees())
+    dead, stale = sorted(unset - set(KEPT_FIELDS_SET)), sorted(set(KEPT_FIELDS_SET) - unset)
+    assert not dead, f"no call in src/ or perfbench/ sets them; make them constants or add them to KEPT_FIELDS_SET: {dead}"
+    assert not stale, f"KEPT_FIELDS_SET entries that are gone or now set: {stale}"

@@ -260,6 +260,19 @@ class TestStudySpec:
             hs.StudySpec(kind="ladder", seeds=())
 
 
+@pytest.mark.parametrize("spec,match", [
+    (hs.StudySpec(kind="ladder", seeds=(0,), episodes=0, demos=1, steps=0), "episodes >= 1"),
+    (hs.StudySpec(kind="ladder", seeds=(0, 1, 0), episodes=1, demos=1, steps=0), r"seeds repeat: \[0, 1, 0\]"),
+], ids=["no_episodes", "repeated_seed"])
+def test_run_study_rejects_a_bad_spec_before_any_job(monkeypatch, spec, match):
+    def no_job(*args):
+        raise AssertionError("a job started")
+    monkeypatch.setattr(hs, "_study_job", no_job)
+    monkeypatch.setattr(hs, "_pooled_rows", no_job)
+    with pytest.raises(hs.HarnessError, match=match):
+        hs.run_study(spec)
+
+
 @pytest.mark.parametrize("kind,cells", [
     ("ladder", 6), ("rotation", 3), ("depth", 3), ("scaling", 3), ("closed_form", 1),
 ])
@@ -308,14 +321,15 @@ def test_summarize_rows_mixes_errors_and_results():
     assert summary["a"]["pooled"]["k"] == 1 and summary["a"]["pooled"]["n"] == 2
 
 
-def test_param_snapshot_survives_an_in_place_step():
+def test_param_snapshot_survives_an_in_place_step(monkeypatch):
     # adamw_step overwrites parameter arrays in place; a snapshot must be a copy.
+    monkeypatch.setattr(tn, "ADAMW_LR", 0.1)
     params = tn.ParamSet(seed=5)
     params.linear_weight("w", 3, 2)
     params.zeros("b", (2,))
     snapshot = hs._param_snapshot(SimpleNamespace(params=params))
     before = {name: data.copy() for name, data in snapshot.items()}
-    state = tn.OptimizerState(tn.OptimizerConfig(lr=0.1, warmup_steps=1, total_steps=10))
+    state = tn.OptimizerState(tn.OptimizerConfig(warmup_steps=1, total_steps=10))
     tn.adamw_step(params, {name: np.ones_like(t.data) for name, t in params.items()}, state)
     for name, data in before.items():
         assert not np.array_equal(params[name].data, data), name
@@ -431,3 +445,32 @@ def test_load_policy_needs_policy_config(tmp_path, world):
     tn.save_checkpoint(path, policy.params, policy.cfg.config_hash(), 0)
     with pytest.raises(hs.HarnessError):
         hs.load_policy(path)
+
+
+@pytest.mark.parametrize("corrupt,error,match", [
+    (lambda doc: [doc], tn.TensorError, "manifest must be a JSON object, got list"),
+    (lambda doc: {**doc, "extra": ["policy_cfg"]}, hs.HarnessError, "lacks a policy config"),
+    (lambda doc: {**doc, "extra": {"policy_cfg": []}}, pol.PolicyConfigError,
+     "policy config must be a JSON object, got list"),
+    (lambda doc: doc["extra"]["policy_cfg"].update(variant=5), pol.PolicyConfigError,
+     "field 'variant' must be SupervisionVariant, got 5"),
+    (lambda doc: doc["extra"]["policy_cfg"].update(d_model="64"), pol.PolicyConfigError,
+     "field 'd_model' must be int, got '64'"),
+    (lambda doc: doc["extra"]["policy_cfg"].update(horizon=2.5), pol.PolicyConfigError,
+     "field 'horizon' must be int, got 2.5"),
+    (lambda doc: doc["extra"]["policy_cfg"].update(heads=True), pol.PolicyConfigError,
+     "field 'heads' must be int, got True"),
+    (lambda doc: doc["extra"]["policy_cfg"].update(lam="0.1"), pol.PolicyConfigError,
+     "field 'lam' must be float, got '0.1'"),
+], ids=["manifest_list", "extra_list", "policy_cfg_list", "variant_int", "d_model_str", "horizon_float", "heads_bool",
+        "lam_str"])
+def test_load_policy_names_a_malformed_manifest_entry(tmp_path, world, corrupt, error, match):
+    _, _, _, policy = world
+    path = tmp_path / "policy.ckpt"
+    tn.save_checkpoint(str(path), policy.params, policy.cfg.config_hash(), 0,
+                       extra={"policy_cfg": policy.cfg.to_json()})
+    manifest_path = tmp_path / "policy.ckpt.json"
+    doc = json.loads(manifest_path.read_text())
+    manifest_path.write_text(json.dumps(corrupt(doc) or doc))
+    with pytest.raises(error, match=match):
+        hs.load_policy(str(path))

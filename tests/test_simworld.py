@@ -37,9 +37,10 @@ class TestReset:
             npt.assert_array_equal(a.object_poses[oid], b.object_poses[oid])
         assert a.gripper == 0.0 and a.attached is None and a.step_count == 0
 
-    def test_zero_jitter_matches_spec_positions(self):
+    def test_zero_jitter_matches_spec_positions(self, monkeypatch):
+        monkeypatch.setattr(sw, "JITTER_RADIUS", 0.0)
         scene, task = sw.default_scene("goal")
-        sim = sw.Simulator(scene, task, sw.SimConfig(jitter_radius=0.0))
+        sim = sw.Simulator(scene, task)
         state = sim.reset(7)
         for obj in scene.objects:
             npt.assert_array_equal(state.object_poses[obj.id], obj.position)
@@ -52,11 +53,12 @@ class TestReset:
                 d = np.linalg.norm(state.object_poses[obj.id] - obj.position)
                 assert d <= 0.03 + 1e-12
 
-    def test_jitter_failure_when_unplaceable(self):
+    def test_jitter_failure_when_unplaceable(self, monkeypatch):
+        monkeypatch.setattr(sw, "JITTER_RADIUS", 5.0)
         scene, task = sw.default_scene("goal")
         # huge jitter with a sliver of free space around a corner object
         scene.objects[0].position = scene.table_lo.copy()
-        sim = sw.Simulator(scene, task, sw.SimConfig(jitter_radius=5.0))
+        sim = sw.Simulator(scene, task)
         with pytest.raises(sw.SceneError):
             sim.reset(3)
 
@@ -128,7 +130,7 @@ class TestStep:
         assert states[i].gripper < 0.5 <= states[i + 1].gripper
         d = np.linalg.norm(states[i].object_poses[task.target_object_id]
                            - states[i + 1].ee_pose[:3, 3])
-        assert d <= scene.object(task.target_object_id).grasp_radius + 0.05
+        assert d <= sw.GRASP_RADIUS + 0.05
 
     def test_attachment_rigidity(self, goal_world):
         scene, task, sim = goal_world
@@ -174,8 +176,7 @@ class TestExpert:
         # Once attached and above the container, the expert's emitted gripper
         # command drops to 0 exactly latency steps after the open decision.
         scene, task, sim = goal_world
-        cfg = sw.ExpertConfig(gripper_latency_steps=2)
-        expert = sw.ScriptedExpert(scene, task, cfg)
+        expert = sw.ScriptedExpert(scene, task, gripper_latency_steps=2)
         state = sim.reset(9)
         emitted = []
         phases = []
@@ -306,8 +307,8 @@ class TestRelativeDepth:
 class TestSceneJson:
     """Scene entries given as plain values (lists and numbers), as a scene file holds them."""
 
-    @pytest.mark.parametrize("key,value", [("table_lo", [-0.3, 0.3]), ("ee_home", [0.0, 0.2])],
-                             ids=["table_bounds", "ee_home"])
+    @pytest.mark.parametrize("key,value", [("table_lo", [-0.3, 0.3]), ("table_hi", [0.3, 0.3])],
+                             ids=["table_bounds", "table_hi"])
     def test_wrong_type_top_level_value_names_it(self, key, value):
         entries = {"table_lo": [-0.3, -0.3, 0.0], "table_hi": [0.3, 0.3, 0.3], key: value}
         with pytest.raises(sw.SceneError, match=f"{key} must hold 3 values, got 2"):
@@ -352,8 +353,6 @@ def _simulate_task(object_id, container_id):
 
 class TestSceneSpec:
     @pytest.mark.parametrize("build,message", [
-        (lambda: sw.ObjectSpec("a", [0, 0, 0], grasp_radius=0.0), "'a' grasp_radius must be > 0"),
-        (lambda: sw.ContainerSpec("c", [0, 0, 0], accept_radius=-0.01), "'c' accept_radius must be > 0"),
         (lambda: _scene(table_lo=[0, 0, 1]), "table_lo must be strictly below table_hi"),
         (lambda: _scene([sw.ObjectSpec("a", [2, 0, 0])]), "object 'a' outside table bounds"),
         (lambda: _scene(containers=[sw.ContainerSpec("c", [0, 0, -1])]),
@@ -365,9 +364,12 @@ class TestSceneSpec:
         (lambda: sw.TaskSpec("a", "c", family="long"), "long tasks need a latch_center"),
         (lambda: _simulate_task("block_green", "bin_a"), "unknown object 'block_green'"),
         (lambda: _simulate_task("block_red", "bin_c"), "unknown container 'bin_c'"),
-    ], ids=["grasp_radius", "accept_radius", "table_bounds_order", "object_outside_table",
+        (lambda: sw.ScriptedExpert(*sw.default_scene("goal"), gripper_latency_steps=-1),
+         "gripper_latency_steps must be >= 0"),
+    ], ids=["table_bounds_order", "object_outside_table",
             "container_outside_table", "duplicate_ids", "unknown_family", "horizon_limit",
-            "long_without_latch", "task_unknown_object", "task_unknown_container"])
+            "long_without_latch", "task_unknown_object", "task_unknown_container",
+            "negative_gripper_latency"])
     def test_scene_validation(self, build, message):
         with pytest.raises(sw.SceneError, match=message):
             build()

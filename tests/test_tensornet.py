@@ -544,25 +544,29 @@ class TestGradCheckPerOp:
 
 
 class TestAdamW:
-    def test_zero_grad_zero_decay_unchanged(self):
+    def test_zero_grad_zero_decay_unchanged(self, monkeypatch):
+        monkeypatch.setattr(tn, "ADAMW_LR", 1e-3)
+        monkeypatch.setattr(tn, "ADAMW_WEIGHT_DECAY", 0.0)
         params = tn.ParamSet(seed=1)
         w = params.linear_weight("w", 4, 4)
         before = w.data.copy()
-        state = tn.OptimizerState(tn.OptimizerConfig(lr=1e-3, weight_decay=0.0, warmup_steps=1, total_steps=10))
+        state = tn.OptimizerState(tn.OptimizerConfig(warmup_steps=1, total_steps=10))
         tn.adamw_step(params, {"w": np.zeros((4, 4))}, state)
         npt.assert_array_equal(w.data, before)
 
-    def test_lr_at_warmup_boundary(self):
-        cfg = tn.OptimizerConfig(lr=2e-4, warmup_steps=5000, total_steps=50000)
+    def test_lr_at_warmup_boundary(self, monkeypatch):
+        monkeypatch.setattr(tn, "ADAMW_LR", 2e-4)
+        cfg = tn.OptimizerConfig(warmup_steps=5000, total_steps=50000)
         assert tn.lr_at(cfg, 5000) == 2e-4
         assert tn.lr_at(cfg, 2500) == 1e-4
         assert tn.lr_at(cfg, 50000) == pytest.approx(0.0, abs=1e-20)
 
-    def test_three_step_scalar_trace_matches_reference(self):
+    def test_three_step_scalar_trace_matches_reference(self, monkeypatch):
         # Hand-rolled AdamW on a scalar with g=1 each step.
         lr, b1, b2, eps, wd = 0.1, 0.9, 0.999, 1e-8, 0.01
-        cfg = tn.OptimizerConfig(lr=lr, betas=(b1, b2), eps=eps, weight_decay=wd,
-                                 warmup_steps=1, total_steps=1000)
+        for name, value in [("LR", lr), ("BETAS", (b1, b2)), ("EPS", eps), ("WEIGHT_DECAY", wd)]:
+            monkeypatch.setattr(tn, f"ADAMW_{name}", value)
+        cfg = tn.OptimizerConfig(warmup_steps=1, total_steps=1000)
         params = tn.ParamSet(seed=0)
         p = params.zeros("p", (1,))
         p.data = np.array([1.0])
@@ -579,9 +583,11 @@ class TestAdamW:
             tn.adamw_step(params, {"p": np.ones(1)}, state)
         npt.assert_allclose(p.data, [ref_p], atol=1e-12)
 
-    def test_in_place_steps_match_the_reference_formula_bit_for_bit(self):
-        cfg = tn.OptimizerConfig(lr=0.05, weight_decay=0.01, warmup_steps=2, total_steps=10)
-        b1, b2 = cfg.betas
+    def test_in_place_steps_match_the_reference_formula_bit_for_bit(self, monkeypatch):
+        monkeypatch.setattr(tn, "ADAMW_LR", 0.05)
+        monkeypatch.setattr(tn, "ADAMW_WEIGHT_DECAY", 0.01)
+        cfg = tn.OptimizerConfig(warmup_steps=2, total_steps=10)
+        b1, b2 = tn.ADAMW_BETAS
         for dtype in (np.float64, np.float32):
             params = tn.ParamSet(seed=3)
             params.linear_weight("w", 4, 5)
@@ -601,7 +607,7 @@ class TestAdamW:
                     v = b2 * v + (1.0 - b2) * g * g
                     mhat = m / (1.0 - b1**t)
                     vhat = v / (1.0 - b2**t)
-                    p = p - lr * (mhat / (np.sqrt(vhat) + cfg.eps) + cfg.weight_decay * p)
+                    p = p - lr * (mhat / (np.sqrt(vhat) + tn.ADAMW_EPS) + tn.ADAMW_WEIGHT_DECAY * p)
                     ref[name] = [p, m, v]
             for name, (p, m, v) in ref.items():
                 assert params[name].data.dtype == state.m[name].dtype == state.v[name].dtype == dtype
@@ -609,8 +615,9 @@ class TestAdamW:
                 npt.assert_array_equal(state.m[name], m)
                 npt.assert_array_equal(state.v[name], v)
 
-    def test_warns_once_past_total(self):
-        cfg = tn.OptimizerConfig(lr=0.1, warmup_steps=1, total_steps=2)
+    def test_warns_once_past_total(self, monkeypatch):
+        monkeypatch.setattr(tn, "ADAMW_LR", 0.1)
+        cfg = tn.OptimizerConfig(warmup_steps=1, total_steps=2)
         params = tn.ParamSet(seed=0)
         params.zeros("p", (1,))
         state = tn.OptimizerState(cfg)
