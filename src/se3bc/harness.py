@@ -53,8 +53,7 @@ class HarnessError(ValueError):
 
 
 class TrainDiverged(RuntimeError):
-    """Numeric fault during training; with a checkpoint path, the last
-    logged parameters were written there."""
+    """Numeric fault during training, naming the step it happened at."""
 
 
 def wilson_interval(k: int, n: int):
@@ -94,14 +93,12 @@ class TrainConfig:
             raise HarnessError("batch_size must be >= 1")
 
 
-def train(dataset: ds.DemoDataset, cfg: TrainConfig, ckpt_path: str | None = None):
+def train(dataset: ds.DemoDataset, cfg: TrainConfig):
     """Behavior-clone a policy on a demonstration dataset.
 
     Returns (policy, curve) where curve rows are (step, loss_traj, loss_act,
     loss_total, lr). Deterministic per cfg.seed. On a numeric fault
-    TrainDiverged is raised; with ckpt_path given, the last logged parameters
-    are first written there, labelled with the step they were logged at. Only
-    then does a logged step copy the parameters.
+    TrainDiverged is raised, naming the step.
     """
     policy_cfg = replace(cfg.policy, seed=derive_seed(cfg.seed, "init"))
     policy = pol.build_variant(policy_cfg)
@@ -117,8 +114,6 @@ def train(dataset: ds.DemoDataset, cfg: TrainConfig, ckpt_path: str | None = Non
     shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
     order = np.array([], dtype=int)
     curve = []
-    last_good = _param_snapshot(policy) if ckpt_path else None
-    last_good_step = 0
     n = len(windows)
 
     for step in range(1, cfg.steps + 1):
@@ -132,43 +127,14 @@ def train(dataset: ds.DemoDataset, cfg: TrainConfig, ckpt_path: str | None = Non
             grads = policy.params.grads_by_name(tn.backward(tape, total))
             tn.adamw_step(policy.params, grads, opt)
         except tn.NumericFaultError as e:
-            if ckpt_path:
-                _restore_snapshot(policy, last_good)
-                tn.save_checkpoint(ckpt_path, policy.params, policy_cfg.config_hash(),
-                                   last_good_step, extra={"policy_cfg": policy_cfg.to_json()})
             raise TrainDiverged(f"numeric fault at step {step}: {e}") from e
         if step == 1 or step % cfg.log_every == 0 or step == cfg.steps:
             row = (step, float(traj.data), float(act.data), float(total.data),
                    tn.lr_at(opt.config, step))
             curve.append(row)
-            if ckpt_path:
-                last_good, last_good_step = _param_snapshot(policy), step
             log.debug("step %d traj %.4f act %.4f total %.4f lr %.2e", *row)
 
-    if ckpt_path:
-        tn.save_checkpoint(ckpt_path, policy.params, policy_cfg.config_hash(), cfg.steps,
-                           extra={"policy_cfg": policy_cfg.to_json()})
     return policy, curve
-
-
-def _param_snapshot(policy):
-    return {name: t.data.copy() for name, t in policy.params.items()}
-
-
-def _restore_snapshot(policy, snapshot):
-    for name, data in snapshot.items():
-        policy.params[name].data = data.copy()
-
-
-def load_policy(path: str) -> pol.Policy:
-    """Rebuild a policy from a ckpt_v1 checkpoint written by train()."""
-    manifest, _ = tn.load_checkpoint(path)
-    extra = manifest.get("extra") or {}
-    if not isinstance(extra, dict) or "policy_cfg" not in extra:
-        raise HarnessError("checkpoint manifest lacks a policy config")
-    policy = pol.build_variant(pol.PolicyConfig.from_json(extra["policy_cfg"]))
-    tn.load_into(policy.params, path)
-    return policy
 
 
 # --- evaluation ---
@@ -476,7 +442,7 @@ def closed_form_baseline(
     draws match rollout()'s, so comparisons are paired.
     """
     if not oracle and (policy is None or not _tracks_camera_pose(policy)):
-        raise HarnessError("closed-form baseline needs a camera-frame axis-angle checkpoint")
+        raise HarnessError("closed-form baseline needs a camera-frame axis-angle policy")
     oracle_horizon = None
     if oracle:
         oracle_horizon = policy.cfg.horizon if policy is not None else ds.HORIZON_DEFAULT
@@ -545,11 +511,13 @@ def run_study(spec: StudySpec):
     each worker pinned to one BLAS thread; with one worker, or when the BLAS
     numpy loaded cannot be pinned, they run in this process. Rows come back
     in serial (seed, cell) order either way, so reports are identical.
-    A spec with no episodes or a repeated seed raises HarnessError before
-    any job starts.
+    A spec with no episodes, a batch size below 1 or a repeated seed raises
+    HarnessError before any job starts.
     """
     if spec.episodes < 1:
         raise HarnessError("study needs episodes >= 1")
+    if spec.batch_size < 1:
+        raise HarnessError("study needs batch_size >= 1")
     if len(set(spec.seeds)) != len(spec.seeds):
         raise HarnessError(f"study seeds repeat: {list(spec.seeds)}")
     jobs = [(seed, cell, variant, demos)
@@ -704,13 +672,13 @@ def summarize_rows(rows):
 # --- reports ---
 
 
-def emit_report(results, path_prefix: str):
-    """Write <prefix>.csv (one row per cell-seed) and <prefix>.json summary.
+def emit_report(rows: list, path_prefix: str):
+    """Write a study's rows to <prefix>.csv (one row per cell-seed) and their
+    summary to <prefix>.json.
 
     Field order is fixed; rows are sorted by (cell, seed) so identical
-    results produce identical files.
+    rows produce identical files.
     """
-    rows = results["rows"] if isinstance(results, dict) else list(results)
     csv_path, json_path = path_prefix + ".csv", path_prefix + ".json"
     with open(csv_path, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=REPORT_COLUMNS, extrasaction="ignore")

@@ -25,9 +25,7 @@ concurrently.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 import threading
 import warnings
 import zlib
@@ -800,86 +798,3 @@ def grad_check(fn, inputs) -> GradCheckResult:
             worst = max(worst, err)
             n_checked += 1
     return GradCheckResult(worst, n_checked, excluded)
-
-
-# --- ckpt_v1 checkpoint format ---
-
-
-def _ckpt_paths(path: str):
-    stem = path[: -len(".json")] if path.endswith(".json") else path
-    return stem + ".json", stem + ".bin"
-
-
-def save_checkpoint(path: str, params: ParamSet, config_hash: str = "", step: int = 0, extra=None):
-    """Write a ckpt_v1 checkpoint: JSON manifest + little-endian f64 blob.
-
-    float64 holds a float32 parameter exactly, so the blob loses nothing.
-    """
-    manifest_path, blob_path = _ckpt_paths(path)
-    entries = [{"name": n, "shape": list(t.data.shape)} for n, t in params.items()]
-    manifest = {"schema": "ckpt_v1", "config_hash": config_hash, "step": int(step), "params": entries}
-    if extra:
-        manifest["extra"] = extra
-    with open(blob_path, "wb") as f:
-        for _, t in params.items():
-            f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-    with open(manifest_path, "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-        f.write("\n")
-
-
-def load_checkpoint(path: str):
-    """Read a ckpt_v1 checkpoint; returns (manifest, name->ndarray)."""
-    manifest_path, blob_path = _ckpt_paths(path)
-    with open(manifest_path) as f:
-        try:
-            manifest = json.load(f)
-        except json.JSONDecodeError as e:
-            raise TensorError(f"ckpt_v1 manifest is not valid JSON: {e}") from e
-    if not isinstance(manifest, dict):
-        raise TensorError(f"ckpt_v1 manifest must be a JSON object, got {type(manifest).__name__}")
-    if manifest.get("schema") != "ckpt_v1":
-        raise TensorError(f"expected ckpt_v1 manifest, got {manifest.get('schema')!r}")
-    with open(blob_path, "rb") as f:
-        blob = f.read()
-    try:
-        entries = [(entry["name"], tuple(entry["shape"])) for entry in manifest["params"]]
-    except (KeyError, TypeError) as e:
-        raise TensorError(f"malformed ckpt_v1 manifest: {e!r}") from e
-    arrays = {}
-    offset = 0
-    for name, shape in entries:
-        if not all(isinstance(n, int) and n >= 0 for n in shape):
-            raise TensorError(f"bad checkpoint shape {list(shape)} for {name!r}")
-        count = math.prod(shape)
-        nbytes = count * struct.calcsize("<d")
-        if offset + nbytes > len(blob):
-            raise TensorError("checkpoint blob truncated")
-        arrays[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape).astype(np.float64)
-        offset += nbytes
-    if offset != len(blob):
-        raise TensorError("checkpoint blob has trailing bytes")
-    return manifest, arrays
-
-
-def load_into(params: ParamSet, path: str) -> dict:
-    """Load checkpoint values into an existing ParamSet (shapes must match).
-
-    Each value is cast to its parameter's dtype: float32 parameters get the
-    float64 values rounded to nearest. A value that then is not finite (one
-    beyond float32's range) raises TensorError.
-    """
-    manifest, arrays = load_checkpoint(path)
-    for name, t in params.items():
-        if name not in arrays:
-            raise TensorError(f"checkpoint missing parameter {name!r}")
-        if arrays[name].shape != t.data.shape:
-            raise TensorError(
-                f"checkpoint shape {arrays[name].shape} != parameter shape {t.data.shape} for {name!r}"
-            )
-        with np.errstate(over="ignore"):
-            data = arrays[name].astype(t.data.dtype)
-        if not np.isfinite(data).all():
-            raise TensorError(f"checkpoint values of {name!r} are not finite as {data.dtype}")
-        t.data = data
-    return manifest

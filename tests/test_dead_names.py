@@ -35,7 +35,6 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 KEPT = {
-    "harness.load_policy": "entry point: rebuilds a trained policy from its ckpt_v1 checkpoint",
     "harness.emit_report": "entry point: writes a study's CSV and JSON report",
     "geometry.world_to_camera": "test oracle for the camera-frame poses recorded in demos",
     "geometry.se3_compose": "test oracle for SE(3) composition",
@@ -59,7 +58,6 @@ KEPT_FIELDS = {
 # "module.function.param", "module.Class.method.param", or "module.Class.param"
 # for a parameter of the class's __init__.
 KEPT_PARAMS = {
-    "harness.train.ckpt_path": "deployment path: where train writes the ckpt_v1 checkpoint",
     "tensornet.multi_head_attention.return_weights": "test probe of the attention weights",
     "geometry.check_se3.atol": "lets test_manifold_by_construction tighten the tolerance to 1e-9",
 }

@@ -2,7 +2,6 @@ import json
 import math
 import random
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -263,7 +262,8 @@ class TestStudySpec:
 @pytest.mark.parametrize("spec,match", [
     (hs.StudySpec(kind="ladder", seeds=(0,), episodes=0, demos=1, steps=0), "episodes >= 1"),
     (hs.StudySpec(kind="ladder", seeds=(0, 1, 0), episodes=1, demos=1, steps=0), r"seeds repeat: \[0, 1, 0\]"),
-], ids=["no_episodes", "repeated_seed"])
+    (hs.StudySpec(kind="ladder", seeds=(0,), episodes=1, demos=1, steps=0, batch_size=0), "batch_size >= 1"),
+], ids=["no_episodes", "repeated_seed", "batch_size_zero"])
 def test_run_study_rejects_a_bad_spec_before_any_job(monkeypatch, spec, match):
     def no_job(*args):
         raise AssertionError("a job started")
@@ -294,7 +294,7 @@ def test_emit_report_is_order_independent(tmp_path):
     rows.append({"study": "ladder", "cell": "traj_3d_pos", "seed": 0, "error": "boom"})
     shuffled = list(rows)
     random.Random(0).shuffle(shuffled)
-    a = hs.emit_report({"rows": rows}, str(tmp_path / "a"))
+    a = hs.emit_report(rows, str(tmp_path / "a"))
     b = hs.emit_report(shuffled, str(tmp_path / "b"))
     for pa, pb in zip(a, b):
         with open(pa, "rb") as fa, open(pb, "rb") as fb:
@@ -321,33 +321,6 @@ def test_summarize_rows_mixes_errors_and_results():
     assert summary["a"]["pooled"]["k"] == 1 and summary["a"]["pooled"]["n"] == 2
 
 
-def test_param_snapshot_survives_an_in_place_step(monkeypatch):
-    # adamw_step overwrites parameter arrays in place; a snapshot must be a copy.
-    monkeypatch.setattr(tn, "ADAMW_LR", 0.1)
-    params = tn.ParamSet(seed=5)
-    params.linear_weight("w", 3, 2)
-    params.zeros("b", (2,))
-    snapshot = hs._param_snapshot(SimpleNamespace(params=params))
-    before = {name: data.copy() for name, data in snapshot.items()}
-    state = tn.OptimizerState(tn.OptimizerConfig(warmup_steps=1, total_steps=10))
-    tn.adamw_step(params, {name: np.ones_like(t.data) for name, t in params.items()}, state)
-    for name, data in before.items():
-        assert not np.array_equal(params[name].data, data), name
-        np.testing.assert_array_equal(snapshot[name], data)
-
-
-def test_train_without_a_checkpoint_path_takes_no_snapshot(monkeypatch, world):
-    # Without ckpt_path a numeric fault only raises, so no logged step copies the parameters.
-    scene, task, _, _ = world
-    data = ds.record_demonstrations(scene, task, 1, seed=2)
-    snapshots = []
-    monkeypatch.setattr(hs, "_param_snapshot", lambda policy: snapshots.append(policy) or {})
-    cfg = hs.TrainConfig(policy=pol.PolicyConfig(token_dim=sw.feature_dims(scene)[0]),
-                         steps=4, warmup_steps=2, log_every=1)
-    _, curve = hs.train(data, cfg)
-    assert len(curve) == 4 and snapshots == []
-
-
 def test_inference_computes_in_float32_and_returns_float64(monkeypatch, world):
     scene, _, short, policy = world
     real_act, outputs = pol.Policy.act, []
@@ -368,50 +341,13 @@ def test_inference_computes_in_float32_and_returns_float64(monkeypatch, world):
         assert out.chunk.dtype == out.tau.dtype == np.float64
 
 
-def test_load_policy_round_trip(tmp_path, world):
+def test_a_fault_mid_run_names_its_step(monkeypatch, world):
     scene, task, _, _ = world
     data = ds.record_demonstrations(scene, task, 1, seed=2)
-    cfg = hs.TrainConfig(policy=pol.PolicyConfig(
-        token_dim=sw.feature_dims(scene)[0],
-        variant=ds.SupervisionVariant("traj_world_se3", depth_mode="relative"),
-    ), steps=0, seed=4)
-    path = str(tmp_path / "policy.ckpt")
-    policy, curve = hs.train(data, cfg, ckpt_path=path)
-    assert curve == []
-    loaded = hs.load_policy(path)
-    assert loaded.cfg == policy.cfg
-    assert set(loaded.params.names()) == set(policy.params.names())
-    for name in policy.params.names():
-        np.testing.assert_array_equal(loaded.params[name].data, policy.params[name].data)
-
-
-def test_load_policy_ignores_cross_attention_key_biases(tmp_path, world):
-    # Checkpoints written while cross-attention still had key biases keep loading.
-    _, _, _, policy = world
-    d = policy.cfg.d_model
-    old = tn.ParamSet()
-    for name, t in policy.params.items():
-        old.zeros(name, t.shape).data = t.data.copy()
-    for block in ["pred.b0", "pred.b1", "dec.b0"]:
-        old.zeros(f"{block}.cross.bk", (d,)).data = np.full(d, 1e-11)
-    path = str(tmp_path / "old.ckpt")
-    tn.save_checkpoint(path, old, policy.cfg.config_hash(), 0,
-                       extra={"policy_cfg": policy.cfg.to_json()})
-    loaded = hs.load_policy(path)
-    assert loaded.params.names() == policy.params.names()
-    for name in policy.params.names():
-        np.testing.assert_array_equal(loaded.params[name].data, policy.params[name].data)
-
-
-def test_fault_checkpoint_holds_the_last_logged_step(tmp_path, monkeypatch, world):
-    scene, task, _, _ = world
-    data = ds.record_demonstrations(scene, task, 1, seed=2)
-    real_loss, calls, after_step_1 = pol.Policy.loss, [], {}
+    real_loss, calls = pol.Policy.loss, []
 
     def loss_faulting_at_step_3(policy, batch):
         calls.append(batch)
-        if len(calls) == 2:  # step 2 starts from the parameters step 1 left
-            after_step_1.update({name: t.data.copy() for name, t in policy.params.items()})
         if len(calls) == 3:
             raise tn.NumericFaultError("injected at step 3")
         return real_loss(policy, batch)
@@ -419,14 +355,8 @@ def test_fault_checkpoint_holds_the_last_logged_step(tmp_path, monkeypatch, worl
     monkeypatch.setattr(pol.Policy, "loss", loss_faulting_at_step_3)
     cfg = hs.TrainConfig(policy=pol.PolicyConfig(token_dim=sw.feature_dims(scene)[0]),
                          steps=10, warmup_steps=2, log_every=100)
-    path = str(tmp_path / "fault.ckpt")
-    with pytest.raises(hs.TrainDiverged, match="step 3"):
-        hs.train(data, cfg, ckpt_path=path)
-    manifest, arrays = tn.load_checkpoint(path)
-    assert manifest["step"] == 1
-    assert arrays.keys() == after_step_1.keys()
-    for name, values in after_step_1.items():
-        np.testing.assert_array_equal(arrays[name], values)
+    with pytest.raises(hs.TrainDiverged, match="numeric fault at step 3: injected at step 3"):
+        hs.train(data, cfg)
 
 
 def test_overflowing_loss_weight_raises_train_diverged(world):
@@ -437,40 +367,3 @@ def test_overflowing_loss_weight_raises_train_diverged(world):
                          steps=10, warmup_steps=2)
     with np.errstate(over="ignore"), pytest.raises(hs.TrainDiverged, match="step 1: op 'scale'"):
         hs.train(data, cfg)
-
-
-def test_load_policy_needs_policy_config(tmp_path, world):
-    _, _, _, policy = world
-    path = str(tmp_path / "bare.ckpt")
-    tn.save_checkpoint(path, policy.params, policy.cfg.config_hash(), 0)
-    with pytest.raises(hs.HarnessError):
-        hs.load_policy(path)
-
-
-@pytest.mark.parametrize("corrupt,error,match", [
-    (lambda doc: [doc], tn.TensorError, "manifest must be a JSON object, got list"),
-    (lambda doc: {**doc, "extra": ["policy_cfg"]}, hs.HarnessError, "lacks a policy config"),
-    (lambda doc: {**doc, "extra": {"policy_cfg": []}}, pol.PolicyConfigError,
-     "policy config must be a JSON object, got list"),
-    (lambda doc: doc["extra"]["policy_cfg"].update(variant=5), pol.PolicyConfigError,
-     "field 'variant' must be SupervisionVariant, got 5"),
-    (lambda doc: doc["extra"]["policy_cfg"].update(d_model="64"), pol.PolicyConfigError,
-     "field 'd_model' must be int, got '64'"),
-    (lambda doc: doc["extra"]["policy_cfg"].update(horizon=2.5), pol.PolicyConfigError,
-     "field 'horizon' must be int, got 2.5"),
-    (lambda doc: doc["extra"]["policy_cfg"].update(heads=True), pol.PolicyConfigError,
-     "field 'heads' must be int, got True"),
-    (lambda doc: doc["extra"]["policy_cfg"].update(lam="0.1"), pol.PolicyConfigError,
-     "field 'lam' must be float, got '0.1'"),
-], ids=["manifest_list", "extra_list", "policy_cfg_list", "variant_int", "d_model_str", "horizon_float", "heads_bool",
-        "lam_str"])
-def test_load_policy_names_a_malformed_manifest_entry(tmp_path, world, corrupt, error, match):
-    _, _, _, policy = world
-    path = tmp_path / "policy.ckpt"
-    tn.save_checkpoint(str(path), policy.params, policy.cfg.config_hash(), 0,
-                       extra={"policy_cfg": policy.cfg.to_json()})
-    manifest_path = tmp_path / "policy.ckpt.json"
-    doc = json.loads(manifest_path.read_text())
-    manifest_path.write_text(json.dumps(corrupt(doc) or doc))
-    with pytest.raises(error, match=match):
-        hs.load_policy(str(path))

@@ -69,14 +69,14 @@ def test_rows_and_reports_match_a_serial_loop(name, serial_rows, tmp_path):
     assert not any("error" in row for row in expected)
     assert result["rows"] == expected
     assert result["summary"] == hs.summarize_rows(expected)
-    written = hs.emit_report(result, str(tmp_path / "pooled"))
+    written = hs.emit_report(result["rows"], str(tmp_path / "pooled"))
     for pooled_path, serial_path in zip(written, hs.emit_report(expected, str(tmp_path / "serial"))):
         with open(pooled_path, "rb") as a, open(serial_path, "rb") as b:
             assert a.read() == b.read()
 
 
 def test_a_raising_cell_is_an_error_row(monkeypatch):
-    def train(data, cfg, ckpt_path=None):
+    def train(data, cfg):
         raise RuntimeError(f"no {cfg.policy.variant.target}")
 
     monkeypatch.setattr(hs, "train", train)
@@ -87,7 +87,7 @@ def test_a_raising_cell_is_an_error_row(monkeypatch):
 
 @pooled
 def test_a_dead_worker_fails_its_jobs_not_the_study(monkeypatch):
-    monkeypatch.setattr(hs, "train", lambda data, cfg, ckpt_path=None: os._exit(1))
+    monkeypatch.setattr(hs, "train", lambda data, cfg: os._exit(1))
     rows = hs.run_study(ONE_SEED_LADDER)["rows"]
     assert_no_children()
     assert [(row["cell"], row["seed"]) for row in rows] == [(c, 0) for c in hs.LADDER_TARGETS]
@@ -102,7 +102,7 @@ def test_an_error_in_the_parent_waits_for_the_workers(monkeypatch):
     def result(future, timeout=None):
         raise Interrupted
 
-    def train(data, cfg, ckpt_path=None):
+    def train(data, cfg):
         time.sleep(0.1)
         raise RuntimeError("not trained")
 
@@ -118,7 +118,7 @@ def test_workers_run_one_blas_thread(monkeypatch):
     get_threads, _ = hs._openblas_threads()
     before = get_threads()
 
-    def train(data, cfg, ckpt_path=None):
+    def train(data, cfg):
         raise RuntimeError(f"{get_threads()} BLAS threads")
 
     monkeypatch.setattr(hs, "train", train)
@@ -144,7 +144,7 @@ ORPHANING_STUDY = """
 import time
 from se3bc import harness as hs
 
-def train(data, cfg, ckpt_path=None):
+def train(data, cfg):
     if cfg.policy.variant.target == "no_traj":
         time.sleep(60)
     raise RuntimeError("not trained")

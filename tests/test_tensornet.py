@@ -1,4 +1,3 @@
-import json
 import math
 import warnings
 import weakref
@@ -632,7 +631,7 @@ class TestAdamW:
         assert tn.lr_at(cfg, state.step) == 0.0
 
 
-class TestParamSetCheckpoint:
+class TestParamSet:
     def test_duplicate_name_rejected(self):
         params = tn.ParamSet(seed=0)
         params.zeros("a", (2,))
@@ -654,103 +653,3 @@ class TestParamSetCheckpoint:
         npt.assert_array_equal(b.data, np.zeros(4))
         q = params.query_normal("q", (8, 4))
         assert abs(q.data.std() - 0.02) < 0.02
-
-    def test_checkpoint_round_trip(self, tmp_path):
-        params = tn.ParamSet(seed=5)
-        params.linear_weight("enc.w", 6, 4)
-        params.zeros("enc.b", (4,))
-        params.query_normal("q", (3, 4))
-        path = str(tmp_path / "ckpt")
-        tn.save_checkpoint(path, params, config_hash="abc", step=12)
-
-        params2 = tn.ParamSet(seed=99)
-        params2.linear_weight("enc.w", 6, 4)
-        params2.zeros("enc.b", (4,))
-        params2.query_normal("q", (3, 4))
-        manifest = tn.load_into(params2, path)
-        assert manifest["step"] == 12
-        assert manifest["config_hash"] == "abc"
-        for name in params.names():
-            npt.assert_array_equal(params2[name].data, params[name].data)
-
-    def test_float32_parameters_survive_a_round_trip_exactly(self, tmp_path):
-        params = tn.ParamSet(seed=5)
-        params.linear_weight("w", 6, 4)
-        params.query_normal("q", (3, 4))
-        path = str(tmp_path / "ckpt")
-        tn.save_checkpoint(path, params)
-        _, arrays = tn.load_checkpoint(path)
-        loaded = tn.ParamSet(seed=6)
-        loaded.zeros("w", (6, 4))
-        loaded.zeros("q", (3, 4))
-        tn.load_into(loaded, path)
-        for name in params.names():
-            assert params[name].data.dtype == loaded[name].data.dtype == np.float32
-            assert arrays[name].dtype == np.float64
-            npt.assert_array_equal(arrays[name], params[name].data)
-            npt.assert_array_equal(loaded[name].data, params[name].data)
-
-    def test_float64_values_load_rounded_to_float32(self, tmp_path):
-        wide = tn.ParamSet()
-        values = np.array([0.1, 1.0 / 3.0, -2.0])
-        wide.zeros("a", (3,)).data = values
-        path = str(tmp_path / "ckpt")
-        tn.save_checkpoint(path, wide)
-        narrow = tn.ParamSet()
-        narrow.zeros("a", (3,))
-        tn.load_into(narrow, path)
-        assert narrow["a"].data.dtype == np.float32
-        npt.assert_array_equal(narrow["a"].data, values.astype(np.float32))
-        assert not np.array_equal(narrow["a"].data, values)
-
-    def test_a_value_beyond_float32_range_is_rejected(self, tmp_path):
-        wide = tn.ParamSet()
-        wide.zeros("a", (2,)).data = np.array([1.0, 1e39])
-        path = str(tmp_path / "ckpt")
-        tn.save_checkpoint(path, wide)
-        narrow = tn.ParamSet()
-        narrow.zeros("a", (2,))
-        with pytest.raises(tn.TensorError, match="'a' are not finite as float32"):
-            tn.load_into(narrow, path)
-
-    def test_checkpoint_shape_mismatch(self, tmp_path):
-        params = tn.ParamSet(seed=5)
-        params.zeros("a", (2, 2))
-        path = str(tmp_path / "ckpt")
-        tn.save_checkpoint(path, params)
-        other = tn.ParamSet(seed=5)
-        other.zeros("a", (3,))
-        with pytest.raises(tn.TensorError):
-            tn.load_into(other, path)
-
-    @pytest.mark.parametrize("fault", ["schema", "truncated", "trailing", "negative_dim", "missing",
-                                       "no_params_key", "no_name_key", "no_shape_key", "bad_json"])
-    def test_checkpoint_reader_errors(self, tmp_path, fault):
-        params = tn.ParamSet(seed=5)
-        params.zeros("a", (2, 2))
-        params.zeros("b", (3,))
-        path = tmp_path / "ckpt"
-        tn.save_checkpoint(str(path), params)
-        manifest_path, blob_path = tmp_path / "ckpt.json", tmp_path / "ckpt.bin"
-        manifest, blob = json.loads(manifest_path.read_text()), blob_path.read_bytes()
-        if fault == "schema":
-            manifest["schema"] = "ckpt_v0"
-        elif fault == "truncated":
-            blob = blob[:-8]
-        elif fault == "trailing":
-            blob += bytes(8)
-        elif fault == "negative_dim":
-            manifest["params"][0]["shape"] = [2, -2]
-        elif fault == "no_params_key":
-            del manifest["params"]
-        elif fault == "no_name_key":
-            del manifest["params"][1]["name"]
-        elif fault == "no_shape_key":
-            del manifest["params"][1]["shape"]
-        elif fault != "bad_json":
-            params.zeros("c", (1,))
-        text = json.dumps(manifest)
-        manifest_path.write_text(text[: len(text) // 2] if fault == "bad_json" else text)
-        blob_path.write_bytes(blob)
-        with pytest.raises(tn.TensorError):
-            tn.load_into(params, str(path))
