@@ -1,4 +1,5 @@
 import collections
+import json
 
 import numpy as np
 import numpy.testing as npt
@@ -40,6 +41,21 @@ class TestConfig:
             pol.PolicyConfig(token_dim=7, horizon=0)
         with pytest.raises(pol.PolicyConfigError):
             pol.PolicyConfig(token_dim=7, lam=-0.1)
+
+    def test_json_round_trip(self):
+        """to_json, which config_hash digests, carries every field: the config
+        rebuilt from its JSON text equals the original."""
+        cfg = pol.PolicyConfig(
+            token_dim=9,
+            d_model=32,
+            heads=2,
+            variant=ds.SupervisionVariant("traj_world_se3", depth_mode="relative"),
+        )
+        doc = json.loads(json.dumps(cfg.to_json()))
+        assert doc.pop("schema") == pol.POLICY_CFG_SCHEMA
+        back = pol.PolicyConfig(**{**doc, "variant": ds.SupervisionVariant(**doc["variant"])})
+        assert back == cfg
+        assert back.config_hash() == cfg.config_hash()
 
 
 def loss_terms(policy, batch):

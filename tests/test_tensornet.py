@@ -631,7 +631,7 @@ class TestAdamW:
         assert tn.lr_at(cfg, state.step) == 0.0
 
 
-class TestParamSet:
+class TestParamSetCheckpoint:
     def test_duplicate_name_rejected(self):
         params = tn.ParamSet(seed=0)
         params.zeros("a", (2,))
