@@ -16,6 +16,23 @@ Conventions:
       R = Rz(yaw) @ Ry(pitch) @ Rx(roll), with pitch in (-pi/2, pi/2).
 
 All computation is double precision.
+
+Validation contract. Each check tests shape first, then finiteness, then the
+invariants, and raises on the first that fails:
+    - check_rotation (InvalidRotationError): a 3x3 shape; all nine entries
+      finite; every entry of R^T R - I within ORTHO_ATOL; |det(R) - 1| within
+      ORTHO_ATOL, so reflections are rejected.
+    - check_se3 (GeometryError): a 4x4 shape; all sixteen entries finite; the
+      bottom row within ORTHO_ATOL of [0, 0, 0, 1]; then check_rotation on
+      the rotation block.
+    - 3-vector arguments (GeometryError): exactly three values once
+      flattened, all finite. RelativeAction checks dp and dtheta this way.
+    - quat_to_matrix (GeometryError): four values, all finite, with unit norm
+      within ORTHO_ATOL.
+The checks read each input once with tolist() and run in Python-float
+arithmetic (R^T R by its six distinct entries, det by cofactor expansion):
+a numpy call per test would cost more than the arithmetic on nine numbers.
+A check returns the array it validated, so it changes no computed value.
 """
 
 from __future__ import annotations
@@ -82,11 +99,9 @@ class RelativeAction:
     chart_violation: bool = False
 
     def __post_init__(self):
-        self.dp = np.asarray(self.dp, dtype=float).reshape(3)
-        self.dtheta = np.asarray(self.dtheta, dtype=float).reshape(3)
+        self.dp = _as_vec3(self.dp, "dp")
+        self.dtheta = _as_vec3(self.dtheta, "dtheta")
         self.gripper = float(self.gripper)
-        if not (np.all(np.isfinite(self.dp)) and np.all(np.isfinite(self.dtheta))):
-            raise GeometryError("relative action has non-finite components")
         if not 0.0 <= self.gripper <= 1.0:
             raise GeometryError(f"gripper {self.gripper} outside [0, 1]")
 
@@ -117,7 +132,7 @@ def _as_vec3(v, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float).reshape(-1)
     if v.shape != (3,):
         raise GeometryError(f"{name} must be a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not all(map(math.isfinite, v.tolist())):
         raise GeometryError(f"{name} has non-finite components")
     return v
 
@@ -137,11 +152,22 @@ def check_rotation(r: np.ndarray, atol: float = ORTHO_ATOL) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.shape != (3, 3):
         raise InvalidRotationError(f"expected 3x3 matrix, got {r.shape}")
-    if not np.all(np.isfinite(r)):
+    (a, b, c), (d, e, f), (g, h, i) = r.tolist()
+    if not all(map(math.isfinite, (a, b, c, d, e, f, g, h, i))):
         raise InvalidRotationError("rotation has non-finite entries")
-    if np.max(np.abs(r.T @ r - np.eye(3))) > atol:
+    # The six distinct entries of R^T R - I, diagonal first: a diagonal entry
+    # is never NaN, so an overflowed (NaN) off-diagonal entry cannot win max()
+    # over the infinite diagonal entry that comes with it.
+    if max(
+        abs(a * a + d * d + g * g - 1.0),
+        abs(b * b + e * e + h * h - 1.0),
+        abs(c * c + f * f + i * i - 1.0),
+        abs(a * b + d * e + g * h),
+        abs(a * c + d * f + g * i),
+        abs(b * c + e * f + h * i),
+    ) > atol:
         raise InvalidRotationError("matrix is not orthonormal")
-    if abs(np.linalg.det(r) - 1.0) > atol:
+    if abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) - 1.0) > atol:
         raise InvalidRotationError("matrix determinant is not +1")
     return r
 
@@ -151,9 +177,11 @@ def check_se3(t: np.ndarray, atol: float = ORTHO_ATOL) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if t.shape != (4, 4):
         raise GeometryError(f"expected 4x4 matrix, got {t.shape}")
-    if not np.all(np.isfinite(t)):
+    rows = t.tolist()
+    if not all(map(math.isfinite, rows[0] + rows[1] + rows[2] + rows[3])):
         raise GeometryError("transform has non-finite entries")
-    if np.max(np.abs(t[3] - np.array([0.0, 0.0, 0.0, 1.0]))) > atol:
+    x, y, z, w = rows[3]
+    if max(abs(x), abs(y), abs(z), abs(w - 1.0)) > atol:
         raise GeometryError("last homogeneous row is not [0, 0, 0, 1]")
     check_rotation(t[:3, :3], atol)
     return t
@@ -291,6 +319,8 @@ def quat_to_matrix(q) -> np.ndarray:
     q = np.asarray(q, dtype=float).reshape(-1)
     if q.shape != (4,):
         raise GeometryError(f"quaternion must be a 4-vector, got shape {q.shape}")
+    if not all(map(math.isfinite, q.tolist())):
+        raise GeometryError("quaternion has non-finite components")
     if abs(np.linalg.norm(q) - 1.0) > ORTHO_ATOL:
         raise GeometryError("quaternion is not unit norm")
     w, x, y, z = q

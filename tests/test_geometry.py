@@ -211,6 +211,17 @@ class TestRelativeAction:
         with pytest.raises(geo.GeometryError):
             geo.RelativeAction(np.zeros(3), np.zeros(3), gripper=1.5)
 
+    @pytest.mark.parametrize("dp, dtheta, message", [
+        (np.zeros(2), np.zeros(3), r"dp must be a 3-vector, got shape \(2,\)"),
+        (np.zeros(3), np.zeros(4), r"dtheta must be a 3-vector, got shape \(4,\)"),
+        (np.zeros((2, 3)), np.zeros(3), r"dp must be a 3-vector, got shape \(6,\)"),
+        ([0.0, np.nan, 0.0], np.zeros(3), "dp has non-finite components"),
+        (np.zeros(3), [0.0, 0.0, -np.inf], "dtheta has non-finite components"),
+    ])
+    def test_fields_validated(self, dp, dtheta, message):
+        with pytest.raises(geo.GeometryError, match=message):
+            geo.RelativeAction(dp, dtheta)
+
 
 class TestCameraFrame:
     def test_identity_extrinsic(self):
@@ -318,6 +329,139 @@ class TestRotationConvert:
         with pytest.raises(geo.GimbalLockError):
             geo.matrix_to_euler(r)
 
+    def test_non_finite_quaternion_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(geo.GeometryError, match="quaternion has non-finite components"):
+                geo.quat_to_matrix([1.0, 0.0, 0.0, bad])
+
     def test_unknown_chart(self):
         with pytest.raises(geo.GeometryError):
             geo.rotation_convert(np.zeros(3), "axis_angle", "cayley")
+
+
+# --- the validators against the numpy formulation they replaced ---
+
+
+def reference_check_rotation(r, atol=geo.ORTHO_ATOL):
+    r = np.asarray(r, dtype=float)
+    if r.shape != (3, 3):
+        raise geo.InvalidRotationError(f"expected 3x3 matrix, got {r.shape}")
+    if not np.all(np.isfinite(r)):
+        raise geo.InvalidRotationError("rotation has non-finite entries")
+    if np.max(np.abs(r.T @ r - np.eye(3))) > atol:
+        raise geo.InvalidRotationError("matrix is not orthonormal")
+    if abs(np.linalg.det(r) - 1.0) > atol:
+        raise geo.InvalidRotationError("matrix determinant is not +1")
+    return r
+
+
+def reference_check_se3(t, atol=geo.ORTHO_ATOL):
+    t = np.asarray(t, dtype=float)
+    if t.shape != (4, 4):
+        raise geo.GeometryError(f"expected 4x4 matrix, got {t.shape}")
+    if not np.all(np.isfinite(t)):
+        raise geo.GeometryError("transform has non-finite entries")
+    if np.max(np.abs(t[3] - np.array([0.0, 0.0, 0.0, 1.0]))) > atol:
+        raise geo.GeometryError("last homogeneous row is not [0, 0, 0, 1]")
+    reference_check_rotation(t[:3, :3], atol)
+    return t
+
+
+def rotation_cases():
+    rng = np.random.default_rng(22)
+    rotations = [np.eye(3), geo.exp_so3([math.pi, 0, 0])]
+    rotations += [random_rotation(rng) for _ in range(20)]
+    cases = [("rotation", r) for r in rotations]
+    for k, r in enumerate(rotations[:6]):
+        for idx in np.ndindex(3, 3):
+            for scale in (-2.0, -0.5, 0.5, 2.0):
+                bad = r.copy()
+                bad[idx] += scale * geo.ORTHO_ATOL
+                cases.append((f"rotation {k} entry {idx} {scale:+} atol", bad))
+            for value in (np.nan, np.inf, -np.inf):
+                bad = r.copy()
+                bad[idx] = value
+                cases.append((f"rotation {k} entry {idx} = {value}", bad))
+    for k, r in enumerate(rotations[:6]):
+        cases.append((f"reflection -R {k}", -r))
+        cases.append((f"reflection swapped rows {k}", r[[1, 0, 2]]))
+    cases += [
+        ("reflection diag", np.diag([1.0, 1.0, -1.0])),
+        ("scaled", np.eye(3) * 1.01),
+        ("zeros", np.zeros((3, 3))),
+        ("overflow, singular", np.array([[1e300, 1e300, 1e300], [1e300, -1e300, 1e300],
+                                         [1e300, 1e300, 1e300]])),
+        ("overflow, mixed sign", np.array([[1e200, 1e200, 0], [1e200, -1e200, 0], [0, 0, 1]])),
+        ("list", geo.exp_so3([0.1, 0.2, 0.3]).tolist()),
+        ("int identity list", [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        ("int identity array", np.eye(3, dtype=int)),
+        ("int reflection", np.diag([1, -1, 1])),
+        ("int non-orthonormal", 2 * np.eye(3, dtype=int)),
+        ("int permutation", np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]])),
+    ]
+    for shape in [(3,), (9,), (0,), (2, 2), (4, 4), (3, 4), (1, 3, 3), (3, 3, 1)]:
+        cases.append((f"shape {shape}", np.ones(shape)))
+    return cases
+
+
+def se3_cases():
+    rng = np.random.default_rng(23)
+    transforms = [np.eye(4)] + [random_se3(rng) for _ in range(10)]
+    cases = [("transform", t) for t in transforms]
+    for k, t in enumerate(transforms[:3]):
+        for idx in np.ndindex(4, 4):
+            for scale in (-2.0, -0.5, 0.5, 2.0):
+                bad = t.copy()
+                bad[idx] += scale * geo.ORTHO_ATOL
+                cases.append((f"transform {k} entry {idx} {scale:+} atol", bad))
+            for value in (np.nan, np.inf, -np.inf):
+                bad = t.copy()
+                bad[idx] = value
+                cases.append((f"transform {k} entry {idx} = {value}", bad))
+        for row in ([0.0, 0.0, 0.0, 0.0], [0.1, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 2.0]):
+            bad = t.copy()
+            bad[3] = row
+            cases.append((f"transform {k} bottom row {row}", bad))
+        reflected = t.copy()
+        reflected[:3, :3] *= -1.0
+        cases.append((f"transform {k} with a reflection", reflected))
+    cases += [
+        ("list", transforms[1].tolist()),
+        ("int identity list", np.eye(4, dtype=int).tolist()),
+        ("int translation", np.array([[1, 0, 0, 3], [0, 1, 0, -2], [0, 0, 1, 1], [0, 0, 0, 1]])),
+        ("int bad bottom row", np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 1]])),
+        ("int reflection", np.diag([1, 1, -1, 1])),
+    ]
+    for shape in [(4,), (16,), (3, 3), (4, 3), (3, 4), (1, 4, 4)]:
+        cases.append((f"shape {shape}", np.ones(shape)))
+    return cases
+
+
+def outcome(check, value):
+    try:
+        return check(value), None
+    except Exception as err:  # the comparison is over whatever is raised
+        return None, err
+
+
+@pytest.mark.parametrize("check, reference, cases", [
+    (geo.check_rotation, reference_check_rotation, rotation_cases()),
+    (geo.check_se3, reference_check_se3, se3_cases()),
+], ids=["check_rotation", "check_se3"])
+def test_validators_decide_as_numpy_reference(check, reference, cases):
+    decisions = {"raised": 0, "returned": 0}
+    for label, value in cases:
+        got, got_err = outcome(check, value)
+        with np.errstate(over="ignore", invalid="ignore"):  # numpy warns on the overflow cases
+            want, want_err = outcome(reference, value)
+        if want_err is None:
+            assert got_err is None, (label, got_err)
+            assert got.dtype == want.dtype and got.shape == want.shape, label
+            npt.assert_array_equal(got, want, err_msg=label)
+            decisions["returned"] += 1
+        else:
+            assert type(got_err) is type(want_err), (label, got_err, want_err)
+            assert str(got_err) == str(want_err), label
+            decisions["raised"] += 1
+    # Both outcomes are exercised on every validator.
+    assert min(decisions.values()) > 20, decisions
