@@ -1,9 +1,22 @@
+import hashlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from se3bc import geometry as geo
 from se3bc import simworld as sw
+
+# sha256 of one seeded expert episode per (family, gripper latency); see
+# TestExpert.test_expert_episode_is_pinned.
+EXPERT_PINS = {
+    ("goal", 0): "932626df69ede6b1b57ddb37950b20aa1a8872107d2f4dae4a84d0007a23a3b5",
+    ("goal", 1): "ca1377dab55765c9b519f105adb991d8788a4b2839102d8b4ad4935d7d0dbec0",
+    ("spatial", 0): "ef940889311f093717b2f662e38f3ac0709154ca425d3b1193e6b1561cb17df5",
+    ("spatial", 1): "feceae1c118d440944d62834d654cc042164db58eb53fbec9051b2e9c73d92f7",
+    ("long", 0): "f381bc0d1c153e0ebc409ffaaa7b6cb63ebcc05d8565aad40d214c7bca458495",
+    ("long", 1): "c94a0fcefbc57066111ec86692f54b27f892b8bf526f89968e2181adcdd546a8",
+}
 
 
 def run_episode(sim, expert, seed, max_steps=None):
@@ -156,6 +169,26 @@ class TestExpert:
             states, _ = run_episode(sim, expert, seed)
             assert sim.check_success(states[-1]), f"{family} seed {seed} failed"
             assert states[-1].step_count <= task.horizon_limit * 0.4
+
+    @pytest.mark.parametrize("family,latency", list(EXPERT_PINS))
+    def test_expert_episode_is_pinned(self, family, latency):
+        # One sha256 over the phase and the emitted dp, dtheta and gripper of
+        # every step of one seeded episode: a change that moves a phase switch
+        # by one step, or any command by one ulp, changes it.
+        scene, task = sw.default_scene(family)
+        sim = sw.Simulator(scene, task)
+        expert = sw.ScriptedExpert(scene, task, gripper_latency_steps=latency)
+        state = sim.reset(5)
+        digest = hashlib.sha256()
+        for _ in range(task.horizon_limit):
+            a = expert.action(state)
+            digest.update(expert.phase.encode())
+            digest.update(np.concatenate([a.dp, a.dtheta, [a.gripper]]).tobytes())
+            state = sim.step(state, a)
+            if sim.check_success(state):
+                break
+        assert sim.check_success(state)
+        assert digest.hexdigest() == EXPERT_PINS[family, latency]
 
     def test_descend_phase_moves_down_with_open_gripper(self, goal_world):
         scene, task, sim = goal_world
