@@ -60,10 +60,6 @@ class EpisodeTerminated(RuntimeError):
     """step() called at the horizon limit."""
 
 
-class ExpertFailure(RuntimeError):
-    """Scripted expert cannot reach its target."""
-
-
 @dataclass
 class ObjectSpec:
     id: str
@@ -293,11 +289,21 @@ EXPERT_MAX_ROT_STEP = 0.2
 DESCEND_STEP = 0.015
 
 _PHASES = ("latch", "approach", "descend", "close", "lift", "traverse", "place", "open", "retreat")
+_UP = np.array([0.0, 0.0, 1.0])
+
+
+def _facing(pitch: float, point: np.ndarray) -> np.ndarray:
+    # yaw follows the point's bearing (halved to stay well inside the chart),
+    # plus a fixed pitch: observation-coupled rotation.
+    return geo.euler_to_matrix([0.0, pitch, 0.5 * math.atan2(point[1], point[0])])
 
 
 class ScriptedExpert:
     """Waypoint finite-state controller for pick-and-place episodes.
 
+    Each phase has one goal, a waypoint, an orientation and a gripper
+    command, defined in _goal; the phase's arrival test reads that goal's
+    waypoint (latch, close and open wait on a simulator event instead).
     Motion commands react to the current state immediately, paced by the
     module's waypoint constants; gripper commands pass through a delay queue
     of gripper_latency_steps (1 for recorded demos), the timing residual a
@@ -305,16 +311,14 @@ class ScriptedExpert:
     """
 
     def __init__(self, scene: SceneSpec, task: TaskSpec, gripper_latency_steps: int = 1):
-        task.validate_against(scene)
+        # the lift height is absolute, over the object's rest height: the live
+        # object position rises with the gripper while attached
+        self._lift_z = scene.object(task.target_object_id).position[2] + LIFT_HEIGHT
+        self._cont_c = scene.container(task.target_container_id).center
         if gripper_latency_steps < 0:
             raise SceneError("gripper_latency_steps must be >= 0")
-        self.scene = scene
         self.task = task
         self.gripper_latency_steps = gripper_latency_steps
-        if not scene._inside(scene.object(task.target_object_id).position):
-            raise ExpertFailure("target object outside table bounds")
-        if not scene._inside(scene.container(task.target_container_id).center):
-            raise ExpertFailure("target container outside table bounds")
         self.reset()
 
     def reset(self):
@@ -325,79 +329,51 @@ class ScriptedExpert:
     def phase(self) -> str:
         return _PHASES[self._phase]
 
-    def _grasp_orientation(self, obj_p: np.ndarray) -> np.ndarray:
-        # yaw follows the object bearing (halved to stay well inside the
-        # chart), plus a fixed approach tilt: observation-coupled rotation.
-        yaw = 0.5 * math.atan2(obj_p[1], obj_p[0])
-        return geo.euler_to_matrix([0.0, GRASP_TILT, yaw])
-
-    def _carry_orientation(self, cont_p: np.ndarray) -> np.ndarray:
-        yaw = 0.5 * math.atan2(cont_p[1], cont_p[0])
-        return geo.euler_to_matrix([0.0, -0.6 * GRASP_TILT, yaw])
-
     def action(self, state: SimState) -> RelativeAction:
-        task = self.task
-        obj_p = state.object_poses[task.target_object_id]
-        cont = self.scene.container(task.target_container_id)
+        wp, facing, g, arrived = self._goal(state)
+        if arrived:
+            self._phase += 1
+            wp, facing, g, _ = self._goal(state)
         ee_p = state.ee_pose[:3, 3]
         ee_r = state.ee_pose[:3, :3]
-
-        self._advance(state, obj_p, cont.center, ee_p)
-        phase = _PHASES[self._phase]
-
-        up = np.array([0.0, 0.0, 1.0])
-        grasp_r = self._grasp_orientation(obj_p)
-        carry_r = self._carry_orientation(cont.center)
-        if phase == "latch":
-            wp, goal_r, g = task.latch_center, np.eye(3), 0.0
-        elif phase == "approach":
-            wp, goal_r, g = obj_p + APPROACH_HEIGHT * up, grasp_r, 0.0
-        elif phase == "descend":
-            wp, goal_r, g = obj_p, grasp_r, 0.0
-        elif phase == "close":
-            wp, goal_r, g = obj_p, grasp_r, 1.0
-        elif phase == "lift":
-            # absolute height over the object's rest height (the live object
-            # position rises with the gripper while attached)
-            rest_z = self.scene.object(task.target_object_id).position[2]
-            wp, goal_r, g = np.array([ee_p[0], ee_p[1], rest_z + LIFT_HEIGHT]), grasp_r, 1.0
-        elif phase == "traverse":
-            wp, goal_r, g = cont.center + LIFT_HEIGHT * up, carry_r, 1.0
-        elif phase == "place":
-            wp, goal_r, g = cont.center + PLACE_HEIGHT * up, carry_r, 1.0
-        elif phase == "open":
-            wp, goal_r, g = cont.center + PLACE_HEIGHT * up, carry_r, 0.0
-        else:  # retreat
-            wp, goal_r, g = cont.center + RETREAT_HEIGHT * up, np.eye(3), 0.0
-
-        speed = DESCEND_STEP if phase in ("descend", "close", "place") else EXPERT_MAX_STEP
-        dp_world = _clip_norm(wp - ee_p, speed)
-        dp = ee_r.T @ dp_world
+        goal_r = np.eye(3) if facing is None else _facing(*facing)
+        slow = _PHASES[self._phase] in ("descend", "close", "place")
+        speed = DESCEND_STEP if slow else EXPERT_MAX_STEP
+        dp = ee_r.T @ _clip_norm(wp - ee_p, speed)
         dtheta = _clip_norm(geo.log_so3(ee_r.T @ goal_r), EXPERT_MAX_ROT_STEP)
         self._grip_queue.append(g)
-        g_emit = self._grip_queue.popleft()
-        return RelativeAction(dp, dtheta, g_emit)
+        return RelativeAction(dp, dtheta, self._grip_queue.popleft())
 
-    def _advance(self, state: SimState, obj_p, cont_c, ee_p):
-        phase = _PHASES[self._phase]
-        if phase == "latch" and state.latch_visited:
-            self._phase += 1
-        elif phase == "approach" and np.linalg.norm(ee_p - (obj_p + [0, 0, APPROACH_HEIGHT])) <= WAYPOINT_TOL:
-            self._phase += 1
-        elif phase == "descend" and np.linalg.norm(ee_p - obj_p) <= DESCEND_TOL:
-            self._phase += 1
-        elif phase == "close" and state.attached == self.task.target_object_id:
-            self._phase += 1
-        elif phase == "lift":
-            rest_z = self.scene.object(self.task.target_object_id).position[2]
-            if ee_p[2] >= rest_z + LIFT_HEIGHT - WAYPOINT_TOL:
-                self._phase += 1
-        elif phase == "traverse" and np.linalg.norm(ee_p - (cont_c + [0, 0, LIFT_HEIGHT])) <= WAYPOINT_TOL:
-            self._phase += 1
-        elif phase == "place" and np.linalg.norm(ee_p - (cont_c + [0, 0, PLACE_HEIGHT])) <= DESCEND_TOL:
-            self._phase += 1
-        elif phase == "open" and state.attached is None and state.gripper < 0.5:
-            self._phase += 1
+    def _goal(self, state: SimState):
+        """The current phase's (waypoint, facing, gripper command, arrived).
+
+        facing is the (pitch, point) of _facing, or None for a level gripper.
+        """
+        phase, target = _PHASES[self._phase], self.task.target_object_id
+        ee_p = state.ee_pose[:3, 3]
+        obj_p = state.object_poses[target]
+        grasp, carry = (GRASP_TILT, obj_p), (-0.6 * GRASP_TILT, self._cont_c)
+        if phase == "latch":
+            return self.task.latch_center, None, 0.0, state.latch_visited
+        if phase == "approach":
+            wp = obj_p + APPROACH_HEIGHT * _UP
+            return wp, grasp, 0.0, np.linalg.norm(ee_p - wp) <= WAYPOINT_TOL
+        if phase == "descend":
+            return obj_p, grasp, 0.0, np.linalg.norm(ee_p - obj_p) <= DESCEND_TOL
+        if phase == "close":
+            return obj_p, grasp, 1.0, state.attached == target
+        if phase == "lift":
+            wp = np.array([ee_p[0], ee_p[1], self._lift_z])
+            return wp, grasp, 1.0, ee_p[2] >= wp[2] - WAYPOINT_TOL
+        if phase == "traverse":
+            wp = self._cont_c + LIFT_HEIGHT * _UP
+            return wp, carry, 1.0, np.linalg.norm(ee_p - wp) <= WAYPOINT_TOL
+        if phase == "retreat":
+            return self._cont_c + RETREAT_HEIGHT * _UP, None, 0.0, False
+        place = self._cont_c + PLACE_HEIGHT * _UP
+        if phase == "place":
+            return place, carry, 1.0, np.linalg.norm(ee_p - place) <= DESCEND_TOL
+        return place, carry, 0.0, state.attached is None and state.gripper < 0.5  # open
 
 
 # --- synthetic featurizer ---

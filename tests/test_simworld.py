@@ -237,18 +237,16 @@ class TestExpert:
         assert latch_step < attach_step
         assert sim.check_success(states[-1])
 
-    def test_unreachable_target_fails(self):
-        scene, task = sw.default_scene("goal")
-        scene.objects[0].position = np.array([-0.10, 0.05, 0.02])
-        bad = sw.SceneSpec(
-            table_lo=scene.table_lo,
-            table_hi=scene.table_hi,
-            objects=scene.objects,
-            containers=scene.containers,
-        )
-        bad.objects[0].position = np.array([5.0, 5.0, 5.0])  # bypass scene validation
-        with pytest.raises(sw.ExpertFailure):
-            sw.ScriptedExpert(bad, task)
+    @pytest.mark.parametrize("object_id,container_id,message", [
+        ("block_green", "bin_a", "unknown object 'block_green'"),
+        ("block_red", "bin_c", "unknown container 'bin_c'"),
+        ("block_green", "bin_c", "unknown object 'block_green'"),
+    ], ids=["object", "container", "object_before_container"])
+    def test_unknown_target_names_its_id(self, object_id, container_id, message):
+        # The targets resolve before the latency check, object first.
+        scene, _ = sw.default_scene("goal")
+        with pytest.raises(sw.SceneError, match=message):
+            sw.ScriptedExpert(scene, sw.TaskSpec(object_id, container_id), gripper_latency_steps=-1)
 
 
 class TestSuccess:
