@@ -197,7 +197,7 @@ class TrainingWindow:
     target_actions: np.ndarray  # (H, 7)
 
 
-def make_windows(demo: Demonstration, horizon: int = HORIZON_DEFAULT) -> list:
+def make_windows(demo: Demonstration, horizon: int) -> list:
     """One window per timestep, each a slice of one per-demo table.
 
     The table holds every record's camera-frame pose and [dp, dtheta,

@@ -456,7 +456,10 @@ def closed_form_baseline(
 
 STUDY_KINDS = ("ladder", "rotation", "depth", "scaling", "closed_form")
 
-LADDER_TARGETS = ("no_traj", "aux_traj", "traj_2d", "traj_3d_pos", "traj_world_se3", "traj_camera_se3")
+LADDER_TARGETS = ds.TARGET_KINDS
+
+# The evaluation arms of a closed_form job, one row each.
+_CLOSED_FORM_ARMS = ("oracle_hardcoded", "perturbed_learned", "perturbed_hardcoded")
 
 
 @dataclass
@@ -511,9 +514,11 @@ def run_study(spec: StudySpec):
     each worker pinned to one BLAS thread; with one worker, or when the BLAS
     numpy loaded cannot be pinned, they run in this process. Rows come back
     in serial (seed, cell) order either way, so reports are identical.
-    A spec with no episodes, a batch size below 1 or a repeated seed raises
-    HarnessError before any job starts.
+    A spec with an unknown task family, no episodes, a batch size below 1 or
+    a repeated seed raises HarnessError before any job starts.
     """
+    if spec.family not in sw.TASK_FAMILIES:
+        raise HarnessError(f"unknown task family {spec.family!r}")
     if spec.episodes < 1:
         raise HarnessError("study needs episodes >= 1")
     if spec.batch_size < 1:
@@ -550,7 +555,7 @@ def _study_job(spec: StudySpec, seed: int, cell: str, variant: ds.SupervisionVar
         return [_row(spec, cell, seed, report, policy_cfg)]
     except Exception as e:  # cell failures recorded, study continues
         log.warning("cell %s seed %d failed: %s", cell, seed, e)
-        return [_error_row(spec, cell, seed, e)]
+        return _error_rows(spec, cell, seed, e)
 
 
 def _pooled_rows(spec: StudySpec, jobs: list, workers: int):
@@ -579,7 +584,7 @@ def _pooled_rows(spec: StudySpec, jobs: list, workers: int):
                 rows.extend(futures[i].result())
             except Exception as e:  # the worker running the job died
                 log.warning("cell %s seed %d failed: %s", cell, seed, e)
-                rows.append(_error_row(spec, cell, seed, e))
+                rows.extend(_error_rows(spec, cell, seed, e))
         return rows
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
@@ -624,21 +629,21 @@ def _openblas_threads():
 
 
 def _closed_form_rows(spec, policy, scene, task, camera, seed, eval_seed):
-    out = []
-    oracle = closed_form_baseline(policy, scene, task, spec.episodes, eval_seed,
-                                  camera=camera, oracle=True)
-    out.append(_row(spec, "oracle_hardcoded", seed, oracle, policy.cfg))
-    perturbed_learned = rollout(policy, scene, task, spec.episodes, eval_seed,
-                                camera=camera, perturb=True)
-    out.append(_row(spec, "perturbed_learned", seed, perturbed_learned, policy.cfg))
-    perturbed_hard = closed_form_baseline(policy, scene, task, spec.episodes, eval_seed,
-                                          camera=camera, perturb=True)
-    out.append(_row(spec, "perturbed_hardcoded", seed, perturbed_hard, policy.cfg))
-    return out
+    reports = (
+        closed_form_baseline(policy, scene, task, spec.episodes, eval_seed,
+                             camera=camera, oracle=True),
+        rollout(policy, scene, task, spec.episodes, eval_seed, camera=camera, perturb=True),
+        closed_form_baseline(policy, scene, task, spec.episodes, eval_seed,
+                             camera=camera, perturb=True),
+    )
+    return [_row(spec, arm, seed, report, policy.cfg)
+            for arm, report in zip(_CLOSED_FORM_ARMS, reports)]
 
 
-def _error_row(spec, cell, seed, error: Exception):
-    return {"study": spec.kind, "cell": cell, "seed": seed, "error": str(error)}
+def _error_rows(spec, cell, seed, error: Exception):
+    """A failed job's rows: one per closed_form arm, else one for its cell."""
+    cells = _CLOSED_FORM_ARMS if spec.kind == "closed_form" else (cell,)
+    return [{"study": spec.kind, "cell": c, "seed": seed, "error": str(error)} for c in cells]
 
 
 def _row(spec, cell, seed, report: EvalReport, policy_cfg):

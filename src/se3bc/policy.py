@@ -33,7 +33,7 @@ import numpy as np
 
 from . import simworld as sw
 from . import tensornet as tn
-from .datasets import DatasetError, SupervisionVariant, pose_targets
+from .datasets import HORIZON_DEFAULT, DatasetError, SupervisionVariant, pose_targets
 
 POLICY_CFG_SCHEMA = "policy_cfg_v1"
 
@@ -49,7 +49,7 @@ class PolicyConfig:
     predictor_blocks: int = 2
     decoder_blocks: int = 1
     heads: int = 4
-    horizon: int = 8
+    horizon: int = HORIZON_DEFAULT
     lam: float = 0.1
     ffn_factor: int = 4
     seed: int = 0

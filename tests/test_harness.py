@@ -292,7 +292,9 @@ class TestStudySpec:
     (hs.StudySpec(kind="ladder", seeds=(0,), episodes=0, demos=1, steps=0), "episodes >= 1"),
     (hs.StudySpec(kind="ladder", seeds=(0, 1, 0), episodes=1, demos=1, steps=0), r"seeds repeat: \[0, 1, 0\]"),
     (hs.StudySpec(kind="ladder", seeds=(0,), episodes=1, demos=1, steps=0, batch_size=0), "batch_size >= 1"),
-], ids=["no_episodes", "repeated_seed", "batch_size_zero"])
+    (hs.StudySpec(kind="ladder", family="kitchen", seeds=(0,), episodes=1, demos=1, steps=0),
+     "unknown task family 'kitchen'"),
+], ids=["no_episodes", "repeated_seed", "batch_size_zero", "unknown_family"])
 def test_run_study_rejects_a_bad_spec_before_any_job(monkeypatch, spec, match):
     def no_job(*args):
         raise AssertionError("a job started")
@@ -341,6 +343,27 @@ def test_failed_cells_are_recorded_and_the_study_goes_on():
     assert [r["cell"] for r in result["rows"]] == list(hs.LADDER_TARGETS)
     assert all("warmup" in r["error"] for r in result["rows"])
     assert result["summary"] == {cell: {"seeds": 0, "errors": 1} for cell in hs.LADDER_TARGETS}
+
+
+def test_a_failed_closed_form_job_counts_against_each_arm(monkeypatch):
+    # seed 1's train raises; seed 0's arms still report their results
+    real_train = hs.train
+    failing = hs.derive_seed(0, "train", "closed_form", 1)
+
+    def train(data, cfg):
+        if cfg.seed == failing:
+            raise RuntimeError("train failed")
+        return real_train(data, cfg)
+
+    monkeypatch.setattr(hs, "train", train)
+    result = hs.run_study(hs.StudySpec(kind="closed_form", seeds=(0, 1), episodes=1, demos=1,
+                                       steps=101))
+    arms = ["oracle_hardcoded", "perturbed_learned", "perturbed_hardcoded"]
+    assert [(r["cell"], r["seed"], "error" in r) for r in result["rows"]] == [
+        *((arm, 0, False) for arm in arms), *((arm, 1, True) for arm in arms)]
+    assert sorted(result["summary"]) == sorted(arms)
+    for arm in arms:
+        assert result["summary"][arm]["seeds"] == 1 and result["summary"][arm]["errors"] == 1
 
 
 def test_summarize_rows_mixes_errors_and_results():
