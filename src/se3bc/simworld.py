@@ -311,8 +311,9 @@ class ScriptedExpert:
     """
 
     def __init__(self, scene: SceneSpec, task: TaskSpec, gripper_latency_steps: int = 1):
-        # the lift height is absolute, over the object's rest height: the live
-        # object position rises with the gripper while attached
+        # An unknown target id raises SceneError here, before the latency
+        # check. The lift height is absolute, over the object's rest height:
+        # the live object position rises with the gripper while attached.
         self._lift_z = scene.object(task.target_object_id).position[2] + LIFT_HEIGHT
         self._cont_c = scene.container(task.target_container_id).center
         if gripper_latency_steps < 0:

@@ -237,17 +237,6 @@ class TestExpert:
         assert latch_step < attach_step
         assert sim.check_success(states[-1])
 
-    @pytest.mark.parametrize("object_id,container_id,message", [
-        ("block_green", "bin_a", "unknown object 'block_green'"),
-        ("block_red", "bin_c", "unknown container 'bin_c'"),
-        ("block_green", "bin_c", "unknown object 'block_green'"),
-    ], ids=["object", "container", "object_before_container"])
-    def test_unknown_target_names_its_id(self, object_id, container_id, message):
-        # The targets resolve before the latency check, object first.
-        scene, _ = sw.default_scene("goal")
-        with pytest.raises(sw.SceneError, match=message):
-            sw.ScriptedExpert(scene, sw.TaskSpec(object_id, container_id), gripper_latency_steps=-1)
-
 
 class TestSuccess:
     def test_detached_at_center_is_success(self, goal_world):
@@ -382,6 +371,12 @@ def _simulate_task(object_id, container_id):
     return sw.Simulator(scene, sw.TaskSpec(object_id, container_id))
 
 
+def _expert_for_task(object_id, container_id):
+    # A negative latency too: the targets resolve first, object before container.
+    scene, _ = sw.default_scene("goal")
+    return sw.ScriptedExpert(scene, sw.TaskSpec(object_id, container_id), gripper_latency_steps=-1)
+
+
 class TestSceneSpec:
     @pytest.mark.parametrize("build,message", [
         (lambda: _scene(table_lo=[0, 0, 1]), "table_lo must be strictly below table_hi"),
@@ -397,10 +392,12 @@ class TestSceneSpec:
         (lambda: _simulate_task("block_red", "bin_c"), "unknown container 'bin_c'"),
         (lambda: sw.ScriptedExpert(*sw.default_scene("goal"), gripper_latency_steps=-1),
          "gripper_latency_steps must be >= 0"),
+        (lambda: _expert_for_task("block_green", "bin_c"), "unknown object 'block_green'"),
+        (lambda: _expert_for_task("block_red", "bin_c"), "unknown container 'bin_c'"),
     ], ids=["table_bounds_order", "object_outside_table",
             "container_outside_table", "duplicate_ids", "unknown_family", "horizon_limit",
             "long_without_latch", "task_unknown_object", "task_unknown_container",
-            "negative_gripper_latency"])
+            "negative_gripper_latency", "expert_unknown_object", "expert_unknown_container"])
     def test_scene_validation(self, build, message):
         with pytest.raises(sw.SceneError, match=message):
             build()
