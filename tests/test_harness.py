@@ -113,6 +113,61 @@ class TestClosedFormCharacterization:
             hs.rollout(other, scene, short, 1, EVAL_SEED, perturb=True)
 
 
+class TestStaggeredEpisodes:
+    """Runs whose episodes end at different steps, compared exactly: reports
+    must not depend on the order in which episodes end."""
+
+    @pytest.mark.parametrize("family,perturb,expected", [
+        ("goal", False, {
+            "successes": 5, "episodes": 5, "success_rate": 1.0, "wilson_lo": 0.5655185342473465,
+            "wilson_hi": 1.0, "chart_violation_rate": 0.0, "mean_traj_error": None,
+            "episode_lengths": [23, 23, 24, 25, 22]}),
+        ("goal", True, {
+            "successes": 0, "episodes": 5, "success_rate": 0.0, "wilson_lo": 0.0,
+            "wilson_hi": 0.43448146575265334, "chart_violation_rate": 0.0,
+            "mean_traj_error": None, "episode_lengths": [200, 200, 200, 200, 200]}),
+        ("long", False, {
+            "successes": 5, "episodes": 5, "success_rate": 1.0, "wilson_lo": 0.5655185342473465,
+            "wilson_hi": 1.0, "chart_violation_rate": 0.0, "mean_traj_error": None,
+            "episode_lengths": [27, 27, 27, 28, 27]}),
+        ("long", True, {
+            "successes": 1, "episodes": 5, "success_rate": 0.2, "wilson_lo": 0.036224213478337486,
+            "wilson_hi": 0.6244646659732546, "chart_violation_rate": 0.0,
+            "mean_traj_error": None, "episode_lengths": [200, 200, 200, 200, 42]}),
+    ], ids=["goal", "goal_perturbed", "long", "long_perturbed"])
+    def test_oracle(self, family, perturb, expected):
+        scene, task = sw.default_scene(family)
+        report = hs.closed_form_baseline(None, scene, task, 5, EVAL_SEED, perturb=perturb,
+                                         oracle=True)
+        assert report.to_json() == expected
+
+    @pytest.fixture
+    def staggered(self, monkeypatch):
+        # An episode succeeds once its step count reaches 1000 y - 20, y the
+        # target object's y in meters (the untrained policy never moves it):
+        # episodes 0, 1 and 2 end at steps 29, 19 and the horizon, 40.
+        def check_success(sim, state):
+            return state.step_count >= 1000 * state.object_poses[sim.task.target_object_id][1] - 20
+
+        monkeypatch.setattr(sw.Simulator, "check_success", check_success)
+
+    STAGGERED = {
+        "successes": 2, "episodes": 3, "success_rate": 0.6666666666666666,
+        "wilson_lo": 0.20766011478025503, "wilson_hi": 0.9385078750038494,
+        "chart_violation_rate": 0.0, "episode_lengths": [29, 19, 40],
+    }
+
+    @pytest.mark.parametrize("run,mean_traj_error", [
+        (lambda p, s, t: hs.rollout(p, s, t, 3, EVAL_SEED), 5.186281118307874),
+        (lambda p, s, t: hs.rollout(p, s, t, 3, EVAL_SEED, perturb=True), 5.192916172414035),
+        (lambda p, s, t: hs.closed_form_baseline(p, s, t, 3, EVAL_SEED), None),
+    ], ids=["rollout", "rollout_perturbed", "closed_form_policy"])
+    def test_policy(self, world, staggered, run, mean_traj_error):
+        scene, _, short, policy = world
+        assert run(policy, scene, short).to_json() == {
+            **self.STAGGERED, "mean_traj_error": mean_traj_error}
+
+
 DEPTH_PINS = {
     "metric": {
         "curve": [
