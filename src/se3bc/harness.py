@@ -3,12 +3,15 @@
 Evaluation has one seeded episode loop, `_drive`, and two controllers it
 steps: `_Learned` (the policy's own decoder, behind `rollout`) and
 `_ClosedForm` (the hardcoded geometric pipeline, behind
-`closed_form_baseline`). A controller answers `reset(episode)` at the start
-of an episode, `action(state)` before every simulator step, and
-`finish(state)` with the final state. Both execute in chunks: predict H
-steps, execute them, predict again (the chunked execution of ACT). Paired
-comparisons consume identical episode seeds and identical perturbation
-draws, both derived from the root seed by counter-based splitting.
+`closed_form_baseline`). `_drive` steps all of a run's episodes in lockstep.
+A controller answers `reset(episode)` for every episode up front,
+`actions(episodes, states)` with one action per live episode before every
+round of simulator steps, and `finish(episode, state)` with an episode's
+final state. Both execute in chunks: predict H steps, execute them, predict
+again (the chunked execution of ACT); the episodes whose chunks ran out in a
+round share one batched `Policy.act` call. Paired comparisons consume
+identical episode seeds and identical perturbation draws, both derived from
+the root seed by counter-based splitting.
 
 A study is a list of (cell, seed) jobs, each one call of `_study_job`: record
 that seed's demos, train the cell, evaluate it, return its rows. Recording is
@@ -178,31 +181,53 @@ def _report(successes: int, lengths: list, chart_violation_rate: float = 0.0,
 
 
 def _drive(controller, scene: sw.SceneSpec, task: sw.TaskSpec, episodes: int, seed: int):
-    """The seeded episode loop; returns (successes, episode lengths).
+    """The seeded episode loop, stepping every episode in lockstep; returns
+    (successes, episode lengths in episode order).
 
     Episode i resets the simulator with derive_seed(seed, "episode", i), so
     every controller driven with the same seed meets the same initial scenes.
-    The controller hears reset(i), then action(state) -> RelativeAction before
-    every step, then finish(final state).
+    Every episode resets up front, and the controller hears reset(i) for each.
+    Then each round, actions(live episodes, their states) answers one
+    RelativeAction per live episode, and one simulator, which keeps no
+    per-episode state, steps each of them once. An episode leaves the batch
+    when it succeeds or reaches the horizon, and the controller hears
+    finish(i, final state). Episodes end in any order, so a controller keeps
+    its state per episode and reduces its sums in episode order.
     """
     sim = sw.Simulator(scene, task)
-    successes, lengths = 0, []
+    states = [sim.reset(derive_seed(seed, "episode", i)) for i in range(episodes)]
     for i in range(episodes):
-        state = sim.reset(derive_seed(seed, "episode", i))
         controller.reset(i)
-        success = False
-        while not success and state.step_count < task.horizon_limit:
-            state = sim.step(state, controller.action(state))
-            success = sim.check_success(state)
-        controller.finish(state)
-        successes += int(success)
-        lengths.append(state.step_count)
-    return successes, lengths
+    successes, live = 0, list(range(episodes))
+    while live:
+        actions = controller.actions(live, [states[i] for i in live])
+        still = []
+        for i, action in zip(live, actions):
+            states[i] = sim.step(states[i], action)
+            success = sim.check_success(states[i])
+            successes += int(success)
+            if success or states[i].step_count >= task.horizon_limit:
+                controller.finish(i, states[i])
+            else:
+                still.append(i)
+        live = still
+    return successes, [state.step_count for state in states]
+
+
+def _require_episodes(episodes: int):
+    if episodes < 1:
+        raise HarnessError(f"episodes must be >= 1, got {episodes}")
 
 
 def _tracks_camera_pose(policy: pol.Policy) -> bool:
     variant = policy.cfg.variant
     return variant.target == "traj_camera_se3" and variant.rotation_param == "axis_angle"
+
+
+def _act(policy: pol.Policy, task, scene, camera, states, h_noise=None) -> pol.PolicyOutput:
+    """One Policy.act call for the observations of `states`, one row each."""
+    features = [sw.featurize(state, task, scene, camera) for state in states]
+    return policy.act(features, np.stack([state.state_vec() for state in states]), h_noise)
 
 
 # --- perturbed-predictor protocol ---
@@ -225,16 +250,43 @@ def _perturbation(root_seed: int, episode: int, chunk: int, horizon: int):
     return eps
 
 
+class _Episode:
+    """A controller's state for one episode: the rows of its current chunk
+    not yet executed, the number of chunks it has planned (which keys its
+    perturbation draws), and its gripper delay queue."""
+
+    def __init__(self, index: int, perturb: bool):
+        self.index, self.chunks = index, 0
+        self.rows = deque()
+        self.grip_queue = deque([0.0] * (PERTURB_GRIPPER_LATENCY if perturb else 0))
+
+    def delay_gripper(self, command: float) -> float:
+        self.grip_queue.append(command)
+        return self.grip_queue.popleft()
+
+
 # --- learned decoder ---
+
+
+class _LearnedEpisode(_Episode):
+    def __init__(self, index: int, perturb: bool):
+        super().__init__(index, perturb)
+        self.predicted = []  # (step the chunk was predicted at, tau)
+        self.cam_poses = []  # camera-frame ee pose per step count, when tau is scored
+        self.traj_errors = []  # one scored tau row's error each, once the episode ends
 
 
 class _Learned:
     """The policy's own decoder: predict an H-step chunk, execute it, repeat.
 
+    Every episode whose chunk has run out gets its next chunk from one
+    Policy.act call; in lockstep, that is every live episode at once.
+
     Each prediction's tau rows count toward the chart-violation rate; a row
     violates when its axis-angle rotation (SE(3) targets only) reaches pi.
     For camera-frame axis-angle policies, tau is also scored against the
-    camera-frame ee poses the episode then reached.
+    camera-frame ee poses the episode then reached, and mean_traj_error sums
+    those errors in episode order.
 
     With perturb=True, the pose-space noise eps is mapped into the hidden
     states through the linear head's pseudo-inverse, so head(h_traj + dh) =
@@ -260,55 +312,67 @@ class _Learned:
         self.policy, self.scene, self.task, self.camera = policy, scene, task, camera
         self.perturb, self.root_seed = perturb, root_seed
         self.pred_rows = self.violating_rows = 0
-        self.traj_err_sum, self.traj_err_n = 0.0, 0
+        self._episodes = {}
 
     def reset(self, episode: int):
-        self._episode, self._chunks = episode, 0
-        self._rows = deque()
-        self._grip_queue = deque([0.0] * (PERTURB_GRIPPER_LATENCY if self.perturb else 0))
-        self._predicted = []  # (step the chunk was predicted at, tau)
-        self._cam_poses = []  # camera-frame ee pose per step count, when tau is scored
+        self._episodes[episode] = _LearnedEpisode(episode, self.perturb)
 
-    def action(self, state: sw.SimState) -> geo.RelativeAction:
+    def actions(self, episodes: list, states: list) -> list:
+        eps = [self._episodes[i] for i in episodes]
         if self._tracks_tau:
-            self._cam_poses.append(geo.se3_to_pose(self.camera.t_wc @ state.ee_pose))
-        if not self._rows:
-            self._predict(state)
-        row = self._rows.popleft()
-        return geo.RelativeAction(row[:3], row[3:6], 1.0 if row[6] > 0.5 else 0.0)
+            for ep, state in zip(eps, states):
+                ep.cam_poses.append(self._cam_pose(state))
+        due = [(ep, state) for ep, state in zip(eps, states) if not ep.rows]
+        if due:
+            self._predict(*zip(*due))
+        rows = [ep.rows.popleft() for ep in eps]
+        return [geo.RelativeAction(row[:3], row[3:6], 1.0 if row[6] > 0.5 else 0.0)
+                for row in rows]
 
-    def finish(self, state: sw.SimState):
-        if self._tracks_tau:
-            self._cam_poses.append(geo.se3_to_pose(self.camera.t_wc @ state.ee_pose))
-        for t0, tau in self._predicted:
+    def finish(self, episode: int, state: sw.SimState):
+        if not self._tracks_tau:
+            return
+        ep = self._episodes[episode]
+        ep.cam_poses.append(self._cam_pose(state))
+        for t0, tau in ep.predicted:
             for h in range(tau.shape[0]):
                 idx = t0 + h + 1
-                if idx < len(self._cam_poses):
-                    self.traj_err_sum += float(np.abs(tau[h] - self._cam_poses[idx]).sum())
-                    self.traj_err_n += 1
+                if idx < len(ep.cam_poses):
+                    ep.traj_errors.append(float(np.abs(tau[h] - ep.cam_poses[idx]).sum()))
 
-    def _predict(self, state: sw.SimState):
-        features = sw.featurize(state, self.task, self.scene, self.camera)
+    def mean_traj_error(self) -> float | None:
+        """Mean scored tau error per row, summed in episode order."""
+        total, n = 0.0, 0
+        for i in sorted(self._episodes):
+            for err in self._episodes[i].traj_errors:
+                total += err
+                n += 1
+        return total / n if n else None
+
+    def _cam_pose(self, state: sw.SimState):
+        return geo.se3_to_pose(self.camera.t_wc @ state.ee_pose)
+
+    def _predict(self, eps: tuple, states: tuple):
+        h_noise = None
         if self.perturb:
-            out = self._perturbed_act(features, state.state_vec())
-        else:
-            out = self.policy.act(features, state.state_vec())
-        if out.tau is not None:
-            self.pred_rows += out.tau.shape[0]
-            if self._counts_chart:
-                self.violating_rows += int(np.sum(np.linalg.norm(out.tau[:, 3:6], axis=1) >= math.pi))
-            if self._tracks_tau:
-                self._predicted.append((state.step_count, out.tau))
-        self._rows.extend(out.chunk)
-
-    def _perturbed_act(self, features, state_vec) -> pol.PolicyOutput:
-        eps = _perturbation(self.root_seed, self._episode, self._chunks, self.policy.cfg.horizon)
-        self._chunks += 1
-        out = self.policy.act(features, state_vec, h_noise=eps @ self._head_pinv)
-        for row in out.chunk:
-            self._grip_queue.append(row[6])
-            row[6] = self._grip_queue.popleft()
-        return out
+            horizon = self.policy.cfg.horizon
+            h_noise = np.stack([_perturbation(self.root_seed, ep.index, ep.chunks, horizon)
+                                @ self._head_pinv for ep in eps])
+        out = _act(self.policy, self.task, self.scene, self.camera, states, h_noise)
+        for b, (ep, state) in enumerate(zip(eps, states)):
+            ep.chunks += 1
+            chunk = out.chunk[b]
+            if self.perturb:
+                for row in chunk:
+                    row[6] = ep.delay_gripper(row[6])
+            if out.tau is not None:
+                tau = out.tau[b]
+                self.pred_rows += tau.shape[0]
+                if self._counts_chart:
+                    self.violating_rows += int(np.sum(np.linalg.norm(tau[:, 3:6], axis=1) >= math.pi))
+                if self._tracks_tau:
+                    ep.predicted.append((state.step_count, tau))
+            ep.rows.extend(chunk)
 
 
 def rollout(
@@ -323,19 +387,23 @@ def rollout(
     """Closed-loop evaluation of the learned decoder.
 
     The policy predicts an H-step action chunk, the simulator executes all of
-    it, and prediction repeats until success or the horizon limit. With
-    perturb=True, the predictor output is corrupted by draws derived from
-    seed, the same draws closed_form_baseline() uses (see _Learned). Episode seeds match
-    closed_form_baseline()'s, so comparisons are paired.
+    it, and prediction repeats until success or the horizon limit. The
+    episodes run in lockstep, so each Policy.act call is one batch over the
+    live episodes whose chunks have run out; the report is reduced in episode
+    order and does not depend on the batching. With perturb=True, the
+    predictor output is corrupted by draws derived from seed, the same draws
+    closed_form_baseline() uses (see _Learned). Episode seeds match
+    closed_form_baseline()'s, so comparisons are paired. Raises HarnessError
+    when episodes < 1.
     """
+    _require_episodes(episodes)
     learned = _Learned(policy, scene, task, camera or sw.default_camera(), perturb, seed)
     successes, lengths = _drive(learned, scene, task, episodes, seed)
     return _report(
         successes, lengths,
         chart_violation_rate=(learned.violating_rows / learned.pred_rows
                               if learned.pred_rows else 0.0),
-        mean_traj_error=(learned.traj_err_sum / learned.traj_err_n
-                         if learned.traj_err_n else None),
+        mean_traj_error=learned.mean_traj_error(),
     )
 
 
@@ -354,68 +422,79 @@ def _privileged_gripper(state: sw.SimState, scene: sw.SceneSpec, task: sw.TaskSp
     return prev
 
 
+class _ClosedFormEpisode(_Episode):
+    def __init__(self, index: int, perturb: bool, expert: sw.ScriptedExpert | None):
+        super().__init__(index, perturb)
+        self.grip = 0.0  # the privileged gripper command before its delay
+        self.expert = expert  # the synced oracle expert, if any
+
+
 class _ClosedForm:
     """Execute camera-frame poses tau through closed-form geometry.
 
-    tau comes from the policy's predictor or, with oracle_horizon set, from
-    an oracle: a scripted expert kept in sync with the executed trajectory,
-    copied and rolled forward in a noiseless shadow world. The optional
-    perturbation is added to tau. Each pose row is lifted to the world frame
-    via the known extrinsic and chained into relative actions with the exact
-    recovery map. The gripper follows privileged simulator proximity at
-    every step, delayed by PERTURB_GRIPPER_LATENCY steps when perturbed.
+    tau comes from the policy's predictor, one Policy.act call for every
+    episode that needs a new chunk, or, with oracle_horizon set, from an
+    oracle: a scripted expert per episode, kept in sync with the executed
+    trajectory, copied and rolled forward in a noiseless shadow world. The
+    optional perturbation is added to tau. Each pose row is lifted to the
+    world frame via the known extrinsic and chained into relative actions
+    with the exact recovery map. The gripper follows privileged simulator
+    proximity at every step, delayed by PERTURB_GRIPPER_LATENCY steps when
+    perturbed.
     """
 
     def __init__(self, policy: pol.Policy | None, scene, task, camera, perturb: bool,
                  root_seed: int, oracle_horizon: int | None):
         self.policy, self.scene, self.task, self.camera = policy, scene, task, camera
         self.perturb, self.root_seed = perturb, root_seed
-        self._expert = None
+        self._oracle_horizon = oracle_horizon
         if oracle_horizon is not None:
-            self._horizon = oracle_horizon
             self._shadow = sw.Simulator(scene, task)
-            self._expert = sw.ScriptedExpert(scene, task, gripper_latency_steps=0)
+        self._episodes = {}
 
     def reset(self, episode: int):
-        self._episode, self._chunks = episode, 0
-        self._moves = deque()
-        self._grip_queue = deque([0.0] * (PERTURB_GRIPPER_LATENCY if self.perturb else 0))
-        self._grip = 0.0
-        if self._expert is not None:
-            self._expert.reset()
+        expert = None
+        if self._oracle_horizon is not None:
+            expert = sw.ScriptedExpert(self.scene, self.task, gripper_latency_steps=0)
+        self._episodes[episode] = _ClosedFormEpisode(episode, self.perturb, expert)
 
-    def action(self, state: sw.SimState) -> geo.RelativeAction:
-        if self._expert is not None and state.step_count > 0:
-            self._expert.action(state)  # advance the synced expert's phase
-        if not self._moves:
-            self._plan(state)
-        move = self._moves.popleft()
-        self._grip = _privileged_gripper(state, self.scene, self.task, self._grip)
-        self._grip_queue.append(self._grip)
-        return geo.RelativeAction(move.dp, move.dtheta, self._grip_queue.popleft())
+    def actions(self, episodes: list, states: list) -> list:
+        eps = [self._episodes[i] for i in episodes]
+        for ep, state in zip(eps, states):
+            if ep.expert is not None and state.step_count > 0:
+                ep.expert.action(state)  # advance the synced expert's phase
+        due = [(ep, state) for ep, state in zip(eps, states) if not ep.rows]
+        if due:
+            self._plan(*zip(*due))
+        actions = []
+        for ep, state in zip(eps, states):
+            move = ep.rows.popleft()
+            ep.grip = _privileged_gripper(state, self.scene, self.task, ep.grip)
+            actions.append(geo.RelativeAction(move.dp, move.dtheta, ep.delay_gripper(ep.grip)))
+        return actions
 
-    def finish(self, state: sw.SimState):
-        pass
+    def finish(self, episode: int, state: sw.SimState):
+        del self._episodes[episode]  # nothing to score; drop its expert and moves
 
-    def _plan(self, state: sw.SimState):
-        if self._expert is not None:
-            tau = self._lookahead(state)
+    def _plan(self, eps: tuple, states: tuple):
+        if self._oracle_horizon is not None:
+            taus = [self._lookahead(ep.expert, state) for ep, state in zip(eps, states)]
         else:
-            features = sw.featurize(state, self.task, self.scene, self.camera)
-            tau = self.policy.act(features, state.state_vec()).tau
-        if self.perturb:
-            tau = tau + _perturbation(self.root_seed, self._episode, self._chunks, tau.shape[0])
-        self._chunks += 1
-        prev = state.ee_pose
-        for row in tau:
-            pose = geo.camera_to_world(geo.pose_to_se3(row), self.camera.extrinsic)
-            self._moves.append(geo.relative_action(prev, pose))
-            prev = pose
+            taus = _act(self.policy, self.task, self.scene, self.camera, states).tau
+        for ep, state, tau in zip(eps, states, taus):
+            if self.perturb:
+                tau = tau + _perturbation(self.root_seed, ep.index, ep.chunks, tau.shape[0])
+            ep.chunks += 1
+            prev = state.ee_pose
+            for row in tau:
+                pose = geo.camera_to_world(geo.pose_to_se3(row), self.camera.extrinsic)
+                ep.rows.append(geo.relative_action(prev, pose))
+                prev = pose
 
-    def _lookahead(self, state: sw.SimState):
-        expert = copy.deepcopy(self._expert)
-        rows = np.zeros((self._horizon, 6))
-        for h in range(self._horizon):
+    def _lookahead(self, expert: sw.ScriptedExpert, state: sw.SimState):
+        expert = copy.deepcopy(expert)
+        rows = np.zeros((self._oracle_horizon, 6))
+        for h in range(self._oracle_horizon):
             if state.step_count < self.task.horizon_limit:
                 state = self._shadow.step(state, expert.action(state))
             rows[h] = geo.se3_to_pose(self.camera.t_wc @ state.ee_pose)
@@ -438,9 +517,13 @@ def closed_form_baseline(
     to the world and chained into relative actions, and the gripper comes
     from privileged simulator proximity (see _ClosedForm). With oracle=True
     the trajectory comes from an expert lookahead instead of the policy,
-    over the policy's horizon if one is given. Episode seeds and perturbation
-    draws match rollout()'s, so comparisons are paired.
+    over the policy's horizon if one is given. The episodes run in lockstep:
+    the policy predicts for every episode that needs a new chunk in one
+    Policy.act call, and the report is reduced in episode order. Episode
+    seeds and perturbation draws match rollout()'s, so comparisons are
+    paired. Raises HarnessError when episodes < 1.
     """
+    _require_episodes(episodes)
     if not oracle and (policy is None or not _tracks_camera_pose(policy)):
         raise HarnessError("closed-form baseline needs a camera-frame axis-angle policy")
     oracle_horizon = None
@@ -454,7 +537,7 @@ def closed_form_baseline(
 # --- studies ---
 
 
-STUDY_KINDS = ("ladder", "rotation", "depth", "scaling", "closed_form")
+STUDY_KINDS = ("ladder", "rotation", "depth", "closed_form")
 
 LADDER_TARGETS = ds.TARGET_KINDS
 
@@ -482,7 +565,6 @@ class StudySpec:
 
 def study_cells(spec: StudySpec):
     """(cell name, variant, demo count) grid for a study kind."""
-    base = ds.SupervisionVariant("traj_camera_se3")
     if spec.kind == "ladder":
         return [(t, ds.SupervisionVariant(t), spec.demos) for t in LADDER_TARGETS]
     if spec.kind == "rotation":
@@ -495,10 +577,8 @@ def study_cells(spec: StudySpec):
             (m, ds.SupervisionVariant("traj_camera_se3", depth_mode=m), spec.demos)
             for m in ds.DEPTH_MODES
         ]
-    if spec.kind == "scaling":
-        return [(f"demos_{n}", base, n) for n in (10, 25, 50)]
     # closed_form: one trained policy feeds three evaluation arms
-    return [("closed_form", base, spec.demos)]
+    return [("closed_form", ds.SupervisionVariant("traj_camera_se3"), spec.demos)]
 
 
 def run_study(spec: StudySpec):

@@ -18,10 +18,13 @@ still exists and is trained by the trajectory loss, but its hidden states
 never reach the decoder).
 
 Everything runs in the numpy autodiff core; inference uses the same code
-path without a tape. The policy computes in its parameters' dtype (float32
-from ParamSet): it casts every array it receives (features, state, loss
-targets, hidden-state noise) to that dtype, and `act` returns float64, so
-callers see float64 only.
+path without a tape. Inference is batched: `act` takes B observations (an
+evaluation passes one per live episode, a caller with one observation a
+batch of one) and returns one row per observation, equal to what a batch of
+that observation alone returns. The policy computes in its parameters' dtype
+(float32 from ParamSet): it casts every array it receives (features, state,
+loss targets, hidden-state noise) to that dtype, and `act` returns float64,
+so callers see float64 only.
 """
 
 from __future__ import annotations
@@ -75,10 +78,11 @@ class PolicyConfig:
 
 @dataclass
 class PolicyOutput:
-    """One inference step: the action chunk plus predictor readouts."""
+    """One batched inference step: an action chunk plus predictor readouts per
+    observation, row b answering observation b."""
 
-    chunk: np.ndarray  # (H, 7) float64: dp, dtheta, gripper in [0, 1]
-    tau: np.ndarray | None  # (H, target_dim) float64 predicted trajectory, if any
+    chunk: np.ndarray  # (B, H, 7) float64: dp, dtheta, gripper in [0, 1]
+    tau: np.ndarray | None  # (B, H, target_dim) float64 predicted trajectory, if any
 
 
 class Policy:
@@ -200,8 +204,9 @@ class Policy:
         """Refine the trajectory queries against the encoded tokens.
 
         Returns (h_traj, tau); tau is recomputable as the linear head applied
-        to h_traj. An (H, d_model) h_noise array is added to h_traj before
-        the head reads it (the perturbed protocol). Skipped entirely (returns
+        to h_traj. An h_noise array of h_traj's shape, (H, d_model) or
+        (B, H, d_model), is added to h_traj before the head reads it (the
+        perturbed protocol). Skipped entirely (returns
         None) for the no-trajectory variant.
         """
         if not self.cfg.variant.uses_predictor:
@@ -266,11 +271,16 @@ class Policy:
         act = tn.l1_loss(out["chunk"], self._input(batch["action_targets"]))
         return tn.add(tn.scale(traj, self.cfg.lam), act), traj, act
 
-    def act(self, features: sw.ObservationFeatures, state_vec, h_noise=None) -> PolicyOutput:
-        """Inference (no tape): one action chunk for the current observation,
-        as float64 arrays. h_noise is predict_trajectory's."""
-        out = self.forward(features.lang, features.visual, features.depth,
-                           np.reshape(state_vec, (1, 7)), h_noise)
+    def act(self, features, state_vecs, h_noise=None) -> PolicyOutput:
+        """Inference (no tape) for a batch of B observations: `features` holds
+        B ObservationFeatures and `state_vecs` is (B, 7). h_noise is
+        predict_trajectory's, (B, H, d_model): row b perturbs observation b.
+        Returns (B, H, ·) float64 arrays; row b equals the row a batch of
+        observation b alone gives, bit for bit (tests pin this)."""
+        out = self.forward(np.stack([f.lang for f in features]),
+                           np.stack([f.visual for f in features]),
+                           np.stack([f.depth for f in features]),
+                           np.reshape(state_vecs, (-1, 1, 7)), h_noise)
         tau = None if out["tau"] is None else out["tau"].data.astype(np.float64)
         return PolicyOutput(chunk=out["chunk"].data.astype(np.float64), tau=tau)
 

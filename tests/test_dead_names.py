@@ -1,6 +1,7 @@
 """Every public function, class and method of se3bc has a caller, every
 dataclass field has a reader, every defaulted parameter has a call that
-passes it, and every defaulted dataclass field has a call that sets it.
+passes it, every defaulted dataclass field has a call that sets it, and
+every parameter of every function is read by its body.
 
 A name counts as used when src/ or perfbench/ refers to it outside its own
 definition: functions and classes by name, attribute or import, methods by
@@ -19,6 +20,12 @@ position, or when a `replace(...)` call passes it by keyword; a value that
 no such call sets is a module constant, not a field. Tests do not count, so
 a name, field or parameter only tests need must be listed in KEPT,
 KEPT_FIELDS, KEPT_PARAMS or KEPT_FIELDS_SET with the reason it stays.
+
+A parameter of a function, method or lambda of src/se3bc, nested ones
+included, counts as read when its body loads the name, a nested function's
+body included; a method's `self` or `cls` is exempt. A parameter that a
+caller or a protocol requires although the body ignores it is listed in
+KEPT_UNREAD with the reason it stays.
 
 Names are matched, not resolved, so every guard errs towards "used" and
 misses a dead member while another class has a member of its name: a
@@ -73,6 +80,16 @@ KEPT_FIELDS_SET = {
     "policy.PolicyConfig.ffn_factor": "a size stored in every policy_cfg_v1 document and config hash; "
                                       "folding it would change both",
     "simworld.TaskSpec.horizon_limit": "the harness tests shorten episodes to 40 steps",
+}
+
+# "module.function.param" or "module.Class.method.param" of a parameter its body never reads.
+KEPT_UNREAD = {
+    "policy.collate.scene": "perfbench/workloads.py passes all four arguments positionally",
+    "tensornet.GradientTape.__exit__.exc_type": "context-manager protocol argument",
+    "tensornet.GradientTape.__exit__.exc": "context-manager protocol argument",
+    "tensornet.GradientTape.__exit__.tb": "context-manager protocol argument",
+    "harness._ClosedForm.finish.state": "episode-controller protocol argument: _drive hands every "
+                                        "controller the final state, which only _Learned scores",
 }
 
 
@@ -383,3 +400,68 @@ def test_every_defaulted_field_is_set():
     dead, stale = sorted(unset - set(KEPT_FIELDS_SET)), sorted(set(KEPT_FIELDS_SET) - unset)
     assert not dead, f"no call in src/ or perfbench/ sets them; make them constants or add them to KEPT_FIELDS_SET: {dead}"
     assert not stale, f"KEPT_FIELDS_SET entries that are gone or now set: {stale}"
+
+
+def _functions(node, prefix, in_class=False):
+    """(qualified name, node, whether its first parameter is bound) of every
+    function, method and lambda under `node`, nested ones included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _functions(child, f"{prefix}.{child.name}", True)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name = getattr(child, "name", "<lambda>")
+            decorators = (ast.unparse(d) for d in getattr(child, "decorator_list", []))
+            yield f"{prefix}.{name}", child, in_class and "staticmethod" not in decorators
+            yield from _functions(child, f"{prefix}.{name}")
+        else:
+            yield from _functions(child, prefix, in_class)
+
+
+def _unread_params(modules):
+    """Parameters of the functions of `modules` that their own body never loads."""
+    unread = set()
+    for module, tree in modules.items():
+        for qualname, node, bound in _functions(tree, module):
+            args = node.args
+            params = ((args.posonlyargs + args.args)[1 if bound else 0:] + args.kwonlyargs
+                      + [a for a in (args.vararg, args.kwarg) if a is not None])
+            body = node.body if isinstance(node.body, list) else [node.body]
+            loads = {n.id for stmt in body for n in ast.walk(stmt)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread |= {f"{qualname}.{a.arg}" for a in params if a.arg not in loads}
+    return unread
+
+
+UNREAD_MODULE = """
+def f(a, b, *args, c=1, **kw):
+    def g(d):
+        return a
+    return g, lambda e: c
+
+
+class A:
+    def m(self, x):
+        return 0
+
+    @staticmethod
+    def s(y):
+        return 0
+
+    @classmethod
+    def k(cls, z):
+        return z
+"""
+
+
+def test_a_parameter_its_body_never_loads_is_unread():
+    # a read inside a nested function counts for the outer one; self and cls
+    # are exempt, a staticmethod's first parameter is not
+    assert _unread_params({"m": ast.parse(UNREAD_MODULE)}) == {
+        "m.f.b", "m.f.args", "m.f.kw", "m.f.g.d", "m.f.<lambda>.e", "m.A.m.x", "m.A.s.y"}
+
+
+def test_every_parameter_is_read():
+    unread = _unread_params(_trees()[0])
+    dead, stale = sorted(unread - set(KEPT_UNREAD)), sorted(set(KEPT_UNREAD) - unread)
+    assert not dead, f"their body never reads them; delete them or add them to KEPT_UNREAD: {dead}"
+    assert not stale, f"KEPT_UNREAD entries that are gone or now read: {stale}"

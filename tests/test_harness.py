@@ -168,6 +168,19 @@ class TestStaggeredEpisodes:
             **self.STAGGERED, "mean_traj_error": mean_traj_error}
 
 
+@pytest.mark.parametrize("episodes", [0, -1])
+@pytest.mark.parametrize("evaluate", [hs.rollout, hs.closed_form_baseline])
+def test_evaluation_rejects_episodes_below_one(monkeypatch, world, evaluate, episodes):
+    def no_controller(*args):
+        raise AssertionError("a controller was built")
+
+    monkeypatch.setattr(hs, "_Learned", no_controller)
+    monkeypatch.setattr(hs, "_ClosedForm", no_controller)
+    scene, task, _, policy = world
+    with pytest.raises(hs.HarnessError, match=f"episodes must be >= 1, got {episodes}"):
+        evaluate(policy, scene, task, episodes, EVAL_SEED)
+
+
 DEPTH_PINS = {
     "metric": {
         "curve": [
@@ -360,14 +373,13 @@ def test_run_study_rejects_a_bad_spec_before_any_job(monkeypatch, spec, match):
 
 
 @pytest.mark.parametrize("kind,cells", [
-    ("ladder", 6), ("rotation", 3), ("depth", 3), ("scaling", 3), ("closed_form", 1),
+    ("ladder", 6), ("rotation", 3), ("depth", 3), ("closed_form", 1),
 ])
 def test_study_cells_grid(kind, cells):
     grid = hs.study_cells(hs.StudySpec(kind=kind, demos=7))
     assert len(grid) == cells
     assert len({name for name, _, _ in grid}) == cells
-    if kind != "scaling":
-        assert all(demos == 7 for _, _, demos in grid)
+    assert all(demos == 7 for _, _, demos in grid)
 
 
 def test_emit_report_is_order_independent(tmp_path):
@@ -432,8 +444,8 @@ def test_inference_computes_in_float32_and_returns_float64(monkeypatch, world):
     scene, _, short, policy = world
     real_act, outputs = pol.Policy.act, []
 
-    def act(self, features, state_vec, h_noise=None):
-        out = real_act(self, features, state_vec, h_noise)
+    def act(self, features, state_vecs, h_noise=None):
+        out = real_act(self, features, state_vecs, h_noise)
         outputs.append((h_noise is not None, out))
         return out
 

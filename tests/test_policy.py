@@ -168,8 +168,8 @@ class TestPredictor:
 
     def test_untrained_deterministic(self, world):
         scene, task, data, windows = world
-        a = make_policy(scene).act(windows[0].features, windows[0].state_vec)
-        b = make_policy(scene).act(windows[0].features, windows[0].state_vec)
+        a = make_policy(scene).act([windows[0].features], [windows[0].state_vec])
+        b = make_policy(scene).act([windows[0].features], [windows[0].state_vec])
         npt.assert_array_equal(a.tau, b.tau)
         npt.assert_array_equal(a.chunk, b.chunk)
 
@@ -179,24 +179,49 @@ class TestPredictor:
         h3d = policy.encode_features(windows[0].features)
         assert policy.predict_trajectory(h3d) is None
         assert not any(n.startswith("pred.") for n in policy.params.names())
-        out = policy.act(windows[0].features, windows[0].state_vec)
-        assert out.tau is None and out.chunk.shape == (8, 7)
+        out = policy.act([windows[0].features], [windows[0].state_vec])
+        assert out.tau is None and out.chunk.shape == (1, 8, 7)
 
     def test_quaternion_head_unit_norm(self, world):
         scene, task, data, windows = world
         policy = float64_params(make_policy(scene, rotation="quaternion"))
-        out = policy.act(windows[0].features, windows[0].state_vec)
-        assert out.tau.shape == (8, 7)
-        npt.assert_allclose(np.linalg.norm(out.tau[:, 3:], axis=1), np.ones(8), atol=1e-9)
+        out = policy.act([windows[0].features], [windows[0].state_vec])
+        assert out.tau.shape == (1, 8, 7)
+        npt.assert_allclose(np.linalg.norm(out.tau[0, :, 3:], axis=1), np.ones(8), atol=1e-9)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 5])
+@pytest.mark.parametrize("target,rotation,depth,noisy", [
+    ("traj_camera_se3", "axis_angle", "metric", False),
+    ("traj_camera_se3", "quaternion", "metric", False),
+    ("no_traj", "axis_angle", "metric", False),
+    ("traj_camera_se3", "axis_angle", "relative", False),
+    ("traj_camera_se3", "axis_angle", "none", False),
+    ("traj_camera_se3", "axis_angle", "metric", True),
+], ids=["camera_se3", "quaternion", "no_traj", "relative_depth", "no_depth", "h_noise"])
+def test_batched_act_rows_equal_one_row_calls(world, batch, target, rotation, depth, noisy):
+    scene, task, data, windows = world
+    policy = make_policy(scene, target, rotation, depth)
+    picked = windows[::9][:batch]
+    features, states = [w.features for w in picked], [w.state_vec for w in picked]
+    h_noise = None
+    if noisy:
+        h_noise = np.random.default_rng(1).normal(0.0, 0.1, (batch, 8, policy.cfg.d_model))
+    out = policy.act(features, states, h_noise)
+    assert out.chunk.shape == (batch, 8, 7)
+    for b in range(batch):
+        one = policy.act([features[b]], [states[b]], None if h_noise is None else h_noise[b:b + 1])
+        assert np.array_equal(out.chunk[b], one.chunk[0])
+        assert (out.tau is None and one.tau is None) or np.array_equal(out.tau[b], one.tau[0])
 
 
 class TestDecoder:
     def test_chunk_has_h_rows_and_bounded_gripper(self, world):
         scene, task, data, windows = world
         policy = make_policy(scene)
-        out = policy.act(windows[0].features, windows[0].state_vec)
-        assert out.chunk.shape == (8, 7)
-        assert np.all(out.chunk[:, 6] > 0) and np.all(out.chunk[:, 6] < 1)
+        out = policy.act([windows[0].features], [windows[0].state_vec])
+        assert out.chunk.shape == (1, 8, 7)
+        assert np.all(out.chunk[..., 6] > 0) and np.all(out.chunk[..., 6] < 1)
 
     def test_zeroed_context_and_queries_give_head_biases(self, world):
         scene, task, data, windows = world
@@ -213,10 +238,10 @@ class TestRouting:
         scene, task, data, windows = world
         policy = make_policy(scene, target="aux_traj")
         f, s = windows[0].features, windows[0].state_vec
-        full = policy.act(f, s)
+        full = policy.act([f], [s])
         # bypass the predictor entirely: conditioning is h3d by wiring
         direct = policy.decode_actions(policy.encode_features(f), s.reshape(1, 7))
-        npt.assert_array_equal(full.chunk, direct.data)
+        npt.assert_array_equal(full.chunk[0], direct.data)
         assert full.tau is not None  # the branch still exists and predicts
 
     def test_camera_se3_decoder_sees_only_h_traj(self, world):
@@ -225,9 +250,9 @@ class TestRouting:
         f, s = windows[0].features, windows[0].state_vec
         h3d = policy.encode_features(f)
         h_traj, _ = policy.predict_trajectory(h3d)
-        full = policy.act(f, s)
+        full = policy.act([f], [s])
         direct = policy.decode_actions(h_traj, s.reshape(1, 7))
-        npt.assert_array_equal(full.chunk, direct.data)
+        npt.assert_array_equal(full.chunk[0], direct.data)
 
     def test_param_count_parity_aux_vs_camera(self, world):
         scene, task, data, windows = world
