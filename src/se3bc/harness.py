@@ -369,7 +369,8 @@ class _Learned:
                 tau = out.tau[b]
                 self.pred_rows += tau.shape[0]
                 if self._counts_chart:
-                    self.violating_rows += int(np.sum(np.linalg.norm(tau[:, 3:6], axis=1) >= math.pi))
+                    norms = np.linalg.norm(tau[:, 3:6], axis=1)
+                    self.violating_rows += int(np.sum(norms >= math.pi))
                 if self._tracks_tau:
                     ep.predicted.append((state.step_count, tau))
             ep.rows.extend(chunk)

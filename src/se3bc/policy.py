@@ -271,7 +271,7 @@ class Policy:
         act = tn.l1_loss(out["chunk"], self._input(batch["action_targets"]))
         return tn.add(tn.scale(traj, self.cfg.lam), act), traj, act
 
-    def act(self, features, state_vecs, h_noise=None) -> PolicyOutput:
+    def act(self, features: list[sw.ObservationFeatures], state_vecs, h_noise=None) -> PolicyOutput:
         """Inference (no tape) for a batch of B observations: `features` holds
         B ObservationFeatures and `state_vecs` is (B, 7). h_noise is
         predict_trajectory's, (B, H, d_model): row b perturbs observation b.
