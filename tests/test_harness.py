@@ -157,15 +157,38 @@ class TestStaggeredEpisodes:
         "chart_violation_rate": 0.0, "episode_lengths": [29, 19, 40],
     }
 
+    RUNS = {
+        "rollout": lambda p, s, t: hs.rollout(p, s, t, 3, EVAL_SEED),
+        "rollout_perturbed": lambda p, s, t: hs.rollout(p, s, t, 3, EVAL_SEED, perturb=True),
+        "closed_form_policy": lambda p, s, t: hs.closed_form_baseline(p, s, t, 3, EVAL_SEED),
+    }
+
     @pytest.mark.parametrize("run,mean_traj_error", [
-        (lambda p, s, t: hs.rollout(p, s, t, 3, EVAL_SEED), 5.186281118307874),
-        (lambda p, s, t: hs.rollout(p, s, t, 3, EVAL_SEED, perturb=True), 5.192916172414035),
-        (lambda p, s, t: hs.closed_form_baseline(p, s, t, 3, EVAL_SEED), None),
-    ], ids=["rollout", "rollout_perturbed", "closed_form_policy"])
+        (RUNS["rollout"], 5.186281118307874),
+        (RUNS["rollout_perturbed"], 5.192916172414035),
+        (RUNS["closed_form_policy"], None),
+    ], ids=list(RUNS))
     def test_policy(self, world, staggered, run, mean_traj_error):
         scene, _, short, policy = world
         assert run(policy, scene, short).to_json() == {
             **self.STAGGERED, "mean_traj_error": mean_traj_error}
+
+    @pytest.mark.parametrize("run", list(RUNS.values()), ids=list(RUNS))
+    def test_live_episodes_share_one_act_call_every_h_steps(self, monkeypatch, world, staggered,
+                                                            run):
+        # The step count of each episode in each Policy.act call: every live
+        # episode, every H = 8 steps, until episodes 1 and 0 end at 19 and 29.
+        calls = []
+        act = hs._act
+
+        def spy(policy, task, scene, camera, states, h_noise=None):
+            calls.append([state.step_count for state in states])
+            return act(policy, task, scene, camera, states, h_noise)
+
+        monkeypatch.setattr(hs, "_act", spy)
+        scene, _, short, policy = world
+        run(policy, scene, short)
+        assert calls == [[0, 0, 0], [8, 8, 8], [16, 16, 16], [24, 24], [32]]
 
 
 @pytest.mark.parametrize("episodes", [0, -1])
