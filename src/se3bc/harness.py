@@ -595,13 +595,15 @@ def run_study(spec: StudySpec):
     each worker pinned to one BLAS thread; with one worker, or when the BLAS
     numpy loaded cannot be pinned, they run in this process. Rows come back
     in serial (seed, cell) order either way, so reports are identical.
-    A spec with an unknown task family, no episodes, a batch size below 1 or
-    a repeated seed raises HarnessError before any job starts.
+    A spec with an unknown task family, no episodes, no demos, a batch size
+    below 1 or a repeated seed raises HarnessError before any job starts.
     """
     if spec.family not in sw.TASK_FAMILIES:
         raise HarnessError(f"unknown task family {spec.family!r}")
     if spec.episodes < 1:
         raise HarnessError("study needs episodes >= 1")
+    if spec.demos < 1:
+        raise HarnessError("study needs demos >= 1")
     if spec.batch_size < 1:
         raise HarnessError("study needs batch_size >= 1")
     if len(set(spec.seeds)) != len(spec.seeds):

@@ -385,7 +385,8 @@ class TestStudySpec:
     (hs.StudySpec(kind="ladder", seeds=(0,), episodes=1, demos=1, steps=0, batch_size=0), "batch_size >= 1"),
     (hs.StudySpec(kind="ladder", family="kitchen", seeds=(0,), episodes=1, demos=1, steps=0),
      "unknown task family 'kitchen'"),
-], ids=["no_episodes", "repeated_seed", "batch_size_zero", "unknown_family"])
+    (hs.StudySpec(kind="ladder", seeds=(0,), episodes=1, demos=0, steps=0), "demos >= 1"),
+], ids=["no_episodes", "repeated_seed", "batch_size_zero", "unknown_family", "demos_zero"])
 def test_run_study_rejects_a_bad_spec_before_any_job(monkeypatch, spec, match):
     def no_job(*args):
         raise AssertionError("a job started")
