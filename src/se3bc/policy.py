@@ -245,7 +245,8 @@ class Policy:
     # --- training/inference entry points ---
 
     def forward(self, lang, visual, depth, state_vec, h_noise=None):
-        """Full pass; returns dict with h3d, h_traj, tau, chunk tensors.
+        """Full pass; returns a dict of the tau and chunk tensors (tau is None
+        without a predictor).
 
         h_noise is predict_trajectory's: the decoder then conditions on the
         noisy h_traj when its variant reads h_traj.
@@ -255,7 +256,7 @@ class Policy:
         h_traj, tau = pred if pred is not None else (None, None)
         conditioning = h_traj if self.cfg.variant.decoder_sees_trajectory else h3d
         chunk = self.decode_actions(conditioning, state_vec)
-        return {"h3d": h3d, "h_traj": h_traj, "tau": tau, "chunk": chunk}
+        return {"tau": tau, "chunk": chunk}
 
     def loss(self, batch):
         """(total, traj, act) for a collated batch, total = lam * traj + act.
