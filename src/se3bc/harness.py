@@ -3,15 +3,15 @@
 Evaluation has one seeded episode loop, `_drive`, and two controllers it
 steps: `_Learned` (the policy's own decoder, behind `rollout`) and
 `_ClosedForm` (the hardcoded geometric pipeline, behind
-`closed_form_baseline`). `_drive` steps all of a run's episodes in lockstep.
-A controller answers `reset(episode)` for every episode up front,
-`actions(episodes, states)` with one action per live episode before every
-round of simulator steps, and `finish(episode, state)` with an episode's
-final state. Both execute in chunks: predict H steps, execute them, predict
-again (the chunked execution of ACT); the episodes whose chunks ran out in a
-round share one batched `Policy.act` call. Paired comparisons consume
-identical episode seeds and identical perturbation draws, both derived from
-the root seed by counter-based splitting.
+`closed_form_baseline`). `_drive` steps all of a run's episodes in lockstep,
+and a controller's one method, `actions(episodes, states)`, answers one
+action per live episode before every round of simulator steps. Both execute
+in chunks: predict H steps, execute them, predict again (the chunked
+execution of ACT). All live episodes share a step count, so every H steps
+one batched `Policy.act` call plans the next chunk of every live episode.
+Paired comparisons consume identical episode seeds and identical
+perturbation draws, both derived from the root seed by counter-based
+splitting.
 
 A study is a list of (cell, seed) jobs, each one call of `_study_job`: record
 that seed's demos, train the cell, evaluate it, return its rows. Recording is
@@ -165,8 +165,10 @@ REPORT_COLUMNS = [
 ]
 
 
-def _report(successes: int, lengths: list, chart_violation_rate: float = 0.0,
+def _report(successes: int, finals: list, chart_violation_rate: float = 0.0,
             mean_traj_error: float | None = None) -> EvalReport:
+    """The report of a run whose episodes ended in the states `finals`."""
+    lengths = [state.step_count for state in finals]
     lo, hi = wilson_interval(successes, len(lengths))
     return EvalReport(
         successes=successes,
@@ -182,22 +184,18 @@ def _report(successes: int, lengths: list, chart_violation_rate: float = 0.0,
 
 def _drive(controller, scene: sw.SceneSpec, task: sw.TaskSpec, episodes: int, seed: int):
     """The seeded episode loop, stepping every episode in lockstep; returns
-    (successes, episode lengths in episode order).
+    (successes, final states in episode order).
 
     Episode i resets the simulator with derive_seed(seed, "episode", i), so
     every controller driven with the same seed meets the same initial scenes.
-    Every episode resets up front, and the controller hears reset(i) for each.
-    Then each round, actions(live episodes, their states) answers one
+    Each round, controller.actions(live episodes, their states) answers one
     RelativeAction per live episode, and one simulator, which keeps no
     per-episode state, steps each of them once. An episode leaves the batch
-    when it succeeds or reaches the horizon, and the controller hears
-    finish(i, final state). Episodes end in any order, so a controller keeps
-    its state per episode and reduces its sums in episode order.
+    when it succeeds or reaches the horizon. Every episode starts at step 0
+    and steps once per round, so all live states share one step count.
     """
     sim = sw.Simulator(scene, task)
     states = [sim.reset(derive_seed(seed, "episode", i)) for i in range(episodes)]
-    for i in range(episodes):
-        controller.reset(i)
     successes, live = 0, list(range(episodes))
     while live:
         actions = controller.actions(live, [states[i] for i in live])
@@ -206,12 +204,10 @@ def _drive(controller, scene: sw.SceneSpec, task: sw.TaskSpec, episodes: int, se
             states[i] = sim.step(states[i], action)
             success = sim.check_success(states[i])
             successes += int(success)
-            if success or states[i].step_count >= task.horizon_limit:
-                controller.finish(i, states[i])
-            else:
+            if not success and states[i].step_count < task.horizon_limit:
                 still.append(i)
         live = still
-    return successes, [state.step_count for state in states]
+    return successes, states
 
 
 def _require_episodes(episodes: int):
@@ -250,43 +246,32 @@ def _perturbation(root_seed: int, episode: int, chunk: int, horizon: int):
     return eps
 
 
-class _Episode:
-    """A controller's state for one episode: the rows of its current chunk
-    not yet executed, the number of chunks it has planned (which keys its
-    perturbation draws), and its gripper delay queue."""
+def _grip_queue(perturb: bool) -> deque:
+    """An episode's gripper delay queue, which persists across its chunks."""
+    return deque([0.0] * (PERTURB_GRIPPER_LATENCY if perturb else 0))
 
-    def __init__(self, index: int, perturb: bool):
-        self.index, self.chunks = index, 0
-        self.rows = deque()
-        self.grip_queue = deque([0.0] * (PERTURB_GRIPPER_LATENCY if perturb else 0))
 
-    def delay_gripper(self, command: float) -> float:
-        self.grip_queue.append(command)
-        return self.grip_queue.popleft()
+def _delayed(queue: deque, command: float) -> float:
+    queue.append(command)
+    return queue.popleft()
 
 
 # --- learned decoder ---
 
 
-class _LearnedEpisode(_Episode):
-    def __init__(self, index: int, perturb: bool):
-        super().__init__(index, perturb)
-        self.predicted = []  # (step the chunk was predicted at, tau)
-        self.cam_poses = []  # camera-frame ee pose per step count, when tau is scored
-        self.traj_errors = []  # one scored tau row's error each, once the episode ends
-
-
 class _Learned:
     """The policy's own decoder: predict an H-step chunk, execute it, repeat.
 
-    Every episode whose chunk has run out gets its next chunk from one
-    Policy.act call; in lockstep, that is every live episode at once.
+    In lockstep, chunk c of every episode starts at step c * H, so one
+    Policy.act call every H steps plans the next chunk of every live episode,
+    and step t executes row t % H of it.
 
     Each prediction's tau rows count toward the chart-violation rate; a row
     violates when its axis-angle rotation (SE(3) targets only) reaches pi.
-    For camera-frame axis-angle policies, tau is also scored against the
-    camera-frame ee poses the episode then reached, and mean_traj_error sums
-    those errors in episode order.
+    For camera-frame axis-angle policies, tau is also scored online: row h of
+    the chunk that starts at step t0 against the camera-frame ee pose reached
+    at step t0 + h + 1, while the episode lasts. mean_traj_error sums those
+    errors in episode order.
 
     With perturb=True, the pose-space noise eps is mapped into the hidden
     states through the linear head's pseudo-inverse, so head(h_traj + dh) =
@@ -295,9 +280,8 @@ class _Learned:
     and dh are float64, but the policy rounds dh to float32 and computes in
     float32, so the equality holds to float32 roundoff only: on the desk
     policy, with |tau| up to 1.5, head(h_traj + dh) and tau + eps differ by
-    up to 5e-7 per element. Gripper
-    commands are additionally delayed by PERTURB_GRIPPER_LATENCY steps (the
-    queue persists across chunks within an episode).
+    up to 5e-7 per element. Gripper commands are additionally delayed by
+    PERTURB_GRIPPER_LATENCY steps.
     """
 
     def __init__(self, policy: pol.Policy, scene, task, camera, perturb: bool, root_seed: int):
@@ -311,69 +295,62 @@ class _Learned:
             self._head_pinv = np.linalg.pinv(head_w)  # (6, D)
         self.policy, self.scene, self.task, self.camera = policy, scene, task, camera
         self.perturb, self.root_seed = perturb, root_seed
+        self._horizon = policy.cfg.horizon
         self.pred_rows = self.violating_rows = 0
-        self._episodes = {}
-
-    def reset(self, episode: int):
-        self._episodes[episode] = _LearnedEpisode(episode, self.perturb)
+        # Per episode: the current chunk, the current tau when it is scored,
+        # the gripper delay queue and the scored tau errors in step order.
+        self._chunks, self._taus, self._grip_queues, self._traj_errors = {}, {}, {}, {}
 
     def actions(self, episodes: list, states: list) -> list:
-        eps = [self._episodes[i] for i in episodes]
-        if self._tracks_tau:
-            for ep, state in zip(eps, states):
-                ep.cam_poses.append(self._cam_pose(state))
-        due = [(ep, state) for ep, state in zip(eps, states) if not ep.rows]
-        if due:
-            self._predict(*zip(*due))
-        rows = [ep.rows.popleft() for ep in eps]
-        return [geo.RelativeAction(row[:3], row[3:6], 1.0 if row[6] > 0.5 else 0.0)
-                for row in rows]
+        t = states[0].step_count
+        if t == 0:
+            for i in episodes:
+                self._grip_queues[i], self._traj_errors[i] = _grip_queue(self.perturb), []
+        elif self._tracks_tau:
+            self._score(episodes, states)
+        if t % self._horizon == 0:
+            self._predict(episodes, states, t // self._horizon)
+        actions = []
+        for i in episodes:
+            row = self._chunks[i][t % self._horizon]
+            grip = _delayed(self._grip_queues[i], row[6])
+            actions.append(geo.RelativeAction(row[:3], row[3:6], 1.0 if grip > 0.5 else 0.0))
+        return actions
 
-    def finish(self, episode: int, state: sw.SimState):
+    def mean_traj_error(self, finals: list) -> float | None:
+        """Mean scored tau error per row, summed in episode order. `finals`
+        are the episodes' final states, which score each one's last row."""
         if not self._tracks_tau:
-            return
-        ep = self._episodes[episode]
-        ep.cam_poses.append(self._cam_pose(state))
-        for t0, tau in ep.predicted:
-            for h in range(tau.shape[0]):
-                idx = t0 + h + 1
-                if idx < len(ep.cam_poses):
-                    ep.traj_errors.append(float(np.abs(tau[h] - ep.cam_poses[idx]).sum()))
-
-    def mean_traj_error(self) -> float | None:
-        """Mean scored tau error per row, summed in episode order."""
+            return None
+        self._score(range(len(finals)), finals)
         total, n = 0.0, 0
-        for i in sorted(self._episodes):
-            for err in self._episodes[i].traj_errors:
+        for i in range(len(finals)):
+            for err in self._traj_errors[i]:
                 total += err
                 n += 1
         return total / n if n else None
 
-    def _cam_pose(self, state: sw.SimState):
-        return geo.se3_to_pose(self.camera.t_wc @ state.ee_pose)
+    def _score(self, episodes, states):
+        """Score the tau row each episode just executed against the pose it reached."""
+        for i, state in zip(episodes, states):
+            row = self._taus[i][(state.step_count - 1) % self._horizon]
+            pose = geo.se3_to_pose(self.camera.t_wc @ state.ee_pose)
+            self._traj_errors[i].append(float(np.abs(row - pose).sum()))
 
-    def _predict(self, eps: tuple, states: tuple):
+    def _predict(self, episodes: list, states: list, chunk: int):
         h_noise = None
         if self.perturb:
-            horizon = self.policy.cfg.horizon
-            h_noise = np.stack([_perturbation(self.root_seed, ep.index, ep.chunks, horizon)
-                                @ self._head_pinv for ep in eps])
+            h_noise = np.stack([_perturbation(self.root_seed, i, chunk, self._horizon)
+                                @ self._head_pinv for i in episodes])
         out = _act(self.policy, self.task, self.scene, self.camera, states, h_noise)
-        for b, (ep, state) in enumerate(zip(eps, states)):
-            ep.chunks += 1
-            chunk = out.chunk[b]
-            if self.perturb:
-                for row in chunk:
-                    row[6] = ep.delay_gripper(row[6])
-            if out.tau is not None:
-                tau = out.tau[b]
-                self.pred_rows += tau.shape[0]
-                if self._counts_chart:
-                    norms = np.linalg.norm(tau[:, 3:6], axis=1)
-                    self.violating_rows += int(np.sum(norms >= math.pi))
-                if self._tracks_tau:
-                    ep.predicted.append((state.step_count, tau))
-            ep.rows.extend(chunk)
+        self._chunks.update(zip(episodes, out.chunk))
+        if out.tau is not None:
+            self.pred_rows += len(episodes) * self._horizon
+            if self._counts_chart:
+                norms = np.linalg.norm(out.tau[..., 3:6], axis=-1)
+                self.violating_rows += int(np.sum(norms >= math.pi))
+            if self._tracks_tau:
+                self._taus.update(zip(episodes, out.tau))
 
 
 def rollout(
@@ -389,22 +366,21 @@ def rollout(
 
     The policy predicts an H-step action chunk, the simulator executes all of
     it, and prediction repeats until success or the horizon limit. The
-    episodes run in lockstep, so each Policy.act call is one batch over the
-    live episodes whose chunks have run out; the report is reduced in episode
-    order and does not depend on the batching. With perturb=True, the
-    predictor output is corrupted by draws derived from seed, the same draws
-    closed_form_baseline() uses (see _Learned). Episode seeds match
-    closed_form_baseline()'s, so comparisons are paired. Raises HarnessError
-    when episodes < 1.
+    episodes run in lockstep, so one Policy.act call every H steps plans the
+    next chunk of every live episode; the report is reduced in episode order.
+    With perturb=True, the predictor output is corrupted by draws derived
+    from seed, the same draws closed_form_baseline() uses (see _Learned).
+    Episode seeds match closed_form_baseline()'s, so comparisons are paired.
+    Raises HarnessError when episodes < 1.
     """
     _require_episodes(episodes)
     learned = _Learned(policy, scene, task, camera or sw.default_camera(), perturb, seed)
-    successes, lengths = _drive(learned, scene, task, episodes, seed)
+    successes, finals = _drive(learned, scene, task, episodes, seed)
     return _report(
-        successes, lengths,
+        successes, finals,
         chart_violation_rate=(learned.violating_rows / learned.pred_rows
                               if learned.pred_rows else 0.0),
-        mean_traj_error=learned.mean_traj_error(),
+        mean_traj_error=learned.mean_traj_error(finals),
     )
 
 
@@ -423,79 +399,72 @@ def _privileged_gripper(state: sw.SimState, scene: sw.SceneSpec, task: sw.TaskSp
     return prev
 
 
-class _ClosedFormEpisode(_Episode):
-    def __init__(self, index: int, perturb: bool, expert: sw.ScriptedExpert | None):
-        super().__init__(index, perturb)
-        self.grip = 0.0  # the privileged gripper command before its delay
-        self.expert = expert  # the synced oracle expert, if any
-
-
 class _ClosedForm:
     """Execute camera-frame poses tau through closed-form geometry.
 
-    tau comes from the policy's predictor, one Policy.act call for every
-    episode that needs a new chunk, or, with oracle_horizon set, from an
-    oracle: a scripted expert per episode, kept in sync with the executed
-    trajectory, copied and rolled forward in a noiseless shadow world. The
-    optional perturbation is added to tau. Each pose row is lifted to the
-    world frame via the known extrinsic and chained into relative actions
-    with the exact recovery map. The gripper follows privileged simulator
-    proximity at every step, delayed by PERTURB_GRIPPER_LATENCY steps when
-    perturbed.
+    Every H steps, tau for every live episode comes from one Policy.act call
+    on the policy's predictor or, with oracle=True, from an oracle: a
+    scripted expert per episode, kept in sync with the executed trajectory,
+    copied and rolled forward H steps in a noiseless shadow world (H is the
+    policy's horizon, or ds.HORIZON_DEFAULT without a policy). The optional
+    perturbation is added to tau. Each pose row is lifted to the world frame
+    via the known extrinsic and chained into relative actions with the exact
+    recovery map; step t executes move t % H. The gripper follows privileged
+    simulator proximity at every step, delayed by PERTURB_GRIPPER_LATENCY
+    steps when perturbed.
     """
 
     def __init__(self, policy: pol.Policy | None, scene, task, camera, perturb: bool,
-                 root_seed: int, oracle_horizon: int | None):
+                 root_seed: int, oracle: bool):
         self.policy, self.scene, self.task, self.camera = policy, scene, task, camera
-        self.perturb, self.root_seed = perturb, root_seed
-        self._oracle_horizon = oracle_horizon
-        if oracle_horizon is not None:
+        self.perturb, self.root_seed, self.oracle = perturb, root_seed, oracle
+        self._horizon = policy.cfg.horizon if policy is not None else ds.HORIZON_DEFAULT
+        if oracle:
             self._shadow = sw.Simulator(scene, task)
-        self._episodes = {}
-
-    def reset(self, episode: int):
-        expert = None
-        if self._oracle_horizon is not None:
-            expert = sw.ScriptedExpert(self.scene, self.task, gripper_latency_steps=0)
-        self._episodes[episode] = _ClosedFormEpisode(episode, self.perturb, expert)
+        # Per episode: the current chunk's moves, the privileged gripper
+        # command before its delay, the delay queue and the synced expert.
+        self._moves, self._grips, self._grip_queues, self._experts = {}, {}, {}, {}
 
     def actions(self, episodes: list, states: list) -> list:
-        eps = [self._episodes[i] for i in episodes]
-        for ep, state in zip(eps, states):
-            if ep.expert is not None and state.step_count > 0:
-                ep.expert.action(state)  # advance the synced expert's phase
-        due = [(ep, state) for ep, state in zip(eps, states) if not ep.rows]
-        if due:
-            self._plan(*zip(*due))
+        t = states[0].step_count
+        if t == 0:
+            for i in episodes:
+                self._grips[i], self._grip_queues[i] = 0.0, _grip_queue(self.perturb)
+                if self.oracle:
+                    self._experts[i] = sw.ScriptedExpert(self.scene, self.task,
+                                                         gripper_latency_steps=0)
+        elif self.oracle:
+            for i, state in zip(episodes, states):
+                self._experts[i].action(state)  # advance the synced expert's phase
+        if t % self._horizon == 0:
+            self._plan(episodes, states, t // self._horizon)
         actions = []
-        for ep, state in zip(eps, states):
-            move = ep.rows.popleft()
-            ep.grip = _privileged_gripper(state, self.scene, self.task, ep.grip)
-            actions.append(geo.RelativeAction(move.dp, move.dtheta, ep.delay_gripper(ep.grip)))
+        for i, state in zip(episodes, states):
+            move = self._moves[i][t % self._horizon]
+            self._grips[i] = _privileged_gripper(state, self.scene, self.task, self._grips[i])
+            grip = _delayed(self._grip_queues[i], self._grips[i])
+            actions.append(geo.RelativeAction(move.dp, move.dtheta, grip))
         return actions
 
-    def finish(self, episode: int, state: sw.SimState):
-        del self._episodes[episode]  # nothing to score; drop its expert and moves
-
-    def _plan(self, eps: tuple, states: tuple):
-        if self._oracle_horizon is not None:
-            taus = [self._lookahead(ep.expert, state) for ep, state in zip(eps, states)]
+    def _plan(self, episodes: list, states: list, chunk: int):
+        if self.oracle:
+            taus = [self._lookahead(self._experts[i], state) for i, state in zip(episodes, states)]
         else:
             taus = _act(self.policy, self.task, self.scene, self.camera, states).tau
-        for ep, state, tau in zip(eps, states, taus):
+        for i, state, tau in zip(episodes, states, taus):
             if self.perturb:
-                tau = tau + _perturbation(self.root_seed, ep.index, ep.chunks, tau.shape[0])
-            ep.chunks += 1
-            prev = state.ee_pose
+                tau = tau + _perturbation(self.root_seed, i, chunk, self._horizon)
+            moves, prev = [], state.ee_pose
             for row in tau:
                 pose = geo.camera_to_world(geo.pose_to_se3(row), self.camera.extrinsic)
-                ep.rows.append(geo.relative_action(prev, pose))
+                moves.append(geo.relative_action(prev, pose))
                 prev = pose
+            self._moves[i] = moves
 
     def _lookahead(self, expert: sw.ScriptedExpert, state: sw.SimState):
         expert = copy.deepcopy(expert)
-        rows = np.zeros((self._oracle_horizon, 6))
-        for h in range(self._oracle_horizon):
+        rows = np.zeros((self._horizon, 6))
+        for h in range(self._horizon):
             if state.step_count < self.task.horizon_limit:
                 state = self._shadow.step(state, expert.action(state))
             rows[h] = geo.se3_to_pose(self.camera.t_wc @ state.ee_pose)
@@ -519,19 +488,16 @@ def closed_form_baseline(
     from privileged simulator proximity (see _ClosedForm). With oracle=True
     the trajectory comes from an expert lookahead instead of the policy,
     over the policy's horizon if one is given. The episodes run in lockstep:
-    the policy predicts for every episode that needs a new chunk in one
-    Policy.act call, and the report is reduced in episode order. Episode
-    seeds and perturbation draws match rollout()'s, so comparisons are
-    paired. Raises HarnessError when episodes < 1.
+    one Policy.act call every H steps plans the next chunk of every live
+    episode, and the report lists episodes in episode order. Episode seeds
+    and perturbation draws match rollout()'s, so comparisons are paired.
+    Raises HarnessError when episodes < 1.
     """
     _require_episodes(episodes)
     if not oracle and (policy is None or not _tracks_camera_pose(policy)):
         raise HarnessError("closed-form baseline needs a camera-frame axis-angle policy")
-    oracle_horizon = None
-    if oracle:
-        oracle_horizon = policy.cfg.horizon if policy is not None else ds.HORIZON_DEFAULT
     controller = _ClosedForm(policy, scene, task, camera or sw.default_camera(), perturb, seed,
-                             oracle_horizon)
+                             oracle)
     return _report(*_drive(controller, scene, task, episodes, seed))
 
 

@@ -88,8 +88,6 @@ KEPT_UNREAD = {
     "tensornet.GradientTape.__exit__.exc_type": "context-manager protocol argument",
     "tensornet.GradientTape.__exit__.exc": "context-manager protocol argument",
     "tensornet.GradientTape.__exit__.tb": "context-manager protocol argument",
-    "harness._ClosedForm.finish.state": "episode-controller protocol argument: _drive hands every "
-                                        "controller the final state, which only _Learned scores",
 }
 
 
