@@ -31,12 +31,21 @@ pooled = pytest.mark.skipif(
 
 
 def children(pid="self"):
-    """PIDs of the live or unreaped children of every thread of a process."""
-    pids = []
-    for path in glob.glob(f"/proc/{pid}/task/*/children"):
-        with open(path) as f:
-            pids.extend(int(c) for c in f.read().split())
-    return pids
+    """PIDs of the live or unreaped children of every thread of a process.
+
+    A thread that exits between the listing and the read hands its children
+    to a live thread of the same process, so the listing repeats until one
+    pass reads the file of every thread it lists.
+    """
+    while True:
+        pids = []
+        try:
+            for path in glob.glob(f"/proc/{pid}/task/*/children"):
+                with open(path) as f:
+                    pids.extend(int(c) for c in f.read().split())
+        except FileNotFoundError:
+            continue
+        return pids
 
 
 def assert_no_children():
