@@ -258,9 +258,14 @@ def pose_targets(poses: np.ndarray, variant: SupervisionVariant, cam: sw.CameraM
     return targets
 
 
+# Rotation matrix to the chart of each rotation_param; each validates the matrix.
+_FROM_MATRIX = {"axis_angle": geo.log_so3, "quaternion": geo.matrix_to_quat,
+                "euler": geo.matrix_to_euler}
+
+
 def _rotation_block(rot: np.ndarray, rotation_param: str, h: int) -> np.ndarray:
     try:
-        block = geo.rotation_convert(rot, "matrix", rotation_param)
+        block = _FROM_MATRIX[rotation_param](rot)
     except geo.GimbalLockError as e:
         raise DatasetError(f"step {h}: Euler target in the gimbal-lock band") from e
     if rotation_param == "axis_angle" and np.linalg.norm(block) >= math.pi - geo.CHART_MARGIN:

@@ -53,8 +53,9 @@ LOG_SMALL_ANGLE = 1e-6
 # the symmetric part, sign fixed by convention).
 LOG_NEAR_PI = 1e-6
 
-# Orthonormality / unit-norm validation tolerance. Construction accuracy is
-# ~1e-15; 1e-8 leaves headroom for long composition chains.
+# Orthonormality / unit-norm validation tolerance, read at call time.
+# Construction accuracy is ~1e-15; 1e-8 leaves headroom for long composition
+# chains.
 ORTHO_ATOL = 1e-8
 
 # Relative rotations at or beyond pi - CHART_MARGIN are flagged as chart
@@ -147,7 +148,7 @@ def unskew(m: np.ndarray) -> np.ndarray:
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
-def check_rotation(r: np.ndarray, atol: float = ORTHO_ATOL) -> np.ndarray:
+def check_rotation(r: np.ndarray) -> np.ndarray:
     """Validate rotation-matrix invariants, returning r as float64."""
     r = np.asarray(r, dtype=float)
     if r.shape != (3, 3):
@@ -165,14 +166,14 @@ def check_rotation(r: np.ndarray, atol: float = ORTHO_ATOL) -> np.ndarray:
         abs(a * b + d * e + g * h),
         abs(a * c + d * f + g * i),
         abs(b * c + e * f + h * i),
-    ) > atol:
+    ) > ORTHO_ATOL:
         raise InvalidRotationError("matrix is not orthonormal")
-    if abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) - 1.0) > atol:
+    if abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) - 1.0) > ORTHO_ATOL:
         raise InvalidRotationError("matrix determinant is not +1")
     return r
 
 
-def check_se3(t: np.ndarray, atol: float = ORTHO_ATOL) -> np.ndarray:
+def check_se3(t: np.ndarray) -> np.ndarray:
     """Validate a 4x4 homogeneous transform, returning it as float64."""
     t = np.asarray(t, dtype=float)
     if t.shape != (4, 4):
@@ -181,9 +182,9 @@ def check_se3(t: np.ndarray, atol: float = ORTHO_ATOL) -> np.ndarray:
     if not all(map(math.isfinite, rows[0] + rows[1] + rows[2] + rows[3])):
         raise GeometryError("transform has non-finite entries")
     x, y, z, w = rows[3]
-    if max(abs(x), abs(y), abs(z), abs(w - 1.0)) > atol:
+    if max(abs(x), abs(y), abs(z), abs(w - 1.0)) > ORTHO_ATOL:
         raise GeometryError("last homogeneous row is not [0, 0, 0, 1]")
-    check_rotation(t[:3, :3], atol)
+    check_rotation(t[:3, :3])
     return t
 
 
@@ -312,7 +313,7 @@ def project_pinhole(p_cam, intr: CameraIntrinsic):
     return np.array([intr.fx * p[0] / p[2] + intr.cx, intr.fy * p[1] / p[2] + intr.cy])
 
 
-# --- rotation chart conversions (all routed through the matrix form) ---
+# --- rotation chart conversions, each to or from the matrix form ---
 
 
 def quat_to_matrix(q) -> np.ndarray:
@@ -400,27 +401,3 @@ def matrix_to_euler(r: np.ndarray) -> np.ndarray:
     roll = math.atan2(r[2, 1], r[2, 2])
     yaw = math.atan2(r[1, 0], r[0, 0])
     return np.array([roll, pitch, yaw])
-
-
-_TO_MATRIX = {
-    "axis_angle": exp_so3,
-    "quaternion": quat_to_matrix,
-    "euler": euler_to_matrix,
-    "matrix": check_rotation,
-}
-
-_FROM_MATRIX = {
-    "axis_angle": log_so3,
-    "quaternion": matrix_to_quat,
-    "euler": matrix_to_euler,
-    "matrix": lambda r: r,
-}
-
-
-def rotation_convert(value, src: str, dst: str):
-    """Convert between rotation charts; every path routes through the matrix."""
-    if src not in _TO_MATRIX:
-        raise GeometryError(f"unknown source chart {src!r}")
-    if dst not in _FROM_MATRIX:
-        raise GeometryError(f"unknown destination chart {dst!r}")
-    return _FROM_MATRIX[dst](_TO_MATRIX[src](value))

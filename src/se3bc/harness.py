@@ -14,7 +14,8 @@ perturbation draws, both derived from the root seed by counter-based
 splitting.
 
 A study is a list of (cell, seed) jobs, each one call of `_study_job`: record
-that seed's demos, train the cell, evaluate it, return its rows. Recording is
+that seed's demos, train the cell, and return one row per evaluation arm of
+`_arms` (one rollout, or a closed_form job's three arms). Recording is
 seeded, so the cells of a seed train on the same demos without sharing them.
 `run_study` runs the jobs in min(usable CPUs, jobs) forked workers, longest
 first. Each worker pins the OpenBLAS numpy loaded to one thread and exits
@@ -112,8 +113,7 @@ def train(dataset: ds.DemoDataset, cfg: TrainConfig):
         raise HarnessError("dataset has no training windows")
     full = pol.collate(windows, variant, dataset.camera, dataset.scene) if windows else None
 
-    opt = tn.OptimizerState(tn.OptimizerConfig(warmup_steps=cfg.warmup_steps,
-                                               total_steps=max(cfg.steps, 1)))
+    opt = tn.OptimizerState(warmup_steps=cfg.warmup_steps, total_steps=max(cfg.steps, 1))
     shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
     order = np.array([], dtype=int)
     curve = []
@@ -133,7 +133,7 @@ def train(dataset: ds.DemoDataset, cfg: TrainConfig):
             raise TrainDiverged(f"numeric fault at step {step}: {e}") from e
         if step == 1 or step % cfg.log_every == 0 or step == cfg.steps:
             row = (step, float(traj.data), float(act.data), float(total.data),
-                   tn.lr_at(opt.config, step))
+                   tn.lr_at(opt, step))
             curve.append(row)
             log.debug("step %d traj %.4f act %.4f total %.4f lr %.2e", *row)
 
@@ -267,7 +267,8 @@ class _Learned:
     and step t executes row t % H of it.
 
     Each prediction's tau rows count toward the chart-violation rate; a row
-    violates when its axis-angle rotation (SE(3) targets only) reaches pi.
+    violates when its axis-angle rotation (SE(3) targets only) reaches
+    pi - geo.CHART_MARGIN, the boundary relative_action flags.
     For camera-frame axis-angle policies, tau is also scored online: row h of
     the chunk that starts at step t0 against the camera-frame ee pose reached
     at step t0 + h + 1, while the episode lasts. mean_traj_error sums those
@@ -348,7 +349,7 @@ class _Learned:
             self.pred_rows += len(episodes) * self._horizon
             if self._counts_chart:
                 norms = np.linalg.norm(out.tau[..., 3:6], axis=-1)
-                self.violating_rows += int(np.sum(norms >= math.pi))
+                self.violating_rows += int(np.sum(norms >= math.pi - geo.CHART_MARGIN))
             if self._tracks_tau:
                 self._taus.update(zip(episodes, out.tau))
 
@@ -508,9 +509,6 @@ STUDY_KINDS = ("ladder", "rotation", "depth", "closed_form")
 
 LADDER_TARGETS = ds.TARGET_KINDS
 
-# The evaluation arms of a closed_form job, one row each.
-_CLOSED_FORM_ARMS = ("oracle_hardcoded", "perturbed_learned", "perturbed_hardcoded")
-
 
 @dataclass
 class StudySpec:
@@ -551,11 +549,12 @@ def study_cells(spec: StudySpec):
 def run_study(spec: StudySpec):
     """Train and evaluate every (cell, seed) job; returns {"rows", "summary"}.
 
-    Each job is one call of _study_job: it records its seed's demos, trains
-    its cell and evaluates it. Recording is seeded, so every cell of a seed
-    trains on the same demos (matched data), and all cells of a seed share
-    their evaluation episode seeds (paired comparisons). A cell failure is
-    recorded as an error row and the study continues.
+    Each job is one call of _study_job: it records spec.demos demos of its
+    seed, trains its cell and writes one row per evaluation arm (_arms).
+    Recording is seeded, so every cell of a seed trains on the same demos
+    (matched data), and all cells of a seed share their evaluation episode
+    seeds (paired comparisons). A failed job is recorded as one error row
+    per arm and the study continues.
 
     The jobs run in min(usable CPUs, jobs) worker processes, longest first,
     each worker pinned to one BLAS thread; with one worker, or when the BLAS
@@ -574,8 +573,7 @@ def run_study(spec: StudySpec):
         raise HarnessError("study needs batch_size >= 1")
     if len(set(spec.seeds)) != len(spec.seeds):
         raise HarnessError(f"study seeds repeat: {list(spec.seeds)}")
-    jobs = [(seed, cell, variant, demos)
-            for seed in spec.seeds for cell, variant, demos in study_cells(spec)]
+    jobs = [(seed, cell, variant) for seed in spec.seeds for cell, variant, _ in study_cells(spec)]
     workers = min(len(os.sched_getaffinity(0)), len(jobs))
     if workers < 2 or _openblas_threads() is None:
         rows = [row for job in jobs for row in _study_job(spec, *job)]
@@ -584,34 +582,48 @@ def run_study(spec: StudySpec):
     return {"rows": rows, "summary": summarize_rows(rows)}
 
 
-def _study_job(spec: StudySpec, seed: int, cell: str, variant: ds.SupervisionVariant, demos: int):
-    """One (cell, seed) job of a study: record, train, evaluate; returns its rows."""
+def _study_job(spec: StudySpec, seed: int, cell: str, variant: ds.SupervisionVariant):
+    """One (cell, seed) job of a study: record spec.demos demos, train, and
+    return one row per arm of _arms, each with the trained policy's config hash."""
     scene, task = sw.default_scene(spec.family)
     camera = sw.default_camera()
     eval_seed = derive_seed(spec.root_seed, "eval", seed)
     try:
-        data = ds.record_demonstrations(scene, task, demos,
+        data = ds.record_demonstrations(scene, task, spec.demos,
                                         derive_seed(spec.root_seed, "data", seed), camera=camera)
-        policy_cfg = pol.PolicyConfig(token_dim=sw.feature_dims(scene)[0], variant=variant)
         tcfg = TrainConfig(
-            policy=policy_cfg, steps=spec.steps, batch_size=spec.batch_size,
+            policy=pol.PolicyConfig(token_dim=sw.feature_dims(scene)[0], variant=variant),
+            steps=spec.steps, batch_size=spec.batch_size,
             seed=derive_seed(spec.root_seed, "train", cell, seed),
         )
         policy, _ = train(data, tcfg)
-        if spec.kind == "closed_form":
-            return _closed_form_rows(spec, policy, scene, task, camera, seed, eval_seed)
-        report = rollout(policy, scene, task, spec.episodes, eval_seed, camera=camera)
-        return [_row(spec, cell, seed, report, policy_cfg)]
+        return [_row(spec, arm, seed, evaluate(policy, scene, task, spec.episodes, eval_seed,
+                                               camera=camera), policy.cfg)
+                for arm, evaluate in _arms(spec, cell).items()]
     except Exception as e:  # cell failures recorded, study continues
         log.warning("cell %s seed %d failed: %s", cell, seed, e)
         return _error_rows(spec, cell, seed, e)
 
 
+def _arms(spec: StudySpec, cell: str) -> dict:
+    """Row name -> evaluation of a job's trained policy, each called as
+    evaluate(policy, scene, task, episodes, seed, camera=camera): a
+    closed_form job's three arms, else one rollout. Both functions are looked
+    up when the job runs, so a replacement of either in this module is run."""
+    if spec.kind != "closed_form":
+        return {cell: rollout}
+    return {
+        "oracle_hardcoded": lambda *args, **kw: closed_form_baseline(*args, oracle=True, **kw),
+        "perturbed_learned": lambda *args, **kw: rollout(*args, perturb=True, **kw),
+        "perturbed_hardcoded": lambda *args, **kw: closed_form_baseline(*args, perturb=True, **kw),
+    }
+
+
 def _pooled_rows(spec: StudySpec, jobs: list, workers: int):
     """Run jobs in a fork pool of `workers`; returns their rows in job order.
 
-    Longest first: more demos mean more windows, and a predictor adds a
-    trajectory head and its loss to every training step. A job whose worker
+    Longest first: every job trains on spec.demos demos, and a predictor adds
+    a trajectory head and its loss to every training step. A job whose worker
     died becomes an error row. The pool is shut down, with its workers
     joined, before this returns or raises.
     """
@@ -624,11 +636,10 @@ def _pooled_rows(spec: StudySpec, jobs: list, workers: int):
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_init_worker, initargs=(os.getpid(),))
     try:
-        order = sorted(range(len(jobs)), key=lambda i: (jobs[i][3], jobs[i][2].uses_predictor),
-                       reverse=True)
+        order = sorted(range(len(jobs)), key=lambda i: jobs[i][2].uses_predictor, reverse=True)
         futures = {i: pool.submit(_study_job, spec, *jobs[i]) for i in order}
         rows = []
-        for i, (seed, cell, _, _) in enumerate(jobs):
+        for i, (seed, cell, _) in enumerate(jobs):
             try:
                 rows.extend(futures[i].result())
             except Exception as e:  # the worker running the job died
@@ -677,22 +688,10 @@ def _openblas_threads():
     return None
 
 
-def _closed_form_rows(spec, policy, scene, task, camera, seed, eval_seed):
-    reports = (
-        closed_form_baseline(policy, scene, task, spec.episodes, eval_seed,
-                             camera=camera, oracle=True),
-        rollout(policy, scene, task, spec.episodes, eval_seed, camera=camera, perturb=True),
-        closed_form_baseline(policy, scene, task, spec.episodes, eval_seed,
-                             camera=camera, perturb=True),
-    )
-    return [_row(spec, arm, seed, report, policy.cfg)
-            for arm, report in zip(_CLOSED_FORM_ARMS, reports)]
-
-
 def _error_rows(spec, cell, seed, error: Exception):
-    """A failed job's rows: one per closed_form arm, else one for its cell."""
-    cells = _CLOSED_FORM_ARMS if spec.kind == "closed_form" else (cell,)
-    return [{"study": spec.kind, "cell": c, "seed": seed, "error": str(error)} for c in cells]
+    """A failed job's rows: one per arm of _arms."""
+    return [{"study": spec.kind, "cell": arm, "seed": seed, "error": str(error)}
+            for arm in _arms(spec, cell)]
 
 
 def _row(spec, cell, seed, report: EvalReport, policy_cfg):

@@ -197,9 +197,6 @@ class Policy:
             blocks.append(tn.linear(self._input(depth), p["enc.dep.w"], p["enc.dep.b"]))
         return tn.concat(blocks, axis=-2)
 
-    def encode_features(self, features: sw.ObservationFeatures) -> tn.Tensor:
-        return self.encode(features.lang, features.visual, features.depth)
-
     def predict_trajectory(self, h3d: tn.Tensor, h_noise=None):
         """Refine the trajectory queries against the encoded tokens.
 

@@ -135,10 +135,6 @@ class TaskSpec:
         if self.family == "long" and self.latch_center is None:
             raise SceneError("long tasks need a latch_center")
 
-    def validate_against(self, scene: SceneSpec):
-        scene.object(self.target_object_id)
-        scene.container(self.target_container_id)
-
 
 @dataclass
 class CameraModel:
@@ -186,7 +182,8 @@ class Simulator:
     """
 
     def __init__(self, scene: SceneSpec, task: TaskSpec):
-        task.validate_against(scene)
+        scene.object(task.target_object_id)  # each raises SceneError for an unknown id
+        scene.container(task.target_container_id)
         self.scene = scene
         self.task = task
 

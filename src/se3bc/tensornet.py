@@ -486,7 +486,6 @@ def multi_head_attention(
     bv=None,
     bo=None,
     positions=None,
-    return_weights=False,
 ):
     """Scaled dot-product attention with per-head projections.
 
@@ -497,9 +496,7 @@ def multi_head_attention(
     product (intended for self-attention, where both streams share the
     positions).
 
-    Built from recorded primitives, so gradients come with it. With
-    return_weights=True also returns the attention weights as one
-    (..., heads, T, Tk) array (forward values only).
+    Built from recorded primitives, so gradients come with it.
     """
     q_in, kv_in = as_tensor(q_in), as_tensor(kv_in)
     d = q_in.shape[-1]
@@ -518,8 +515,7 @@ def multi_head_attention(
         k = rope(k, positions)
     attn = softmax(scale(matmul(q, swapaxes(k, -1, -2)), 1.0 / math.sqrt(dh)), axis=-1)
     heads_out = swapaxes(matmul(attn, v), -3, -2)
-    out = linear(reshape(heads_out, heads_out.shape[:-2] + (d,)), wo, bo)
-    return (out, attn.data.copy()) if return_weights else out
+    return linear(reshape(heads_out, heads_out.shape[:-2] + (d,)), wo, bo)
 
 
 # --- backward pass ---
@@ -657,28 +653,25 @@ ADAMW_WEIGHT_DECAY = 1e-4
 
 
 @dataclass
-class OptimizerConfig:
+class OptimizerState:
+    """An AdamW run: schedule lengths, moments by parameter name, steps taken."""
+
     warmup_steps: int
     total_steps: int
-
-
-@dataclass
-class OptimizerState:
-    config: OptimizerConfig
     m: dict = field(init=False, default_factory=dict)
     v: dict = field(init=False, default_factory=dict)
     step: int = field(init=False, default=0)
     _warned_past_total: bool = field(init=False, default=False)
 
 
-def lr_at(config: OptimizerConfig, step: int) -> float:
-    """Schedule value at 1-based step: linear ramp to ADAMW_LR, then cosine to zero."""
-    if step <= config.warmup_steps:
-        return ADAMW_LR * step / max(1, config.warmup_steps)
-    if step > config.total_steps:
+def lr_at(state: OptimizerState, step: int) -> float:
+    """The lr at 1-based step: linear ramp to ADAMW_LR, then cosine to zero."""
+    if step <= state.warmup_steps:
+        return ADAMW_LR * step / max(1, state.warmup_steps)
+    if step > state.total_steps:
         return 0.0
-    span = max(1, config.total_steps - config.warmup_steps)
-    progress = (step - config.warmup_steps) / span
+    span = max(1, state.total_steps - state.warmup_steps)
+    progress = (step - state.warmup_steps) / span
     return ADAMW_LR * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
@@ -698,16 +691,15 @@ def adamw_step(params: ParamSet, grads: dict, state: OptimizerState) -> None:
         p = p - lr * (m / (1 - b1^t) / (sqrt(v / (1 - b2^t)) + eps) + wd * p)
 
     with (b1, b2) = ADAMW_BETAS, eps = ADAMW_EPS and wd = ADAMW_WEIGHT_DECAY,
-    read at call time. grads is name-keyed. Steps past total_steps clamp
-    the lr to 0 and warn once; the run continues.
+    read at call time, and lr = lr_at(state, t). grads is name-keyed. Steps
+    past state.total_steps clamp the lr to 0 and warn once; the run continues.
     """
-    cfg = state.config
     state.step += 1
     t = state.step
-    if t > cfg.total_steps and not state._warned_past_total:
+    if t > state.total_steps and not state._warned_past_total:
         warnings.warn("optimizer stepped past total_steps; lr clamped to 0", stacklevel=2)
         state._warned_past_total = True
-    lr = lr_at(cfg, t)
+    lr = lr_at(state, t)
     b1, b2 = ADAMW_BETAS
     c1, c2 = 1.0 - b1**t, 1.0 - b2**t
     for name, p in params.items():

@@ -226,6 +226,10 @@ class TestSupervision:
         with pytest.raises(ds.DatasetError):
             ds.SupervisionVariant("traj_2d", rotation_param="quaternion")
 
+    def test_unknown_rotation_param(self):
+        with pytest.raises(ds.DatasetError, match="unknown rotation parameterization"):
+            ds.SupervisionVariant("traj_camera_se3", rotation_param="cayley")
+
     def test_chart_violation_names_step(self, window, small_dataset):
         bad = ds.TrainingWindow(
             features=window.features,

@@ -45,10 +45,10 @@ KEPT = {
     "harness.emit_report": "entry point: writes a study's CSV and JSON report",
     "geometry.world_to_camera": "test oracle for the camera-frame poses recorded in demos",
     "geometry.se3_compose": "test oracle for SE(3) composition",
+    "geometry.quat_to_matrix": "test oracle: inverts matrix_to_quat",
     "tensornet.grad_check": "test oracle: finite-difference check of every tape op",
     "tensornet.sum_all": "test oracle: reduces an op's output to the scalar grad_check needs",
     "tensornet.mul": "test oracle: weights an op's output before sum_all",
-    "policy.Policy.encode_features": "test probe of the encoder and of the predictor and decoder fed from it",
     "tensornet.ParamSet.swap": "binds parameters for the finite-difference check of a whole policy",
     "tensornet.ParamSet.names": "test probe of the parameters a variant builds",
     "tensornet.ParamSet.total_count": "the parameter count compared across variants in tests",
@@ -64,10 +64,7 @@ KEPT_FIELDS = {
 
 # "module.function.param", "module.Class.method.param", or "module.Class.param"
 # for a parameter of the class's __init__.
-KEPT_PARAMS = {
-    "tensornet.multi_head_attention.return_weights": "test probe of the attention weights",
-    "geometry.check_se3.atol": "lets test_manifold_by_construction tighten the tolerance to 1e-9",
-}
+KEPT_PARAMS = {}
 
 # "module.Class.field" of a defaulted dataclass field.
 KEPT_FIELDS_SET = {

@@ -129,7 +129,8 @@ class TestEncoder:
     def test_depth_none_excludes_block(self, world):
         scene, task, data, windows = world
         policy = make_policy(scene, depth="none")
-        h3d = policy.encode_features(windows[0].features)
+        f = windows[0].features
+        h3d = policy.encode(f.lang, f.visual, f.depth)
         n_kp = len(scene.objects) + 1
         assert h3d.shape == (2 + n_kp, policy.cfg.d_model)
         assert "enc.dep.w" not in policy.params
@@ -145,8 +146,9 @@ class TestEncoder:
 
     def test_deterministic(self, world):
         scene, task, data, windows = world
-        a = make_policy(scene).encode_features(windows[0].features).data
-        b = make_policy(scene).encode_features(windows[0].features).data
+        f = windows[0].features
+        a = make_policy(scene).encode(f.lang, f.visual, f.depth).data
+        b = make_policy(scene).encode(f.lang, f.visual, f.depth).data
         npt.assert_array_equal(a, b)
 
 
@@ -154,7 +156,8 @@ class TestPredictor:
     def test_h1_single_slot(self, world):
         scene, task, data, windows = world
         policy = make_policy(scene, horizon=1)
-        h3d = policy.encode_features(windows[0].features)
+        f = windows[0].features
+        h3d = policy.encode(f.lang, f.visual, f.depth)
         h_traj, tau = policy.predict_trajectory(h3d)
         assert tau.shape == (1, 6)
         assert h_traj.shape == (1, policy.cfg.d_model)
@@ -162,7 +165,8 @@ class TestPredictor:
     def test_tau_recomputable_from_head(self, world):
         scene, task, data, windows = world
         policy = make_policy(scene)
-        h3d = policy.encode_features(windows[0].features)
+        f = windows[0].features
+        h3d = policy.encode(f.lang, f.visual, f.depth)
         h_traj, tau = policy.predict_trajectory(h3d)
         npt.assert_array_equal(policy.trajectory_head(h_traj).data, tau.data)
 
@@ -176,7 +180,8 @@ class TestPredictor:
     def test_no_traj_skips_predictor(self, world):
         scene, task, data, windows = world
         policy = make_policy(scene, target="no_traj")
-        h3d = policy.encode_features(windows[0].features)
+        f = windows[0].features
+        h3d = policy.encode(f.lang, f.visual, f.depth)
         assert policy.predict_trajectory(h3d) is None
         assert not any(n.startswith("pred.") for n in policy.params.names())
         out = policy.act([windows[0].features], [windows[0].state_vec])
@@ -240,7 +245,7 @@ class TestRouting:
         f, s = windows[0].features, windows[0].state_vec
         full = policy.act([f], [s])
         # bypass the predictor entirely: conditioning is h3d by wiring
-        direct = policy.decode_actions(policy.encode_features(f), s.reshape(1, 7))
+        direct = policy.decode_actions(policy.encode(f.lang, f.visual, f.depth), s.reshape(1, 7))
         npt.assert_array_equal(full.chunk[0], direct.data)
         assert full.tau is not None  # the branch still exists and predicts
 
@@ -248,7 +253,7 @@ class TestRouting:
         scene, task, data, windows = world
         policy = make_policy(scene)
         f, s = windows[0].features, windows[0].state_vec
-        h3d = policy.encode_features(f)
+        h3d = policy.encode(f.lang, f.visual, f.depth)
         h_traj, _ = policy.predict_trajectory(h3d)
         full = policy.act([f], [s])
         direct = policy.decode_actions(h_traj, s.reshape(1, 7))
@@ -403,7 +408,7 @@ def test_desk_training_step_is_float32(world):
     assert {(n.tensor.data if n.out is None else n.out).dtype for n in tape.nodes} == f32
     grads = policy.params.grads_by_name(tn.backward(tape, total))
     assert {g.dtype for g in grads.values()} == f32
-    state = tn.OptimizerState(tn.OptimizerConfig(warmup_steps=1, total_steps=10))
+    state = tn.OptimizerState(warmup_steps=1, total_steps=10)
     tn.adamw_step(policy.params, grads, state)
     assert {a.dtype for moments in (state.m, state.v) for a in moments.values()} == f32
     assert {t.data.dtype for _, t in policy.params.items()} == f32

@@ -63,8 +63,8 @@ def running(pid):
 
 
 def serial_loop(spec):
-    return [row for seed in spec.seeds for cell, variant, demos in hs.study_cells(spec)
-            for row in hs._study_job(spec, seed, cell, variant, demos)]
+    return [row for seed in spec.seeds for cell, variant, _ in hs.study_cells(spec)
+            for row in hs._study_job(spec, seed, cell, variant)]
 
 
 @pytest.fixture(scope="module")
@@ -80,10 +80,10 @@ def test_serial_rows_are_pinned(serial_rows):
     digest = hashlib.sha256(json.dumps(stripped, sort_keys=True).encode()).hexdigest()
     assert digest == "5b8362647f0ae4d7bac45097722e2c95a779026b019d3069c79f02bdfb5b6416"
     assert {name: [row["config_hash"] for row in rows] for name, rows in serial_rows.items()} == {
-        "ladder": ["1222215c5b9ca9ca", "29ca6c50a6b1f7b2", "27cb60817dc6c8ea", "e0d65b1949800f94",
-                   "ef7f307dbc8ffcf6", "22ea808bd741f0c0",
-                   "1222215c5b9ca9ca", "29ca6c50a6b1f7b2", "27cb60817dc6c8ea", "e0d65b1949800f94",
-                   "ef7f307dbc8ffcf6", "22ea808bd741f0c0"],
+        "ladder": ["9edeaa03073fc692", "b4e0c32385343531", "f3b98d6c5969920b", "6d19f0cd1fc54c49",
+                   "2713d2db1b4b6a87", "4bbf937a8d49e5d4",
+                   "0532ccd1c87a1b2e", "cd4347c74e027310", "43f63273865001ed", "732172d9d52d41c0",
+                   "d5724f93c96171ed", "5f09f43835ab2e53"],
         "closed_form": ["b68c6e105eb3c1d8"] * 3 + ["788deb1936ded518"] * 3,
     }
 

@@ -224,6 +224,21 @@ class TestFusedOps:
             tn.linear(tn.Tensor(np.zeros((2, 3))), tn.Tensor(np.zeros((3, 2))), tn.Tensor(np.zeros((1, 2))))
 
 
+@pytest.fixture
+def softmax_outputs(monkeypatch):
+    """The arrays tn.softmax returns, in call order: the attention weights of
+    each multi_head_attention call, one (..., heads, T, Tk) array each."""
+    outputs, softmax = [], tn.softmax
+
+    def recording(a, axis=-1):
+        out = softmax(a, axis=axis)
+        outputs.append(out.data)
+        return out
+
+    monkeypatch.setattr(tn, "softmax", recording)
+    return outputs
+
+
 class TestAttention:
     @pytest.mark.parametrize("q_shape,kv_shape,self_attention", [
         ((2, 5, 8), (2, 5, 8), True),  # batched self-attention with RoPE positions
@@ -257,17 +272,6 @@ class TestAttention:
             else:
                 npt.assert_allclose(grads[name], ref, rtol=1e-12, atol=1e-15, err_msg=name)
 
-    def test_weights_are_one_array_per_batch_and_head(self):
-        rng = np.random.default_rng(18)
-        d = 8
-        m = make_attention_params(rng, d)
-        _, weights = tn.multi_head_attention(
-            tn.Tensor(rnd(rng, 3, d)), tn.Tensor(rnd(rng, 2, 5, d)), 2,
-            **{k: tn.Tensor(v) for k, v in m.items()}, return_weights=True,
-        )
-        assert isinstance(weights, np.ndarray)
-        assert weights.shape == (2, 2, 3, 5)
-
     def test_key_bias_without_positions_changes_nothing(self):
         # Without RoPE a key bias adds q . bk to every score of a query; softmax ignores that.
         rng = np.random.default_rng(19)
@@ -278,29 +282,31 @@ class TestAttention:
         without = tn.multi_head_attention(q_in, kv_in, 2, **{**m, "bk": None})
         npt.assert_allclose(with_bias.data, without.data, rtol=0, atol=1e-12)
 
-    def test_single_kv_token(self):
+    def test_single_kv_token(self, softmax_outputs):
         # One key/value token: every query gets exactly its value projection.
         rng = np.random.default_rng(9)
         d = 8
         m = make_attention_params(rng, d)
         q_in, kv_in = rnd(rng, 3, d), rnd(rng, 1, d)
-        out, weights = tn.multi_head_attention(
-            tn.Tensor(q_in), tn.Tensor(kv_in), 2, **{k: tn.Tensor(v) for k, v in m.items()}, return_weights=True
+        out = tn.multi_head_attention(
+            tn.Tensor(q_in), tn.Tensor(kv_in), 2, **{k: tn.Tensor(v) for k, v in m.items()}
         )
+        [weights] = softmax_outputs
         v = kv_in @ m["wv"] + m["bv"]
         expect = np.tile(v, (3, 1)) @ m["wo"] + m["bo"]
         npt.assert_allclose(out.data, expect, atol=1e-12)
         for w in weights:
             npt.assert_array_equal(w, np.ones((3, 1)))
 
-    def test_uniform_keys_give_uniform_weights(self):
+    def test_uniform_keys_give_uniform_weights(self, softmax_outputs):
         rng = np.random.default_rng(10)
         d = 8
         m = make_attention_params(rng, d)
         kv = np.tile(rnd(rng, 1, d), (5, 1))
-        _, weights = tn.multi_head_attention(
-            tn.Tensor(rnd(rng, 2, d)), tn.Tensor(kv), 2, **{k: tn.Tensor(v) for k, v in m.items()}, return_weights=True
+        tn.multi_head_attention(
+            tn.Tensor(rnd(rng, 2, d)), tn.Tensor(kv), 2, **{k: tn.Tensor(v) for k, v in m.items()}
         )
+        [weights] = softmax_outputs
         for w in weights:
             npt.assert_allclose(w, np.full((2, 5), 0.2), atol=1e-12)
 
@@ -314,14 +320,15 @@ class TestAttention:
         )
         npt.assert_allclose(out.data, loop_attention(q_in, kv_in, 2, m), atol=1e-10)
 
-    def test_weights_on_simplex(self):
+    def test_weights_on_simplex(self, softmax_outputs):
         rng = np.random.default_rng(12)
         d = 12
         m = make_attention_params(rng, d)
-        _, weights = tn.multi_head_attention(
+        tn.multi_head_attention(
             tn.Tensor(rnd(rng, 4, d)), tn.Tensor(rnd(rng, 6, d)), 3,
-            **{k: tn.Tensor(v) for k, v in m.items()}, return_weights=True,
+            **{k: tn.Tensor(v) for k, v in m.items()},
         )
+        [weights] = softmax_outputs
         for w in weights:
             assert np.all(w >= 0)
             npt.assert_allclose(w.sum(axis=-1), np.ones(4), atol=1e-12)
@@ -549,31 +556,30 @@ class TestAdamW:
         params = tn.ParamSet(seed=1)
         w = params.linear_weight("w", 4, 4)
         before = w.data.copy()
-        state = tn.OptimizerState(tn.OptimizerConfig(warmup_steps=1, total_steps=10))
+        state = tn.OptimizerState(warmup_steps=1, total_steps=10)
         tn.adamw_step(params, {"w": np.zeros((4, 4))}, state)
         npt.assert_array_equal(w.data, before)
 
     def test_lr_at_warmup_boundary(self, monkeypatch):
         monkeypatch.setattr(tn, "ADAMW_LR", 2e-4)
-        cfg = tn.OptimizerConfig(warmup_steps=5000, total_steps=50000)
-        assert tn.lr_at(cfg, 5000) == 2e-4
-        assert tn.lr_at(cfg, 2500) == 1e-4
-        assert tn.lr_at(cfg, 50000) == pytest.approx(0.0, abs=1e-20)
+        state = tn.OptimizerState(warmup_steps=5000, total_steps=50000)
+        assert tn.lr_at(state, 5000) == 2e-4
+        assert tn.lr_at(state, 2500) == 1e-4
+        assert tn.lr_at(state, 50000) == pytest.approx(0.0, abs=1e-20)
 
     def test_three_step_scalar_trace_matches_reference(self, monkeypatch):
         # Hand-rolled AdamW on a scalar with g=1 each step.
         lr, b1, b2, eps, wd = 0.1, 0.9, 0.999, 1e-8, 0.01
         for name, value in [("LR", lr), ("BETAS", (b1, b2)), ("EPS", eps), ("WEIGHT_DECAY", wd)]:
             monkeypatch.setattr(tn, f"ADAMW_{name}", value)
-        cfg = tn.OptimizerConfig(warmup_steps=1, total_steps=1000)
         params = tn.ParamSet(seed=0)
         p = params.zeros("p", (1,))
         p.data = np.array([1.0])
-        state = tn.OptimizerState(cfg)
+        state = tn.OptimizerState(warmup_steps=1, total_steps=1000)
 
         ref_p, m, v = 1.0, 0.0, 0.0
         for t in range(1, 4):
-            sched = tn.lr_at(cfg, t)
+            sched = tn.lr_at(state, t)
             m = b1 * m + (1 - b1) * 1.0
             v = b2 * v + (1 - b2) * 1.0
             mhat = m / (1 - b1**t)
@@ -585,7 +591,6 @@ class TestAdamW:
     def test_in_place_steps_match_the_reference_formula_bit_for_bit(self, monkeypatch):
         monkeypatch.setattr(tn, "ADAMW_LR", 0.05)
         monkeypatch.setattr(tn, "ADAMW_WEIGHT_DECAY", 0.01)
-        cfg = tn.OptimizerConfig(warmup_steps=2, total_steps=10)
         b1, b2 = tn.ADAMW_BETAS
         for dtype in (np.float64, np.float32):
             params = tn.ParamSet(seed=3)
@@ -593,13 +598,13 @@ class TestAdamW:
             params.ones("g", (5,))
             for name, t in list(params.items()):
                 params.swap(name, tn.Tensor(t.data.astype(dtype), requires_grad=True))
-            state = tn.OptimizerState(cfg)
+            state = tn.OptimizerState(warmup_steps=2, total_steps=10)
             ref = {name: [t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data)] for name, t in params.items()}
             rng = np.random.default_rng(27)
             for t in range(1, 6):
                 grads = {name: rng.normal(size=p.data.shape).astype(dtype) for name, p in params.items()}
                 tn.adamw_step(params, grads, state)
-                lr = tn.lr_at(cfg, t)
+                lr = tn.lr_at(state, t)
                 for name, (p, m, v) in ref.items():
                     g = grads[name]
                     m = b1 * m + (1.0 - b1) * g
@@ -616,10 +621,9 @@ class TestAdamW:
 
     def test_warns_once_past_total(self, monkeypatch):
         monkeypatch.setattr(tn, "ADAMW_LR", 0.1)
-        cfg = tn.OptimizerConfig(warmup_steps=1, total_steps=2)
         params = tn.ParamSet(seed=0)
         params.zeros("p", (1,))
-        state = tn.OptimizerState(cfg)
+        state = tn.OptimizerState(warmup_steps=1, total_steps=2)
         g = {"p": np.ones(1)}
         for _ in range(2):
             tn.adamw_step(params, g, state)
@@ -628,7 +632,7 @@ class TestAdamW:
             tn.adamw_step(params, g, state)
             tn.adamw_step(params, g, state)
         assert len(caught) == 1
-        assert tn.lr_at(cfg, state.step) == 0.0
+        assert tn.lr_at(state, state.step) == 0.0
 
 
 class TestParamSetCheckpoint:
