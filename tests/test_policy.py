@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from se3bc import datasets as ds
+from se3bc import harness as hs
 from se3bc import policy as pol
 from se3bc import simworld as sw
 from se3bc import tensornet as tn
@@ -428,3 +430,18 @@ def test_float64_desk_step_is_pinned(world):
     assert total.data.dtype == np.float64
     assert float(total.data) == 2.843557711651525
     assert sum(float(np.abs(g).sum()) for g in grads.values()) == 16241.475854942206
+
+
+def test_study_cell_parameters_are_pinned(world):
+    # Name, shape and init bytes of every parameter, in registration order,
+    # of the desk policy of every study cell at seed 7: a change to how the
+    # policy registers or initialises its parameters shows here.
+    scene = world[0]
+    digest = hashlib.sha256()
+    for kind in hs.STUDY_KINDS:
+        for _, variant, _ in hs.study_cells(hs.StudySpec(kind)):
+            policy = pol.Policy(pol.PolicyConfig(token_dim=sw.feature_dims(scene)[0], variant=variant, seed=7))
+            for name, t in policy.params.items():
+                digest.update(f"{name}{t.data.shape}".encode())
+                digest.update(t.data.tobytes())
+    assert digest.hexdigest() == "2f876adddbe67ddc9b11444a3961b755ecbf5bce40e05a5a496f79cace59367d"
