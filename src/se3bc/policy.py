@@ -38,7 +38,15 @@ from . import simworld as sw
 from . import tensornet as tn
 from .datasets import HORIZON_DEFAULT, DatasetError, SupervisionVariant, pose_targets
 
-POLICY_CFG_SCHEMA = "policy_cfg_v1"
+POLICY_CFG_SCHEMA = "policy_cfg_v2"
+
+# The architecture, read when a Policy is built and when it runs; a test that
+# needs a tiny policy patches them.
+D_MODEL = 64  # model width
+HEADS = 4  # attention heads per block
+PREDICTOR_BLOCKS = 2
+DECODER_BLOCKS = 1
+FFN_FACTOR = 4  # feed-forward hidden width, in multiples of D_MODEL
 
 
 class PolicyConfigError(ValueError):
@@ -48,19 +56,12 @@ class PolicyConfigError(ValueError):
 @dataclass
 class PolicyConfig:
     token_dim: int
-    d_model: int = 64
-    predictor_blocks: int = 2
-    decoder_blocks: int = 1
-    heads: int = 4
     horizon: int = HORIZON_DEFAULT
     lam: float = 0.1
-    ffn_factor: int = 4
     seed: int = 0
     variant: SupervisionVariant = field(default_factory=SupervisionVariant)
 
     def __post_init__(self):
-        if self.d_model % self.heads != 0:
-            raise PolicyConfigError(f"d_model {self.d_model} not divisible by heads {self.heads}")
         if self.horizon < 1:
             raise PolicyConfigError("horizon must be >= 1")
         if self.lam < 0:
@@ -90,41 +91,31 @@ class Policy:
 
     def __init__(self, cfg: PolicyConfig):
         self.cfg = cfg
-        self.params = tn.ParamSet(cfg.seed)
-        d, dt = cfg.d_model, cfg.token_dim
-        p = self.params
-
-        p.linear_weight("enc.lang.w", dt, d)
-        p.zeros("enc.lang.b", (d,))
-        p.linear_weight("enc.vis.w", dt, d)
-        p.zeros("enc.vis.b", (d,))
-        if cfg.variant.depth_mode != "none":
-            p.linear_weight("enc.dep.w", dt, d)
-            p.zeros("enc.dep.b", (d,))
-
+        self.params = p = tn.ParamSet(cfg.seed)
+        blocks = ["lang", "vis"] + (["dep"] if cfg.variant.depth_mode != "none" else [])
+        for block in blocks:
+            p.linear_weight(f"enc.{block}.w", cfg.token_dim, D_MODEL)
+            p.zeros(f"enc.{block}.b", (D_MODEL,))
         if cfg.variant.uses_predictor:
-            p.query_normal("pred.q", (cfg.horizon, d))
-            for i in range(cfg.predictor_blocks):
-                self._block_params(f"pred.b{i}", d)
-            p.ones("pred.lnf.g", (d,))
-            p.zeros("pred.lnf.b", (d,))
-            p.linear_weight("pred.head.w", d, cfg.variant.target_dim)
-            p.zeros("pred.head.b", (cfg.variant.target_dim,))
-
-        p.linear_weight("state.w", 7, d)
-        p.zeros("state.b", (d,))
-        p.query_normal("dec.q", (cfg.horizon, d))
-        for i in range(cfg.decoder_blocks):
-            self._block_params(f"dec.b{i}", d)
-        p.ones("dec.lnf.g", (d,))
-        p.zeros("dec.lnf.b", (d,))
-        p.linear_weight("dec.head.w", d, 7)
-        p.zeros("dec.head.b", (7,))
-
+            self._stack_params("pred", PREDICTOR_BLOCKS, cfg.variant.target_dim)
+        p.linear_weight("state.w", 7, D_MODEL)
+        p.zeros("state.b", (D_MODEL,))
+        self._stack_params("dec", DECODER_BLOCKS, 7)
         self._positions = np.arange(1, cfg.horizon + 1, dtype=float)
 
-    def _block_params(self, prefix: str, d: int):
+    def _stack_params(self, prefix: str, blocks: int, out_dim: int):
+        """A query stack: H queries, `blocks` blocks, a final norm and a linear head."""
         p = self.params
+        p.query_normal(f"{prefix}.q", (self.cfg.horizon, D_MODEL))
+        for i in range(blocks):
+            self._block_params(f"{prefix}.b{i}")
+        p.ones(f"{prefix}.lnf.g", (D_MODEL,))
+        p.zeros(f"{prefix}.lnf.b", (D_MODEL,))
+        p.linear_weight(f"{prefix}.head.w", D_MODEL, out_dim)
+        p.zeros(f"{prefix}.head.b", (out_dim,))
+
+    def _block_params(self, prefix: str):
+        p, d = self.params, D_MODEL
         for ln in ["ln1", "ln2", "lnkv", "ln3"]:
             p.ones(f"{prefix}.{ln}.g", (d,))
             p.zeros(f"{prefix}.{ln}.b", (d,))
@@ -134,7 +125,7 @@ class Policy:
             # Without RoPE a key bias adds one constant to all of a query's scores, which softmax ignores.
             for b in ["bq", "bk", "bv", "bo"] if attn == "self" else ["bq", "bv", "bo"]:
                 p.zeros(f"{prefix}.{attn}.{b}", (d,))
-        hidden = self.cfg.ffn_factor * d
+        hidden = FFN_FACTOR * d
         p.linear_weight(f"{prefix}.ffn.w1", d, hidden)
         p.zeros(f"{prefix}.ffn.b1", (hidden,))
         p.linear_weight(f"{prefix}.ffn.w2", hidden, d)
@@ -154,7 +145,7 @@ class Policy:
         return tn.multi_head_attention(
             q_in,
             kv_in,
-            self.cfg.heads,
+            HEADS,
             p[f"{prefix}.wq"],
             p[f"{prefix}.wk"],
             p[f"{prefix}.wv"],
@@ -176,6 +167,13 @@ class Policy:
         h = tn.linear(self._ln(x, f"{prefix}.ln3"), self.params[f"{prefix}.ffn.w1"], self.params[f"{prefix}.ffn.b1"])
         h = tn.linear(tn.gelu(h), self.params[f"{prefix}.ffn.w2"], self.params[f"{prefix}.ffn.b2"])
         return tn.add(x, h)
+
+    def _run_stack(self, prefix, blocks, kv):
+        """A stack's queries refined against kv by its blocks, then its final norm."""
+        x = self.params[f"{prefix}.q"]
+        for i in range(blocks):
+            x = self._block(f"{prefix}.b{i}", x, kv)
+        return self._ln(x, f"{prefix}.lnf")
 
     def encode(self, lang, visual, depth) -> tn.Tensor:
         """Project token blocks to the model width; concatenation order is
@@ -201,17 +199,14 @@ class Policy:
         """Refine the trajectory queries against the encoded tokens.
 
         Returns (h_traj, tau); tau is recomputable as the linear head applied
-        to h_traj. An h_noise array of h_traj's shape, (H, d_model) or
-        (B, H, d_model), is added to h_traj before the head reads it (the
+        to h_traj. An h_noise array of h_traj's shape, (H, D_MODEL) or
+        (B, H, D_MODEL), is added to h_traj before the head reads it (the
         perturbed protocol). Skipped entirely (returns
         None) for the no-trajectory variant.
         """
         if not self.cfg.variant.uses_predictor:
             return None
-        x = self.params["pred.q"]
-        for i in range(self.cfg.predictor_blocks):
-            x = self._block(f"pred.b{i}", x, h3d)
-        h_traj = self._ln(x, "pred.lnf")
+        h_traj = self._run_stack("pred", PREDICTOR_BLOCKS, h3d)
         if h_noise is not None:
             h_traj = tn.add(h_traj, self._input(h_noise))
         tau = self.trajectory_head(h_traj)
@@ -230,10 +225,7 @@ class Policy:
         state = self._input(state_vec)
         h_state = tn.linear(state, self.params["state.w"], self.params["state.b"])
         h_ctx = tn.concat([conditioning, h_state], axis=-2)
-        x = self.params["dec.q"]
-        for i in range(self.cfg.decoder_blocks):
-            x = self._block(f"dec.b{i}", x, h_ctx)
-        x = self._ln(x, "dec.lnf")
+        x = self._run_stack("dec", DECODER_BLOCKS, h_ctx)
         out = tn.linear(x, self.params["dec.head.w"], self.params["dec.head.b"])
         rigid = tn.narrow(out, -1, 0, 6)
         grip = tn.sigmoid(tn.narrow(out, -1, 6, 1))
@@ -272,7 +264,7 @@ class Policy:
     def act(self, features: list[sw.ObservationFeatures], state_vecs, h_noise=None) -> PolicyOutput:
         """Inference (no tape) for a batch of B observations: `features` holds
         B ObservationFeatures and `state_vecs` is (B, 7). h_noise is
-        predict_trajectory's, (B, H, d_model): row b perturbs observation b.
+        predict_trajectory's, (B, H, D_MODEL): row b perturbs observation b.
         Returns (B, H, ·) float64 arrays; row b equals the row a batch of
         observation b alone gives, bit for bit (tests pin this)."""
         out = self.forward(np.stack([f.lang for f in features]),

@@ -68,14 +68,8 @@ KEPT_PARAMS = {}
 
 # "module.Class.field" of a defaulted dataclass field.
 KEPT_FIELDS_SET = {
-    "policy.PolicyConfig.d_model": "tiny test policies: d_model 8 keeps test_tiny_policy_full_gradcheck fast",
-    "policy.PolicyConfig.heads": "tiny test policies (2 heads), and the d_model/heads divisibility check",
-    "policy.PolicyConfig.predictor_blocks": "tiny test policies: one predictor block",
-    "policy.PolicyConfig.decoder_blocks": "tiny test policies: one decoder block",
     "policy.PolicyConfig.horizon": "tiny test policies (horizon 1 and 2) and the loss tests' horizon sweep",
     "policy.PolicyConfig.lam": "the divergence test sets lam=1e308 to overflow the first forward pass",
-    "policy.PolicyConfig.ffn_factor": "a size stored in every policy_cfg_v1 document and config hash; "
-                                      "folding it would change both",
     "simworld.TaskSpec.horizon_limit": "the harness tests shorten episodes to 40 steps",
 }
 

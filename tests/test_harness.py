@@ -326,8 +326,8 @@ def test_tiny_closed_form_study_rows():
     miss = {"successes": 0, "success_rate": 0.0, "wilson_lo": 0.0,
             "wilson_hi": 0.7934500192691468}
     expected = []
-    for seed, config_hash, traj_error in [(0, "b68c6e105eb3c1d8", 4.512152337651668),
-                                          (1, "788deb1936ded518", 4.047120355895518)]:
+    for seed, config_hash, traj_error in [(0, "d05ddfad7690134c", 4.512152337651668),
+                                          (1, "063d150c7ea6ddb3", 4.047120355895518)]:
         common = {"study": "closed_form", "seed": seed, "episodes": 1,
                   "chart_violation_rate": 0.0, "config_hash": config_hash}
         expected += [

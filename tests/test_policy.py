@@ -38,8 +38,6 @@ def float64_params(policy):
 class TestConfig:
     def test_validation(self):
         with pytest.raises(pol.PolicyConfigError):
-            pol.PolicyConfig(token_dim=7, d_model=10, heads=4)
-        with pytest.raises(pol.PolicyConfigError):
             pol.PolicyConfig(token_dim=7, horizon=0)
         with pytest.raises(pol.PolicyConfigError):
             pol.PolicyConfig(token_dim=7, lam=-0.1)
@@ -49,8 +47,9 @@ class TestConfig:
         rebuilt from its JSON text equals the original."""
         cfg = pol.PolicyConfig(
             token_dim=9,
-            d_model=32,
-            heads=2,
+            horizon=4,
+            lam=0.5,
+            seed=3,
             variant=ds.SupervisionVariant("traj_world_se3", depth_mode="relative"),
         )
         doc = json.loads(json.dumps(cfg.to_json()))
@@ -134,17 +133,17 @@ class TestEncoder:
         f = windows[0].features
         h3d = policy.encode(f.lang, f.visual, f.depth)
         n_kp = len(scene.objects) + 1
-        assert h3d.shape == (2 + n_kp, policy.cfg.d_model)
+        assert h3d.shape == (2 + n_kp, pol.D_MODEL)
         assert "enc.dep.w" not in policy.params
 
     def test_zero_features_give_bias_terms(self, world):
         scene, task, data, windows = world
         policy = make_policy(scene)
-        policy.params["enc.lang.b"].data = np.full(policy.cfg.d_model, 0.25)
+        policy.params["enc.lang.b"].data = np.full(pol.D_MODEL, 0.25)
         dt = policy.cfg.token_dim
         h3d = policy.encode(np.zeros((2, dt)), np.zeros((3, dt)), np.zeros((3, dt)))
-        npt.assert_array_equal(h3d.data[:2], np.full((2, policy.cfg.d_model), 0.25))
-        npt.assert_array_equal(h3d.data[2:5], np.zeros((3, policy.cfg.d_model)))
+        npt.assert_array_equal(h3d.data[:2], np.full((2, pol.D_MODEL), 0.25))
+        npt.assert_array_equal(h3d.data[2:5], np.zeros((3, pol.D_MODEL)))
 
     def test_deterministic(self, world):
         scene, task, data, windows = world
@@ -162,7 +161,7 @@ class TestPredictor:
         h3d = policy.encode(f.lang, f.visual, f.depth)
         h_traj, tau = policy.predict_trajectory(h3d)
         assert tau.shape == (1, 6)
-        assert h_traj.shape == (1, policy.cfg.d_model)
+        assert h_traj.shape == (1, pol.D_MODEL)
 
     def test_tau_recomputable_from_head(self, world):
         scene, task, data, windows = world
@@ -213,7 +212,7 @@ def test_batched_act_rows_equal_one_row_calls(world, batch, target, rotation, de
     features, states = [w.features for w in picked], [w.state_vec for w in picked]
     h_noise = None
     if noisy:
-        h_noise = np.random.default_rng(1).normal(0.0, 0.1, (batch, 8, policy.cfg.d_model))
+        h_noise = np.random.default_rng(1).normal(0.0, 0.1, (batch, 8, pol.D_MODEL))
     out = policy.act(features, states, h_noise)
     assert out.chunk.shape == (batch, 8, 7)
     for b in range(batch):
@@ -233,7 +232,7 @@ class TestDecoder:
     def test_zeroed_context_and_queries_give_head_biases(self, world):
         scene, task, data, windows = world
         policy = make_policy(scene)
-        d = policy.cfg.d_model
+        d = pol.D_MODEL
         policy.params["dec.q"].data = np.zeros((8, d))
         chunk = policy.decode_actions(tn.Tensor(np.zeros((5, d))), np.zeros((1, 7)))
         npt.assert_array_equal(chunk.data[:, :6], np.zeros((8, 6)))  # head bias is zero at init
@@ -302,16 +301,29 @@ class TestRouting:
         assert any(np.abs(grads[n]).sum() > 0 for n in grads if n.startswith("pred."))
 
 
+@pytest.fixture
+def tiny_architecture(monkeypatch):
+    """Width 8, two heads, one block per stack."""
+    for name, value in [("D_MODEL", 8), ("HEADS", 2), ("PREDICTOR_BLOCKS", 1), ("DECODER_BLOCKS", 1)]:
+        monkeypatch.setattr(pol, name, value)
+
+
+def test_tiny_architecture_builds_and_acts(world, tiny_architecture):
+    scene, task, data, windows = world
+    policy = make_policy(scene)
+    assert policy.params["pred.q"].data.shape == (8, 8)
+    assert sum(n.startswith("pred.b") and n.endswith(".ffn.w1") for n in policy.params.names()) == 1
+    assert policy.params.total_count() == 2901
+    out = policy.act([w.features for w in windows[:3]], [w.state_vec for w in windows[:3]])
+    assert out.chunk.shape == (3, 8, 7) and out.tau.shape == (3, 8, 6)
+
+
 class TestEndToEndGradient:
     @pytest.mark.slow
-    def test_tiny_policy_full_gradcheck(self, world):
+    def test_tiny_policy_full_gradcheck(self, world, tiny_architecture):
         scene, task, data, windows = world
         variant = ds.SupervisionVariant()
-        cfg = pol.PolicyConfig(
-            token_dim=sw.feature_dims(scene)[0], d_model=8, predictor_blocks=1,
-            decoder_blocks=1, heads=2, horizon=2, variant=variant,
-        )
-        policy = pol.build_variant(cfg)
+        policy = make_policy(scene, horizon=2)
         short = [
             ds.TrainingWindow(
                 features=w.features,

@@ -80,11 +80,11 @@ def test_serial_rows_are_pinned(serial_rows):
     digest = hashlib.sha256(json.dumps(stripped, sort_keys=True).encode()).hexdigest()
     assert digest == "5b8362647f0ae4d7bac45097722e2c95a779026b019d3069c79f02bdfb5b6416"
     assert {name: [row["config_hash"] for row in rows] for name, rows in serial_rows.items()} == {
-        "ladder": ["9edeaa03073fc692", "b4e0c32385343531", "f3b98d6c5969920b", "6d19f0cd1fc54c49",
-                   "2713d2db1b4b6a87", "4bbf937a8d49e5d4",
-                   "0532ccd1c87a1b2e", "cd4347c74e027310", "43f63273865001ed", "732172d9d52d41c0",
-                   "d5724f93c96171ed", "5f09f43835ab2e53"],
-        "closed_form": ["b68c6e105eb3c1d8"] * 3 + ["788deb1936ded518"] * 3,
+        "ladder": ["549e6d525ad9baeb", "ecf4fe360f7d5864", "1a65fddb71c50a63", "73094daa4de5e368",
+                   "03a4d5f9aedd4e7d", "59a51baf0748914c",
+                   "283e44693428af3e", "24ec557e8a4c16dc", "3a6da26e5307fad9", "bcc9f15c9b482151",
+                   "f8ac9f1e37bc706c", "22f7e11d9985364c"],
+        "closed_form": ["d05ddfad7690134c"] * 3 + ["063d150c7ea6ddb3"] * 3,
     }
 
 
