@@ -268,7 +268,7 @@ def _rotation_block(rot: np.ndarray, rotation_param: str, h: int) -> np.ndarray:
         block = _FROM_MATRIX[rotation_param](rot)
     except geo.GimbalLockError as e:
         raise DatasetError(f"step {h}: Euler target in the gimbal-lock band") from e
-    if rotation_param == "axis_angle" and np.linalg.norm(block) >= math.pi - geo.CHART_MARGIN:
+    if rotation_param == "axis_angle" and geo.at_chart_boundary(block):
         raise DatasetError(f"step {h}: axis-angle target at the chart boundary")
     return block
 

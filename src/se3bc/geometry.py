@@ -4,8 +4,10 @@ Conventions:
     - Rotations are 3x3 matrices R with R^T R = I, det(R) = +1.
     - Axis-angle (exponential coordinates): a 3-vector whose direction is the
       rotation axis and whose norm is the angle in radians. The canonical
-      chart covers ||theta|| <= pi; callers that need strict chart validity
-      (||theta|| < pi) check the chart_violation flag on relative actions.
+      chart covers ||theta|| <= pi and is ambiguous at pi; at_chart_boundary
+      tests rows for ||theta|| >= pi - CHART_MARGIN. relative_action flags
+      such rotations, datasets rejects such targets, and rollouts count such
+      predicted rows.
     - SE(3) transforms are 4x4 homogeneous matrices [[R, p], [0, 1]] with
       translation p in meters.
     - Pose vectors are 6-vectors [p, theta].
@@ -274,13 +276,18 @@ def relative_action(t_a: np.ndarray, t_b: np.ndarray) -> RelativeAction:
     """Rigid motion taking t_a to t_b, as translation + axis-angle deltas.
 
     Returns the rigid part only; the gripper channel is left at 0 for the
-    caller to fill. Flags chart_violation when the relative rotation angle
-    reaches pi - CHART_MARGIN.
+    caller to fill. Flags chart_violation when the relative rotation is at
+    the chart boundary (at_chart_boundary).
     """
     rel = se3_inverse(t_a) @ check_se3(t_b)
     dtheta = log_so3(rel[:3, :3])
-    violation = float(np.linalg.norm(dtheta)) >= math.pi - CHART_MARGIN
-    return RelativeAction(rel[:3, 3], dtheta, 0.0, chart_violation=violation)
+    return RelativeAction(rel[:3, 3], dtheta, 0.0, chart_violation=bool(at_chart_boundary(dtheta)))
+
+
+def at_chart_boundary(theta) -> np.ndarray:
+    """Whether each axis-angle row of `theta` (..., 3) reaches pi - CHART_MARGIN,
+    where the chart is ambiguous; a bool array of shape (...)."""
+    return np.linalg.norm(theta, axis=-1) >= math.pi - CHART_MARGIN
 
 
 def apply_action(t: np.ndarray, a: RelativeAction) -> np.ndarray:

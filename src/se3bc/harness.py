@@ -267,8 +267,8 @@ class _Learned:
     and step t executes row t % H of it.
 
     Each prediction's tau rows count toward the chart-violation rate; a row
-    violates when its axis-angle rotation (SE(3) targets only) reaches
-    pi - geo.CHART_MARGIN, the boundary relative_action flags.
+    violates when its axis-angle rotation (SE(3) targets only) is at the
+    chart boundary (geo.at_chart_boundary).
     For camera-frame axis-angle policies, tau is also scored online: row h of
     the chunk that starts at step t0 against the camera-frame ee pose reached
     at step t0 + h + 1, while the episode lasts. mean_traj_error sums those
@@ -348,8 +348,7 @@ class _Learned:
         if out.tau is not None:
             self.pred_rows += len(episodes) * self._horizon
             if self._counts_chart:
-                norms = np.linalg.norm(out.tau[..., 3:6], axis=-1)
-                self.violating_rows += int(np.sum(norms >= math.pi - geo.CHART_MARGIN))
+                self.violating_rows += int(np.sum(geo.at_chart_boundary(out.tau[..., 3:6])))
             if self._tracks_tau:
                 self._taus.update(zip(episodes, out.tau))
 

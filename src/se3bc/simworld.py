@@ -172,7 +172,9 @@ def _clip_norm(v: np.ndarray, limit: float) -> np.ndarray:
 
 
 class Simulator:
-    """Owns one episode's state transitions; one instance per rollout worker.
+    """State transitions of a scene and task; it keeps no per-episode state,
+    so one instance steps any number of episodes (reset returns a state, step
+    maps a state and an action to the next).
 
     Actions are clamped to MAX_DP and MAX_DTHETA per step and the gripper
     slews at GRIPPER_RATE. Only reset draws random numbers: it jitters each

@@ -196,6 +196,13 @@ class TestRelativeAction:
         t_c = geo.se3(geo.exp_so3([1.0, 0, 0]), np.zeros(3))
         assert not geo.relative_action(np.eye(4), t_c).chart_violation
 
+    def test_chart_boundary_of_rows(self):
+        edge = math.pi - geo.CHART_MARGIN
+        rows = np.array([[[edge, 0.0, 0.0], [0.0, np.nextafter(edge, 0.0), 0.0]],
+                         [[0.0, 0.0, -math.pi], [1.0, 1.0, 1.0]]])
+        npt.assert_array_equal(geo.at_chart_boundary(rows), [[True, False], [True, False]])
+        assert geo.at_chart_boundary(np.array([0.0, 0.0, math.pi])).shape == ()
+
     def test_chained_reconstruction_h64(self):
         rng = np.random.default_rng(13)
         poses = [random_se3(rng, max_angle=1.0)]

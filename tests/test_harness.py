@@ -67,6 +67,17 @@ class TestRolloutCharacterization:
         })
 
 
+def test_chart_violation_rate_counts_boundary_rows(world):
+    # A zeroed trajectory head with rotation bias (pi, 0, 0) puts every tau
+    # row at the axis-angle chart boundary.
+    scene, _, short, _ = world
+    policy = pol.Policy(pol.PolicyConfig(token_dim=sw.feature_dims(scene)[0], seed=7))
+    policy.params["pred.head.w"].data[...] = 0.0
+    policy.params["pred.head.b"].data[3:6] = [math.pi, 0.0, 0.0]
+    report = hs.rollout(policy, scene, replace(short, horizon_limit=8), EPISODES, EVAL_SEED)
+    assert report.chart_violation_rate == 1.0
+
+
 class TestClosedFormCharacterization:
     def test_oracle(self, world):
         scene, task, _, _ = world
