@@ -92,10 +92,9 @@ class Policy:
     def __init__(self, cfg: PolicyConfig):
         self.cfg = cfg
         self.params = p = tn.ParamSet(cfg.seed)
-        blocks = ["lang", "vis"] + (["dep"] if cfg.variant.depth_mode != "none" else [])
-        for block in blocks:
-            p.linear_weight(f"enc.{block}.w", cfg.token_dim, D_MODEL)
-            p.zeros(f"enc.{block}.b", (D_MODEL,))
+        for tokens in ["lang", "vis"] + (["dep"] if cfg.variant.depth_mode != "none" else []):
+            p.linear_weight(f"enc.{tokens}.w", cfg.token_dim, D_MODEL)
+            p.zeros(f"enc.{tokens}.b", (D_MODEL,))
         if cfg.variant.uses_predictor:
             self._stack_params("pred", PREDICTOR_BLOCKS, cfg.variant.target_dim)
         p.linear_weight("state.w", 7, D_MODEL)
