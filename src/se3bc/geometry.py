@@ -287,7 +287,8 @@ def relative_action(t_a: np.ndarray, t_b: np.ndarray) -> RelativeAction:
 def at_chart_boundary(theta) -> np.ndarray:
     """Whether each axis-angle row of `theta` (..., 3) reaches pi - CHART_MARGIN,
     where the chart is ambiguous; a bool array of shape (...)."""
-    # Cheaper than np.linalg.norm(theta, axis=-1) by about 1 us per call.
+    # Recording calls this once per step (relative_action); on one 3-vector,
+    # np.linalg.norm(theta, axis=-1) costs more than this sum of squares.
     return np.sqrt(np.square(theta).sum(axis=-1)) >= math.pi - CHART_MARGIN
 
 
