@@ -215,6 +215,47 @@ def test_evaluation_rejects_episodes_below_one(monkeypatch, world, evaluate, epi
         evaluate(policy, scene, task, episodes, EVAL_SEED)
 
 
+# A seeded gripper command per step, forced into both controllers: into the
+# gripper column of the learned decoder's chunk and into the privileged rule.
+FORCED_GRIPS = [float(g) for g in np.random.default_rng(0).random(64)]
+
+
+@pytest.mark.parametrize("evaluate,commands", [
+    (hs.rollout, [1.0 if g > 0.5 else 0.0 for g in FORCED_GRIPS]),
+    (hs.closed_form_baseline, FORCED_GRIPS),
+], ids=["rollout", "closed_form_policy"])
+def test_perturbed_gripper_commands_execute_late_from_open(monkeypatch, world, evaluate,
+                                                           commands):
+    # Every gripper command Simulator.step receives, over one 40-step episode:
+    # plain, each step's forced command; perturbed, the same sequence
+    # PERTURB_GRIPPER_LATENCY steps late, the first steps open (0.0).
+    act, step, executed = hs._act, sw.Simulator.step, []
+
+    def forced_act(policy, task, scene, camera, states, h_noise=None):
+        out = act(policy, task, scene, camera, states, h_noise)
+        t0 = states[0].step_count
+        out.chunk[..., 6] = FORCED_GRIPS[t0:t0 + out.chunk.shape[1]]
+        return out
+
+    def spy(sim, state, action):
+        executed.append(action.gripper)
+        return step(sim, state, action)
+
+    monkeypatch.setattr(hs, "_act", forced_act)
+    monkeypatch.setattr(hs, "_privileged_gripper",
+                        lambda state, scene, task, prev: FORCED_GRIPS[state.step_count])
+    monkeypatch.setattr(sw.Simulator, "step", spy)
+    scene, _, short, policy = world
+    runs = {}
+    for perturb in (False, True):
+        executed.clear()
+        evaluate(policy, scene, short, 1, EVAL_SEED, perturb=perturb)
+        runs[perturb] = list(executed)
+    lag = hs.PERTURB_GRIPPER_LATENCY
+    assert runs[False] == commands[:short.horizon_limit]
+    assert runs[True] == [0.0] * lag + runs[False][:-lag]
+
+
 DEPTH_PINS = {
     "metric": {
         "curve": [
