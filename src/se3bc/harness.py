@@ -5,10 +5,13 @@ steps: `_Learned` (the policy's own decoder, behind `rollout`) and
 `_ClosedForm` (the hardcoded geometric pipeline, behind
 `closed_form_baseline`). `_drive` steps all of a run's episodes in lockstep,
 and a controller's one method, `actions(episodes, states)`, answers one
-action per live episode before every round of simulator steps. Both execute
-in chunks: predict H steps, execute them, predict again (the chunked
-execution of ACT). All live episodes share a step count, so every H steps
-one batched `Policy.act` call plans the next chunk of every live episode.
+(dp, dtheta, gripper) command per live episode before every round of
+simulator steps. `_drive` turns each command into the executed action, so
+it alone applies the perturbed protocol's gripper latency, which models the
+actuator rather than either controller. Both controllers execute in chunks:
+predict H steps, execute them, predict again (the chunked execution of
+ACT). All live episodes share a step count, so every H steps one batched
+`Policy.act` call plans the next chunk of every live episode.
 Paired comparisons consume identical episode seeds and identical
 perturbation draws, both derived from the root seed by counter-based
 splitting.
@@ -35,7 +38,7 @@ import math
 import os
 import threading
 import time
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -182,26 +185,31 @@ def _report(successes: int, finals: list, chart_violation_rate: float = 0.0,
     )
 
 
-def _drive(controller, scene: sw.SceneSpec, task: sw.TaskSpec, episodes: int, seed: int):
+def _drive(controller, scene: sw.SceneSpec, task: sw.TaskSpec, episodes: int, seed: int,
+           perturb: bool):
     """The seeded episode loop, stepping every episode in lockstep; returns
     (successes, final states in episode order).
 
     Episode i resets the simulator with derive_seed(seed, "episode", i), so
     every controller driven with the same seed meets the same initial scenes.
     Each round, controller.actions(live episodes, their states) answers one
-    RelativeAction per live episode, and one simulator, which keeps no
-    per-episode state, steps each of them once. An episode leaves the batch
-    when it succeeds or reaches the horizon. Every episode starts at step 0
-    and steps once per round, so all live states share one step count.
+    (dp, dtheta, gripper) command per live episode, and one simulator, which
+    keeps no per-episode state, steps each of them once. With perturb=True
+    each episode's gripper commands execute PERTURB_GRIPPER_LATENCY steps
+    late, the first ones open (0.0). An episode leaves the batch when it
+    succeeds or reaches the horizon. Every episode starts at step 0 and steps
+    once per round, so all live states share one step count.
     """
     sim = sw.Simulator(scene, task)
     states = [sim.reset(derive_seed(seed, "episode", i)) for i in range(episodes)]
+    grips = [deque([0.0] * (PERTURB_GRIPPER_LATENCY if perturb else 0)) for _ in range(episodes)]
     successes, live = 0, list(range(episodes))
     while live:
-        actions = controller.actions(live, [states[i] for i in live])
+        commands = controller.actions(live, [states[i] for i in live])
         still = []
-        for i, action in zip(live, actions):
-            states[i] = sim.step(states[i], action)
+        for i, (dp, dtheta, grip) in zip(live, commands):
+            grips[i].append(grip)
+            states[i] = sim.step(states[i], geo.RelativeAction(dp, dtheta, grips[i].popleft()))
             success = sim.check_success(states[i])
             successes += int(success)
             if not success and states[i].step_count < task.horizon_limit:
@@ -231,8 +239,8 @@ def _act(policy: pol.Policy, task, scene, camera, states, h_noise=None) -> pol.P
 
 # Noise injected at the predictor output: per position dimension (meters) and
 # per axis-angle dimension (radians). The same draws corrupt both the learned
-# decoder's conditioning stream and the hardcoded pipeline's poses. Gripper
-# commands are executed PERTURB_GRIPPER_LATENCY steps late.
+# decoder's conditioning stream and the hardcoded pipeline's poses. _drive
+# executes every controller's gripper commands PERTURB_GRIPPER_LATENCY steps late.
 PERTURB_SIGMA_P = 0.005
 PERTURB_SIGMA_THETA = math.radians(2.0)
 PERTURB_GRIPPER_LATENCY = 2
@@ -246,16 +254,6 @@ def _perturbation(root_seed: int, episode: int, chunk: int, horizon: int):
     return eps
 
 
-def _grip_queue(perturb: bool) -> deque:
-    """An episode's gripper delay queue, which persists across its chunks."""
-    return deque([0.0] * (PERTURB_GRIPPER_LATENCY if perturb else 0))
-
-
-def _delayed(queue: deque, command: float) -> float:
-    queue.append(command)
-    return queue.popleft()
-
-
 # --- learned decoder ---
 
 
@@ -264,7 +262,7 @@ class _Learned:
 
     In lockstep, chunk c of every episode starts at step c * H, so one
     Policy.act call every H steps plans the next chunk of every live episode,
-    and step t executes row t % H of it.
+    and step t commands row t % H of it, its gripper thresholded at 0.5.
 
     Each prediction's tau rows count toward the chart-violation rate; a row
     violates when its axis-angle rotation (SE(3) targets only) is at the
@@ -281,8 +279,7 @@ class _Learned:
     and dh are float64, but the policy rounds dh to float32 and computes in
     float32, so the equality holds to float32 roundoff only: on the desk
     policy, with |tau| up to 1.5, head(h_traj + dh) and tau + eps differ by
-    up to 5e-7 per element. Gripper commands are additionally delayed by
-    PERTURB_GRIPPER_LATENCY steps.
+    up to 5e-7 per element.
     """
 
     def __init__(self, policy: pol.Policy, scene, task, camera, perturb: bool, root_seed: int):
@@ -298,25 +295,18 @@ class _Learned:
         self.perturb, self.root_seed = perturb, root_seed
         self._horizon = policy.cfg.horizon
         self.pred_rows = self.violating_rows = 0
-        # Per episode: the current chunk, the current tau when it is scored,
-        # the gripper delay queue and the scored tau errors in step order.
-        self._chunks, self._taus, self._grip_queues, self._traj_errors = {}, {}, {}, {}
+        # Per episode: the current chunk, the current tau when it is scored
+        # and the scored tau errors in step order.
+        self._chunks, self._taus, self._traj_errors = {}, {}, defaultdict(list)
 
     def actions(self, episodes: list, states: list) -> list:
         t = states[0].step_count
-        if t == 0:
-            for i in episodes:
-                self._grip_queues[i], self._traj_errors[i] = _grip_queue(self.perturb), []
-        elif self._tracks_tau:
+        if t > 0 and self._tracks_tau:
             self._score(episodes, states)
         if t % self._horizon == 0:
             self._predict(episodes, states, t // self._horizon)
-        actions = []
-        for i in episodes:
-            row = self._chunks[i][t % self._horizon]
-            grip = _delayed(self._grip_queues[i], row[6])
-            actions.append(geo.RelativeAction(row[:3], row[3:6], 1.0 if grip > 0.5 else 0.0))
-        return actions
+        rows = [self._chunks[i][t % self._horizon] for i in episodes]
+        return [(row[:3], row[3:6], 1.0 if row[6] > 0.5 else 0.0) for row in rows]
 
     def mean_traj_error(self, finals: list) -> float | None:
         """Mean scored tau error per row, summed in episode order. `finals`
@@ -369,13 +359,15 @@ def rollout(
     episodes run in lockstep, so one Policy.act call every H steps plans the
     next chunk of every live episode; the report is reduced in episode order.
     With perturb=True, the predictor output is corrupted by draws derived
-    from seed, the same draws closed_form_baseline() uses (see _Learned).
-    Episode seeds match closed_form_baseline()'s, so comparisons are paired.
+    from seed, the same draws closed_form_baseline() uses (see _Learned),
+    and _drive executes the decoder's gripper commands
+    PERTURB_GRIPPER_LATENCY steps late. Episode seeds match
+    closed_form_baseline()'s, so comparisons are paired.
     Raises HarnessError when episodes < 1.
     """
     _require_episodes(episodes)
     learned = _Learned(policy, scene, task, camera or sw.default_camera(), perturb, seed)
-    successes, finals = _drive(learned, scene, task, episodes, seed)
+    successes, finals = _drive(learned, scene, task, episodes, seed, perturb)
     return _report(
         successes, finals,
         chart_violation_rate=(learned.violating_rows / learned.pred_rows
@@ -409,9 +401,8 @@ class _ClosedForm:
     policy's horizon, or ds.HORIZON_DEFAULT without a policy). The optional
     perturbation is added to tau. Each pose row is lifted to the world frame
     via the known extrinsic and chained into relative actions with the exact
-    recovery map; step t executes move t % H. The gripper follows privileged
-    simulator proximity at every step, delayed by PERTURB_GRIPPER_LATENCY
-    steps when perturbed.
+    recovery map; step t commands move t % H. The gripper command follows
+    privileged simulator proximity at every step.
     """
 
     def __init__(self, policy: pol.Policy | None, scene, task, camera, perturb: bool,
@@ -421,30 +412,28 @@ class _ClosedForm:
         self._horizon = policy.cfg.horizon if policy is not None else ds.HORIZON_DEFAULT
         if oracle:
             self._shadow = sw.Simulator(scene, task)
-        # Per episode: the current chunk's moves, the privileged gripper
-        # command before its delay, the delay queue and the synced expert.
-        self._moves, self._grips, self._grip_queues, self._experts = {}, {}, {}, {}
+        # Per episode: the current chunk's moves, the last privileged gripper
+        # command and the synced expert.
+        self._moves, self._grips, self._experts = {}, {}, {}
 
     def actions(self, episodes: list, states: list) -> list:
         t = states[0].step_count
-        if t == 0:
-            for i in episodes:
-                self._grips[i], self._grip_queues[i] = 0.0, _grip_queue(self.perturb)
-                if self.oracle:
+        if self.oracle:
+            for i, state in zip(episodes, states):
+                if t == 0:
                     self._experts[i] = sw.ScriptedExpert(self.scene, self.task,
                                                          gripper_latency_steps=0)
-        elif self.oracle:
-            for i, state in zip(episodes, states):
-                self._experts[i].action(state)  # advance the synced expert's phase
+                else:
+                    self._experts[i].action(state)  # advance the synced expert's phase
         if t % self._horizon == 0:
             self._plan(episodes, states, t // self._horizon)
-        actions = []
+        commands = []
         for i, state in zip(episodes, states):
             move = self._moves[i][t % self._horizon]
-            self._grips[i] = _privileged_gripper(state, self.scene, self.task, self._grips[i])
-            grip = _delayed(self._grip_queues[i], self._grips[i])
-            actions.append(geo.RelativeAction(move.dp, move.dtheta, grip))
-        return actions
+            self._grips[i] = _privileged_gripper(state, self.scene, self.task,
+                                                 self._grips.get(i, 0.0))
+            commands.append((move.dp, move.dtheta, self._grips[i]))
+        return commands
 
     def _plan(self, episodes: list, states: list, chunk: int):
         if self.oracle:
@@ -489,8 +478,10 @@ def closed_form_baseline(
     the trajectory comes from an expert lookahead instead of the policy,
     over the policy's horizon if one is given. The episodes run in lockstep:
     one Policy.act call every H steps plans the next chunk of every live
-    episode, and the report lists episodes in episode order. Episode seeds
-    and perturbation draws match rollout()'s, so comparisons are paired.
+    episode, and the report lists episodes in episode order. With
+    perturb=True, tau is corrupted and _drive executes the gripper commands
+    PERTURB_GRIPPER_LATENCY steps late, as in rollout(). Episode seeds and
+    perturbation draws match rollout()'s, so comparisons are paired.
     Raises HarnessError when episodes < 1.
     """
     _require_episodes(episodes)
@@ -498,7 +489,7 @@ def closed_form_baseline(
         raise HarnessError("closed-form baseline needs a camera-frame axis-angle policy")
     controller = _ClosedForm(policy, scene, task, camera or sw.default_camera(), perturb, seed,
                              oracle)
-    return _report(*_drive(controller, scene, task, episodes, seed))
+    return _report(*_drive(controller, scene, task, episodes, seed, perturb))
 
 
 # --- studies ---

@@ -213,7 +213,7 @@ class Policy:
 
     def trajectory_head(self, h_traj) -> tn.Tensor:
         tau = tn.linear(tn.as_tensor(h_traj), self.params["pred.head.w"], self.params["pred.head.b"])
-        if self.cfg.variant.rotation_param == "quaternion" and self.cfg.variant.target_dim == 7:
+        if self.cfg.variant.rotation_param == "quaternion":
             pos = tn.narrow(tau, -1, 0, 3)
             quat = tn.normalize_rows(tn.narrow(tau, -1, 3, 4))
             tau = tn.concat([pos, quat], axis=-1)

@@ -242,7 +242,7 @@ class Simulator:
             poses[attached] = ee_p + ee_r @ offset
 
         latch = state.latch_visited
-        if self.task.family == "long" and self.task.latch_center is not None and not latch:
+        if self.task.family == "long" and not latch:
             latch = float(np.linalg.norm(ee_p - self.task.latch_center)) <= LATCH_RADIUS
 
         return SimState(
