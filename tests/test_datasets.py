@@ -7,6 +7,7 @@ import pytest
 from se3bc import datasets as ds
 from se3bc import geometry as geo
 from se3bc import simworld as sw
+from se3bc.seeding import derive_seed
 
 
 def step_arrays(s):
@@ -76,6 +77,24 @@ class TestRecording:
         task.horizon_limit = 3  # impossible budget
         with pytest.raises(ds.DatasetError, match="20%"):
             ds.record_demonstrations(scene, task, n=5, seed=1)
+
+    def test_retries_keep_attempt_order_and_budget(self, monkeypatch):
+        # Success also needs block_blue's reset x > 0.12 (it never moves in a
+        # goal episode), so about half the attempts fail: the demos must be
+        # the first successes in attempt order, each with its attempt's seed.
+        check_success = sw.Simulator.check_success
+        monkeypatch.setattr(sw.Simulator, "check_success", lambda sim, state: (
+            check_success(sim, state) and state.object_poses["block_blue"][0] > 0.12))
+        scene, task = sw.default_scene("goal")
+        data = ds.record_demonstrations(scene, task, n=4, seed=0)
+        assert [d.seed for d in data.demos] == [
+            derive_seed(0, "episode", a) for a in (1, 4, 6, 8)] == [
+            14072491465829651844, 12530750581696857067, 10640821213751540758, 3039458007533898160]
+        assert data.n_discarded == 5
+        assert [len(d) for d in data.demos] == [28, 28, 27, 28]
+        with pytest.raises(ds.DatasetError) as err:
+            ds.record_demonstrations(scene, task, n=4, seed=3)
+        assert str(err.value) == "expert failure rate above 20%: 3 successes in 10 attempts"
 
 
 class TestWindows:
