@@ -1,5 +1,7 @@
 """Demonstration recording, horizon windowing and supervision synthesis.
 
+Demos are scripted-expert episodes of sw.drive, the loop that also evaluates
+policies; a record's gripper label is the command its step executed.
 A demonstration is a sequence of per-timestep records; the last record is the
 final state with a zero rigid action and held gripper command, so every
 record carries the same fields. It is also the stationary pad that
@@ -24,6 +26,7 @@ from .seeding import derive_seed
 log = logging.getLogger(__name__)
 
 HORIZON_DEFAULT = 8
+RECORD_GRIPPER_LATENCY = 1  # steps a recorded gripper command executes late
 
 # Supervision target kinds, poorest to richest.
 TARGET_KINDS = ("no_traj", "aux_traj", "traj_2d", "traj_3d_pos", "traj_world_se3", "traj_camera_se3")
@@ -117,16 +120,15 @@ def record_demonstrations(
 ) -> DemoDataset:
     """Record n successful expert episodes.
 
-    Failed episodes are re-seeded and discarded. The attempt budget allows a
-    20% failure rate; exhausting it raises DatasetError (the configuration,
-    not the draw, is at fault at that point).
+    Attempt a resets with derive_seed(seed, "episode", a); sw.drive runs one
+    batch of attempts per demo still missing, gripper commands
+    RECORD_GRIPPER_LATENCY steps late. The demos are the first n successes in
+    attempt order. The attempt budget allows a 20% failure rate; exhausting
+    it raises DatasetError (the configuration, not the draw, is at fault).
     """
     if n <= 0:
         raise DatasetError("n must be > 0")
     camera = camera or sw.default_camera()
-    sim = sw.Simulator(scene, task)
-    expert = sw.ScriptedExpert(scene, task)
-
     dataset = DemoDataset(scene, camera)
     max_attempts = max(10, math.ceil(n / 0.8) + 2)
     attempt = 0
@@ -135,49 +137,50 @@ def record_demonstrations(
             raise DatasetError(
                 f"expert failure rate above 20%: {len(dataset.demos)} successes in {attempt} attempts"
             )
-        ep_seed = derive_seed(seed, "episode", attempt)
-        attempt += 1
-        demo = _record_episode(sim, expert, camera, ep_seed)
-        if demo is None:
-            continue
-        dataset.demos.append(demo)
+        batch = range(attempt, min(attempt + n - len(dataset.demos), max_attempts))
+        seeds = [derive_seed(seed, "episode", a) for a in batch]
+        attempt += len(seeds)
+        experts = _Experts(scene, task, len(seeds))
+        success, finals = sw.drive(experts, scene, task, seeds, RECORD_GRIPPER_LATENCY)
+        for ep_seed, ok, shown, final in zip(seeds, success, experts.states, finals):
+            if ok:
+                dataset.demos.append(_demonstration(shown + [final], task, scene, camera, ep_seed))
     dataset.n_discarded = attempt - len(dataset.demos)
     if dataset.n_discarded:
         log.info("discarded %d failed expert episodes", dataset.n_discarded)
     return dataset
 
 
-def _record_episode(sim, expert, camera, ep_seed):
-    state = sim.reset(ep_seed)
-    expert.reset()
-    states = [state]
-    commands = []
-    for _ in range(sim.task.horizon_limit):
-        cmd = expert.action(state)
-        state = sim.step(state, cmd)
-        states.append(state)
-        commands.append(cmd)
-        if sim.check_success(state):
-            break
-    else:
-        return None
+class _Experts:
+    """sw.drive's controller for a recording batch: per episode, an expert and the states shown."""
 
-    steps = []
+    def __init__(self, scene: sw.SceneSpec, task: sw.TaskSpec, episodes: int):
+        self._experts = [sw.ScriptedExpert(scene, task) for _ in range(episodes)]
+        self.states = [[] for _ in range(episodes)]
+
+    def actions(self, episodes: list, states: list) -> list:
+        for i, state in zip(episodes, states):
+            self.states[i].append(state)
+        cmds = [self._experts[i].action(state) for i, state in zip(episodes, states)]
+        return [(cmd.dp, cmd.dtheta, cmd.gripper) for cmd in cmds]
+
+
+def _demonstration(states, task, scene, camera, ep_seed):
+    """The records of an episode's states, each with the step out of it."""
+    steps, last = [], len(states) - 1
     for t, s in enumerate(states):
-        if t < len(commands):
+        if t < last:
             rigid = geo.relative_action(s.ee_pose, states[t + 1].ee_pose)
         else:
             rigid = geo.RelativeAction.zero()
-        g_cmd = commands[min(t, len(commands) - 1)].gripper  # the final record holds the last
-        steps.append(
-            StepRecord(
-                features=sw.featurize(s, sim.task, sim.scene, camera),
-                ee_pose_world=s.ee_pose.copy(),
-                ee_pose_cam=camera.t_wc @ s.ee_pose,
-                state_vec=s.state_vec(),
-                action=geo.RelativeAction(rigid.dp, rigid.dtheta, g_cmd),
-            )
-        )
+        g_cmd = states[min(t + 1, last)].gripper_cmd  # the final record holds the last
+        steps.append(StepRecord(
+            features=sw.featurize(s, task, scene, camera),
+            ee_pose_world=s.ee_pose.copy(),
+            ee_pose_cam=camera.t_wc @ s.ee_pose,
+            state_vec=s.state_vec(),
+            action=geo.RelativeAction(rigid.dp, rigid.dtheta, g_cmd),
+        ))
     return Demonstration(steps=steps, seed=ep_seed)
 
 

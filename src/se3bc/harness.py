@@ -1,17 +1,17 @@
 """Training, closed-loop evaluation, baselines, studies, and reports.
 
-Evaluation has one seeded episode loop, `_drive`, and two controllers it
-steps: `_Learned` (the policy's own decoder, behind `rollout`) and
-`_ClosedForm` (the hardcoded geometric pipeline, behind
-`closed_form_baseline`). `_drive` steps all of a run's episodes in lockstep,
-and a controller's one method, `actions(episodes, states)`, answers one
-(dp, dtheta, gripper) command per live episode before every round of
-simulator steps. `_drive` turns each command into the executed action, so
-it alone applies the perturbed protocol's gripper latency, which models the
-actuator rather than either controller. Both controllers execute in chunks:
-predict H steps, execute them, predict again (the chunked execution of
-ACT). All live episodes share a step count, so every H steps one batched
-`Policy.act` call plans the next chunk of every live episode.
+Evaluation runs two controllers through `sw.drive`, the seeded episode loop
+that also records demos: `_Learned` (the policy's own decoder, behind
+`rollout`) and `_ClosedForm` (the hardcoded geometric pipeline, behind
+`closed_form_baseline`). `sw.drive` steps all of a run's episodes in
+lockstep, and a controller's one method, `actions(episodes, states)`,
+answers one (dp, dtheta, gripper) command per live episode before every
+round of simulator steps. `sw.drive` alone applies the perturbed protocol's
+gripper latency, which models the actuator rather than either controller.
+Both controllers execute in chunks: predict H steps, execute them, predict
+again (the chunked execution of ACT). All live episodes share a step count,
+so every H steps one batched `Policy.act` call plans the next chunk of every
+live episode.
 Paired comparisons consume identical episode seeds and identical
 perturbation draws, both derived from the root seed by counter-based
 splitting.
@@ -38,7 +38,7 @@ import math
 import os
 import threading
 import time
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -168,9 +168,10 @@ REPORT_COLUMNS = [
 ]
 
 
-def _report(successes: int, finals: list, chart_violation_rate: float = 0.0,
+def _report(success: list, finals: list, chart_violation_rate: float = 0.0,
             mean_traj_error: float | None = None) -> EvalReport:
-    """The report of a run whose episodes ended in the states `finals`."""
+    """The report of a run whose episodes succeeded as flagged and ended in `finals`."""
+    successes = sum(success)
     lengths = [state.step_count for state in finals]
     lo, hi = wilson_interval(successes, len(lengths))
     return EvalReport(
@@ -185,42 +186,11 @@ def _report(successes: int, finals: list, chart_violation_rate: float = 0.0,
     )
 
 
-def _drive(controller, scene: sw.SceneSpec, task: sw.TaskSpec, episodes: int, seed: int,
-           perturb: bool):
-    """The seeded episode loop, stepping every episode in lockstep; returns
-    (successes, final states in episode order).
-
-    Episode i resets the simulator with derive_seed(seed, "episode", i), so
-    every controller driven with the same seed meets the same initial scenes.
-    Each round, controller.actions(live episodes, their states) answers one
-    (dp, dtheta, gripper) command per live episode, and one simulator, which
-    keeps no per-episode state, steps each of them once. With perturb=True
-    each episode's gripper commands execute PERTURB_GRIPPER_LATENCY steps
-    late, the first ones open (0.0). An episode leaves the batch when it
-    succeeds or reaches the horizon. Every episode starts at step 0 and steps
-    once per round, so all live states share one step count.
-    """
-    sim = sw.Simulator(scene, task)
-    states = [sim.reset(derive_seed(seed, "episode", i)) for i in range(episodes)]
-    grips = [deque([0.0] * (PERTURB_GRIPPER_LATENCY if perturb else 0)) for _ in range(episodes)]
-    successes, live = 0, list(range(episodes))
-    while live:
-        commands = controller.actions(live, [states[i] for i in live])
-        still = []
-        for i, (dp, dtheta, grip) in zip(live, commands):
-            grips[i].append(grip)
-            states[i] = sim.step(states[i], geo.RelativeAction(dp, dtheta, grips[i].popleft()))
-            success = sim.check_success(states[i])
-            successes += int(success)
-            if not success and states[i].step_count < task.horizon_limit:
-                still.append(i)
-        live = still
-    return successes, states
-
-
-def _require_episodes(episodes: int):
+def _episode_seeds(episodes: int, seed: int) -> list:
+    """Episode i's reset seed: every controller driven with one seed meets the same scenes."""
     if episodes < 1:
         raise HarnessError(f"episodes must be >= 1, got {episodes}")
+    return [derive_seed(seed, "episode", i) for i in range(episodes)]
 
 
 def _tracks_camera_pose(policy: pol.Policy) -> bool:
@@ -239,7 +209,7 @@ def _act(policy: pol.Policy, task, scene, camera, states, h_noise=None) -> pol.P
 
 # Noise injected at the predictor output: per position dimension (meters) and
 # per axis-angle dimension (radians). The same draws corrupt both the learned
-# decoder's conditioning stream and the hardcoded pipeline's poses. _drive
+# decoder's conditioning stream and the hardcoded pipeline's poses. sw.drive
 # executes every controller's gripper commands PERTURB_GRIPPER_LATENCY steps late.
 PERTURB_SIGMA_P = 0.005
 PERTURB_SIGMA_THETA = math.radians(2.0)
@@ -262,7 +232,7 @@ class _Learned:
 
     In lockstep, chunk c of every episode starts at step c * H, so one
     Policy.act call every H steps plans the next chunk of every live episode,
-    and step t commands row t % H of it, its gripper thresholded at 0.5.
+    and step t commands row t % H, its gripper thresholded at 0.5 and undelayed.
 
     Each prediction's tau rows count toward the chart-violation rate; a row
     violates when its axis-angle rotation (SE(3) targets only) is at the
@@ -360,16 +330,17 @@ def rollout(
     next chunk of every live episode; the report is reduced in episode order.
     With perturb=True, the predictor output is corrupted by draws derived
     from seed, the same draws closed_form_baseline() uses (see _Learned),
-    and _drive executes the decoder's gripper commands
+    and sw.drive executes the decoder's gripper commands
     PERTURB_GRIPPER_LATENCY steps late. Episode seeds match
     closed_form_baseline()'s, so comparisons are paired.
     Raises HarnessError when episodes < 1.
     """
-    _require_episodes(episodes)
+    seeds = _episode_seeds(episodes, seed)
     learned = _Learned(policy, scene, task, camera or sw.default_camera(), perturb, seed)
-    successes, finals = _drive(learned, scene, task, episodes, seed, perturb)
+    success, finals = sw.drive(learned, scene, task, seeds,
+                               PERTURB_GRIPPER_LATENCY if perturb else 0)
     return _report(
-        successes, finals,
+        success, finals,
         chart_violation_rate=(learned.violating_rows / learned.pred_rows
                               if learned.pred_rows else 0.0),
         mean_traj_error=learned.mean_traj_error(finals),
@@ -421,8 +392,7 @@ class _ClosedForm:
         if self.oracle:
             for i, state in zip(episodes, states):
                 if t == 0:
-                    self._experts[i] = sw.ScriptedExpert(self.scene, self.task,
-                                                         gripper_latency_steps=0)
+                    self._experts[i] = sw.ScriptedExpert(self.scene, self.task)
                 else:
                     self._experts[i].action(state)  # advance the synced expert's phase
         if t % self._horizon == 0:
@@ -451,7 +421,7 @@ class _ClosedForm:
             self._moves[i] = moves
 
     def _lookahead(self, expert: sw.ScriptedExpert, state: sw.SimState):
-        expert = copy.deepcopy(expert)
+        expert = copy.copy(expert)
         rows = np.zeros((self._horizon, 6))
         for h in range(self._horizon):
             if state.step_count < self.task.horizon_limit:
@@ -479,17 +449,18 @@ def closed_form_baseline(
     over the policy's horizon if one is given. The episodes run in lockstep:
     one Policy.act call every H steps plans the next chunk of every live
     episode, and the report lists episodes in episode order. With
-    perturb=True, tau is corrupted and _drive executes the gripper commands
+    perturb=True, tau is corrupted and sw.drive executes the gripper commands
     PERTURB_GRIPPER_LATENCY steps late, as in rollout(). Episode seeds and
     perturbation draws match rollout()'s, so comparisons are paired.
     Raises HarnessError when episodes < 1.
     """
-    _require_episodes(episodes)
+    seeds = _episode_seeds(episodes, seed)
     if not oracle and (policy is None or not _tracks_camera_pose(policy)):
         raise HarnessError("closed-form baseline needs a camera-frame axis-angle policy")
     controller = _ClosedForm(policy, scene, task, camera or sw.default_camera(), perturb, seed,
                              oracle)
-    return _report(*_drive(controller, scene, task, episodes, seed, perturb))
+    return _report(*sw.drive(controller, scene, task, seeds,
+                             PERTURB_GRIPPER_LATENCY if perturb else 0))
 
 
 # --- studies ---

@@ -156,6 +156,7 @@ class SimState:
     step_count: int
     grasp_offset: np.ndarray | None = None  # ee-frame offset recorded at attach
     latch_visited: bool = False
+    gripper_cmd: float = 0.0  # the gripper command the step into this state executed
 
     def state_vec(self) -> np.ndarray:
         """7-vector [position, axis-angle orientation, gripper]."""
@@ -173,14 +174,14 @@ def _clip_norm(v: np.ndarray, limit: float) -> np.ndarray:
 
 class Simulator:
     """State transitions of a scene and task; it keeps no per-episode state,
-    so one instance steps any number of episodes (reset returns a state, step
-    maps a state and an action to the next).
+    so `drive`'s one instance steps every episode of a run (reset returns a
+    state, step maps a state and an action to the next).
 
     Actions are clamped to MAX_DP and MAX_DTHETA per step and the gripper
-    slews at GRIPPER_RATE. Only reset draws random numbers: it jitters each
-    object within JITTER_RADIUS in the xy plane, from a stream seeded by its
-    seed, so identical (scene, task, seed, action sequence) replays are
-    bit-identical.
+    slews at GRIPPER_RATE toward the command, which the next state keeps as
+    gripper_cmd. Only reset draws random numbers: it jitters each object
+    within JITTER_RADIUS in the xy plane, from a stream seeded by its seed,
+    so identical (scene, task, seed, action sequence) replays are bit-identical.
     """
 
     def __init__(self, scene: SceneSpec, task: TaskSpec):
@@ -253,6 +254,7 @@ class Simulator:
             step_count=state.step_count + 1,
             grasp_offset=offset,
             latch_visited=latch,
+            gripper_cmd=g_cmd,
         )
 
     def check_success(self, state: SimState) -> bool:
@@ -266,6 +268,37 @@ class Simulator:
         container = self.scene.container(task.target_container_id)
         dist = float(np.linalg.norm(state.object_poses[task.target_object_id] - container.center))
         return dist <= ACCEPT_RADIUS
+
+
+# --- episode driver ---
+
+
+def drive(controller, scene: SceneSpec, task: TaskSpec, seeds: list, gripper_latency: int):
+    """The one episode loop: episode i starts from reset(seeds[i]), and all
+    step in lockstep; returns (success flags, final states) in seed order.
+
+    Each round, controller.actions(live episodes, their states) answers one
+    (dp, dtheta, gripper) command per live episode, and each steps once. The
+    gripper commands execute gripper_latency steps late, the first ones open
+    (0.0): the delay models the actuator, whatever the controller. An episode
+    leaves when it succeeds or reaches the horizon, so live states share one
+    step count.
+    """
+    sim = Simulator(scene, task)
+    states = [sim.reset(seed) for seed in seeds]
+    grips = [deque([0.0] * gripper_latency) for _ in seeds]
+    success, live = [False] * len(seeds), list(range(len(seeds)))
+    while live:
+        commands = controller.actions(live, [states[i] for i in live])
+        still = []
+        for i, (dp, dtheta, grip) in zip(live, commands):
+            grips[i].append(grip)
+            states[i] = sim.step(states[i], RelativeAction(dp, dtheta, grips[i].popleft()))
+            success[i] = sim.check_success(states[i])
+            if not success[i] and states[i].step_count < task.horizon_limit:
+                still.append(i)
+        live = still
+    return success, states
 
 
 # --- scripted expert ---
@@ -298,32 +331,25 @@ def _facing(pitch: float, point: np.ndarray) -> np.ndarray:
 
 
 class ScriptedExpert:
-    """Waypoint finite-state controller for pick-and-place episodes.
+    """Waypoint finite-state controller for one pick-and-place episode.
 
     Each phase has one goal, a waypoint, an orientation and a gripper
     command, defined in _goal; the phase's arrival test reads that goal's
     waypoint (latch, close and open wait on a simulator event instead).
-    Motion commands react to the current state immediately, paced by the
-    module's waypoint constants; gripper commands pass through a delay queue
-    of gripper_latency_steps (1 for recorded demos), the timing residual a
-    learned decoder has to absorb.
+    Every command reacts to the current state immediately, paced by the
+    module's waypoint constants. Recording drives the expert through
+    `drive`, whose gripper latency (datasets.RECORD_GRIPPER_LATENCY) is the
+    timing residual a learned decoder has to absorb.
     """
 
-    def __init__(self, scene: SceneSpec, task: TaskSpec, gripper_latency_steps: int = 1):
-        # An unknown target id raises SceneError here, before the latency
-        # check. The lift height is absolute, over the object's rest height:
-        # the live object position rises with the gripper while attached.
+    def __init__(self, scene: SceneSpec, task: TaskSpec):
+        # An unknown target id raises SceneError here. The lift height is
+        # absolute, over the object's rest height: the live object position
+        # rises with the gripper while attached.
         self._lift_z = scene.object(task.target_object_id).position[2] + LIFT_HEIGHT
         self._cont_c = scene.container(task.target_container_id).center
-        if gripper_latency_steps < 0:
-            raise SceneError("gripper_latency_steps must be >= 0")
         self.task = task
-        self.gripper_latency_steps = gripper_latency_steps
-        self.reset()
-
-    def reset(self):
-        self._phase = 0 if self.task.family == "long" else 1
-        self._grip_queue = deque([0.0] * self.gripper_latency_steps)
+        self._phase = 0 if task.family == "long" else 1
 
     @property
     def phase(self) -> str:
@@ -341,8 +367,7 @@ class ScriptedExpert:
         speed = DESCEND_STEP if slow else EXPERT_MAX_STEP
         dp = ee_r.T @ _clip_norm(wp - ee_p, speed)
         dtheta = _clip_norm(geo.log_so3(ee_r.T @ goal_r), EXPERT_MAX_ROT_STEP)
-        self._grip_queue.append(g)
-        return RelativeAction(dp, dtheta, self._grip_queue.popleft())
+        return RelativeAction(dp, dtheta, g)
 
     def _goal(self, state: SimState):
         """The current phase's (waypoint, facing, gripper command, arrived).

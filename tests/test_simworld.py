@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from se3bc import datasets as ds
 from se3bc import geometry as geo
 from se3bc import simworld as sw
 
@@ -19,20 +20,32 @@ EXPERT_PINS = {
 }
 
 
-def run_episode(sim, expert, seed, max_steps=None):
-    state = sim.reset(seed)
-    expert.reset()
-    states = [state]
-    actions = []
-    limit = max_steps or sim.task.horizon_limit
-    for _ in range(limit):
-        a = expert.action(state)
-        state = sim.step(state, a)
-        states.append(state)
-        actions.append(a)
-        if sim.check_success(state):
-            break
-    return states, actions
+class OneExpert:
+    """sw.drive's controller for one episode of one expert, keeping each state
+    it is shown and the phase and command the expert answered it with."""
+
+    def __init__(self, expert):
+        self.expert, self.states, self.phases, self.commands = expert, [], [], []
+
+    def actions(self, episodes, states):
+        (state,) = states
+        a = self.expert.action(state)
+        self.states.append(state)
+        self.phases.append(self.expert.phase)
+        self.commands.append(a)
+        return [(a.dp, a.dtheta, a.gripper)]
+
+
+def drive_expert(scene, task, seed, latency=ds.RECORD_GRIPPER_LATENCY):
+    """One expert episode through sw.drive at the recording latency; returns
+    the controller and every state, the final one included."""
+    controller = OneExpert(sw.ScriptedExpert(scene, task))
+    _, (final,) = sw.drive(controller, scene, task, [seed], latency)
+    return controller, controller.states + [final]
+
+
+def run_episode(sim, seed):
+    return drive_expert(sim.scene, sim.task, seed)[1]
 
 
 @pytest.fixture
@@ -130,8 +143,7 @@ class TestStep:
         state = sim.reset(3)
         obj_p = state.object_poses[task.target_object_id]
         # teleport-by-steps: walk the gripper to the object, then close
-        expert = sw.ScriptedExpert(scene, task)
-        states, _ = run_episode(sim, expert, 3)
+        states = run_episode(sim, 3)
         attach_steps = [
             i
             for i, (a, b) in enumerate(zip(states[:-1], states[1:]))
@@ -147,8 +159,7 @@ class TestStep:
 
     def test_attachment_rigidity(self, goal_world):
         scene, task, sim = goal_world
-        expert = sw.ScriptedExpert(scene, task)
-        states, _ = run_episode(sim, expert, 5)
+        states = run_episode(sim, 5)
         rels = []
         for s in states:
             if s.attached == task.target_object_id:
@@ -165,62 +176,42 @@ class TestExpert:
         scene, task = sw.default_scene(family)
         sim = sw.Simulator(scene, task)
         for seed in range(100):
-            expert = sw.ScriptedExpert(scene, task)
-            states, _ = run_episode(sim, expert, seed)
+            states = run_episode(sim, seed)
             assert sim.check_success(states[-1]), f"{family} seed {seed} failed"
             assert states[-1].step_count <= task.horizon_limit * 0.4
 
     @pytest.mark.parametrize("family,latency", list(EXPERT_PINS))
     def test_expert_episode_is_pinned(self, family, latency):
-        # One sha256 over the phase and the emitted dp, dtheta and gripper of
-        # every step of one seeded episode: a change that moves a phase switch
-        # by one step, or any command by one ulp, changes it.
+        # One sha256 over the phase, the emitted dp and dtheta and the
+        # executed gripper command of every step of one seeded episode: a
+        # change that moves a phase switch by one step, or any command by one
+        # ulp, changes it.
         scene, task = sw.default_scene(family)
-        sim = sw.Simulator(scene, task)
-        expert = sw.ScriptedExpert(scene, task, gripper_latency_steps=latency)
-        state = sim.reset(5)
+        expert, states = drive_expert(scene, task, 5, latency)
         digest = hashlib.sha256()
-        for _ in range(task.horizon_limit):
-            a = expert.action(state)
-            digest.update(expert.phase.encode())
-            digest.update(np.concatenate([a.dp, a.dtheta, [a.gripper]]).tobytes())
-            state = sim.step(state, a)
-            if sim.check_success(state):
-                break
-        assert sim.check_success(state)
+        for phase, a, after in zip(expert.phases, expert.commands, states[1:], strict=True):
+            digest.update(phase.encode())
+            digest.update(np.concatenate([a.dp, a.dtheta, [after.gripper_cmd]]).tobytes())
+        assert sw.Simulator(scene, task).check_success(states[-1])
         assert digest.hexdigest() == EXPERT_PINS[family, latency]
 
     def test_descend_phase_moves_down_with_open_gripper(self, goal_world):
         scene, task, sim = goal_world
-        expert = sw.ScriptedExpert(scene, task)
-        state = sim.reset(8)
-        for _ in range(task.horizon_limit):
-            a = expert.action(state)
-            if expert.phase == "descend":
-                assert a.gripper < 0.5
-                dp_world = state.ee_pose[:3, :3] @ a.dp
-                assert dp_world[2] < 0
-                break
-            state = sim.step(state, a)
-        else:
-            pytest.fail("never reached descend phase")
+        expert, states = drive_expert(scene, task, 8)
+        assert "descend" in expert.phases, "never reached descend phase"
+        t = expert.phases.index("descend")
+        assert states[t + 1].gripper_cmd < 0.5
+        dp_world = states[t].ee_pose[:3, :3] @ expert.commands[t].dp
+        assert dp_world[2] < 0
 
     def test_open_command_after_latency(self, goal_world):
-        # Once attached and above the container, the expert's emitted gripper
+        # Once attached and above the container, the executed gripper
         # command drops to 0 exactly latency steps after the open decision.
         scene, task, sim = goal_world
-        expert = sw.ScriptedExpert(scene, task, gripper_latency_steps=2)
-        state = sim.reset(9)
-        emitted = []
-        phases = []
-        for _ in range(task.horizon_limit):
-            a = expert.action(state)
-            emitted.append(a.gripper)
-            phases.append(expert.phase)
-            state = sim.step(state, a)
-            if sim.check_success(state):
-                break
-        assert sim.check_success(state)
+        expert, states = drive_expert(scene, task, 9, latency=2)
+        assert sim.check_success(states[-1])
+        emitted = [state.gripper_cmd for state in states[1:]]
+        phases = expert.phases
         first_open_phase = phases.index("open")
         first_open_cmd = next(
             i for i in range(first_open_phase, len(emitted)) if emitted[i] < 0.5
@@ -230,8 +221,7 @@ class TestExpert:
     def test_long_family_visits_latch_first(self):
         scene, task = sw.default_scene("long")
         sim = sw.Simulator(scene, task)
-        expert = sw.ScriptedExpert(scene, task)
-        states, _ = run_episode(sim, expert, 4)
+        states = run_episode(sim, 4)
         latch_step = next(i for i, s in enumerate(states) if s.latch_visited)
         attach_step = next(i for i, s in enumerate(states) if s.attached is not None)
         assert latch_step < attach_step
@@ -372,9 +362,9 @@ def _simulate_task(object_id, container_id):
 
 
 def _expert_for_task(object_id, container_id):
-    # A negative latency too: the targets resolve first, object before container.
+    # The targets resolve object before container.
     scene, _ = sw.default_scene("goal")
-    return sw.ScriptedExpert(scene, sw.TaskSpec(object_id, container_id), gripper_latency_steps=-1)
+    return sw.ScriptedExpert(scene, sw.TaskSpec(object_id, container_id))
 
 
 class TestSceneSpec:
@@ -390,14 +380,12 @@ class TestSceneSpec:
         (lambda: sw.TaskSpec("a", "c", family="long"), "long tasks need a latch_center"),
         (lambda: _simulate_task("block_green", "bin_a"), "unknown object 'block_green'"),
         (lambda: _simulate_task("block_red", "bin_c"), "unknown container 'bin_c'"),
-        (lambda: sw.ScriptedExpert(*sw.default_scene("goal"), gripper_latency_steps=-1),
-         "gripper_latency_steps must be >= 0"),
         (lambda: _expert_for_task("block_green", "bin_c"), "unknown object 'block_green'"),
         (lambda: _expert_for_task("block_red", "bin_c"), "unknown container 'bin_c'"),
     ], ids=["table_bounds_order", "object_outside_table",
             "container_outside_table", "duplicate_ids", "unknown_family", "horizon_limit",
             "long_without_latch", "task_unknown_object", "task_unknown_container",
-            "negative_gripper_latency", "expert_unknown_object", "expert_unknown_container"])
+            "expert_unknown_object", "expert_unknown_container"])
     def test_scene_validation(self, build, message):
         with pytest.raises(sw.SceneError, match=message):
             build()
