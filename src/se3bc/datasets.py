@@ -120,11 +120,12 @@ def record_demonstrations(
 ) -> DemoDataset:
     """Record n successful expert episodes.
 
-    Attempt a resets with derive_seed(seed, "episode", a); sw.drive runs one
-    batch of attempts per demo still missing, gripper commands
-    RECORD_GRIPPER_LATENCY steps late. The demos are the first n successes in
-    attempt order. The attempt budget allows a 20% failure rate; exhausting
-    it raises DatasetError (the configuration, not the draw, is at fault).
+    Attempt a resets with derive_seed(seed, "episode", a). Attempts run
+    through sw.drive in lockstep batches of one per demo still missing, with
+    gripper commands RECORD_GRIPPER_LATENCY steps late; the demos are the
+    first n successes in attempt order. The attempt budget allows a 20%
+    failure rate; exhausting it raises DatasetError (the configuration, not
+    the draw, is at fault).
     """
     if n <= 0:
         raise DatasetError("n must be > 0")

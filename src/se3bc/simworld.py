@@ -278,11 +278,10 @@ def drive(controller, scene: SceneSpec, task: TaskSpec, seeds: list, gripper_lat
     step in lockstep; returns (success flags, final states) in seed order.
 
     Each round, controller.actions(live episodes, their states) answers one
-    (dp, dtheta, gripper) command per live episode, and each steps once. The
-    gripper commands execute gripper_latency steps late, the first ones open
-    (0.0): the delay models the actuator, whatever the controller. An episode
-    leaves when it succeeds or reaches the horizon, so live states share one
-    step count.
+    (dp, dtheta, gripper) command per live episode and each steps once, so
+    live states share a step count; an episode leaves on success or at the
+    horizon. Gripper commands execute gripper_latency steps late, the first
+    ones open (0.0): the delay models the actuator, whatever the controller.
     """
     sim = Simulator(scene, task)
     states = [sim.reset(seed) for seed in seeds]

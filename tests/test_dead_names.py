@@ -335,9 +335,9 @@ def test_every_dataclass_field_is_read():
     unread = _unread_fields(modules, users)
     kept = {name for name in unread if name in KEPT_FIELDS or name.rsplit(".", 1)[0] in KEPT_FIELDS}
     dead = sorted(unread - kept)
-    undecided = kept | _shared_fields(modules)
+    maybe_unread = kept | _shared_fields(modules)
     stale = sorted(k for k in KEPT_FIELDS
-                   if not any(n == k or n.startswith(k + ".") for n in undecided))
+                   if not any(n == k or n.startswith(k + ".") for n in maybe_unread))
     assert not dead, f"no reader outside their class; delete them or add them to KEPT_FIELDS: {dead}"
     assert not stale, f"KEPT_FIELDS entries that are gone or now read: {stale}"
 

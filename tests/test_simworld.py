@@ -187,9 +187,9 @@ class TestExpert:
         # change that moves a phase switch by one step, or any command by one
         # ulp, changes it.
         scene, task = sw.default_scene(family)
-        expert, states = drive_expert(scene, task, 5, latency)
+        run, states = drive_expert(scene, task, 5, latency)
         digest = hashlib.sha256()
-        for phase, a, after in zip(expert.phases, expert.commands, states[1:], strict=True):
+        for phase, a, after in zip(run.phases, run.commands, states[1:], strict=True):
             digest.update(phase.encode())
             digest.update(np.concatenate([a.dp, a.dtheta, [after.gripper_cmd]]).tobytes())
         assert sw.Simulator(scene, task).check_success(states[-1])
@@ -197,24 +197,23 @@ class TestExpert:
 
     def test_descend_phase_moves_down_with_open_gripper(self, goal_world):
         scene, task, sim = goal_world
-        expert, states = drive_expert(scene, task, 8)
-        assert "descend" in expert.phases, "never reached descend phase"
-        t = expert.phases.index("descend")
+        run, states = drive_expert(scene, task, 8)
+        assert "descend" in run.phases, "never reached descend phase"
+        t = run.phases.index("descend")
         assert states[t + 1].gripper_cmd < 0.5
-        dp_world = states[t].ee_pose[:3, :3] @ expert.commands[t].dp
+        dp_world = states[t].ee_pose[:3, :3] @ run.commands[t].dp
         assert dp_world[2] < 0
 
     def test_open_command_after_latency(self, goal_world):
         # Once attached and above the container, the executed gripper
         # command drops to 0 exactly latency steps after the open decision.
         scene, task, sim = goal_world
-        expert, states = drive_expert(scene, task, 9, latency=2)
+        run, states = drive_expert(scene, task, 9, latency=2)
         assert sim.check_success(states[-1])
-        emitted = [state.gripper_cmd for state in states[1:]]
-        phases = expert.phases
-        first_open_phase = phases.index("open")
+        executed = [state.gripper_cmd for state in states[1:]]
+        first_open_phase = run.phases.index("open")
         first_open_cmd = next(
-            i for i in range(first_open_phase, len(emitted)) if emitted[i] < 0.5
+            i for i in range(first_open_phase, len(executed)) if executed[i] < 0.5
         )
         assert first_open_cmd - first_open_phase == 2
 
