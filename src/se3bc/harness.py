@@ -22,8 +22,9 @@ that seed's demos, train the cell, and return one row per evaluation arm of
 seeded, so the cells of a seed train on the same demos without sharing them.
 `run_study` runs the jobs in min(usable CPUs, jobs) forked workers, longest
 first. Each worker pins the OpenBLAS numpy loaded to one thread and exits
-once its parent is gone. With one worker, or with no OpenBLAS to pin, the
-jobs run in the calling process. Rows come back in serial (seed, cell) order.
+once its parent is gone; `train` pins its steps to one thread too, so serial
+and pooled training share one setting. With one worker, or with no OpenBLAS
+to pin, the jobs run in the calling process. Rows come back in serial (seed, cell) order.
 """
 
 from __future__ import annotations
@@ -106,6 +107,12 @@ def train(dataset: ds.DemoDataset, cfg: TrainConfig):
     Returns (policy, curve) where curve rows are (step, loss_traj, loss_act,
     loss_total, lr). Deterministic per cfg.seed. On a numeric fault
     TrainDiverged is raised, naming the step.
+
+    The steps run with the OpenBLAS numpy loaded pinned to one thread, as in
+    a study's pool workers: at desk batch sizes the step's GEMMs are too
+    small to gain from a second thread, and the thread count does not change
+    a result. The caller's count is restored on return and on a raise.
+    Without such an OpenBLAS no thread count is touched.
     """
     policy_cfg = replace(cfg.policy, seed=derive_seed(cfg.seed, "init"))
     policy = pol.build_variant(policy_cfg)
@@ -122,23 +129,32 @@ def train(dataset: ds.DemoDataset, cfg: TrainConfig):
     curve = []
     n = len(windows)
 
-    for step in range(1, cfg.steps + 1):
-        while order.size < cfg.batch_size:
-            order = np.concatenate([order, shuffle_rng.permutation(n)])
-        idx, order = order[: cfg.batch_size], order[cfg.batch_size :]
-        batch = {k: v[idx] for k, v in full.items()}
-        try:
-            with tn.GradientTape() as tape:
-                total, traj, act = policy.loss(batch)
-            grads = policy.params.grads_by_name(tn.backward(tape, total))
-            tn.adamw_step(policy.params, grads, opt)
-        except tn.NumericFaultError as e:
-            raise TrainDiverged(f"numeric fault at step {step}: {e}") from e
-        if step == 1 or step % cfg.log_every == 0 or step == cfg.steps:
-            row = (step, float(traj.data), float(act.data), float(total.data),
-                   tn.lr_at(opt, step))
-            curve.append(row)
-            log.debug("step %d traj %.4f act %.4f total %.4f lr %.2e", *row)
+    threads = _openblas_threads()
+    if threads is not None:
+        get_threads, set_threads = threads
+        caller_threads = get_threads()
+        set_threads(1)
+    try:
+        for step in range(1, cfg.steps + 1):
+            while order.size < cfg.batch_size:
+                order = np.concatenate([order, shuffle_rng.permutation(n)])
+            idx, order = order[: cfg.batch_size], order[cfg.batch_size :]
+            batch = {k: v[idx] for k, v in full.items()}
+            try:
+                with tn.GradientTape() as tape:
+                    total, traj, act = policy.loss(batch)
+                grads = policy.params.grads_by_name(tn.backward(tape, total))
+                tn.adamw_step(policy.params, grads, opt)
+            except tn.NumericFaultError as e:
+                raise TrainDiverged(f"numeric fault at step {step}: {e}") from e
+            if step == 1 or step % cfg.log_every == 0 or step == cfg.steps:
+                row = (step, float(traj.data), float(act.data), float(total.data),
+                       tn.lr_at(opt, step))
+                curve.append(row)
+                log.debug("step %d traj %.4f act %.4f total %.4f lr %.2e", *row)
+    finally:
+        if threads is not None:
+            set_threads(caller_threads)
 
     return policy, curve
 

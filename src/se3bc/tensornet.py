@@ -25,6 +25,7 @@ concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import warnings
@@ -64,11 +65,6 @@ class _ThreadState(threading.local):
 
 
 _TLS = _ThreadState()
-
-
-def _active_tape():
-    stack = _TLS.stack
-    return stack[-1] if stack else None
 
 
 class _Node:
@@ -156,11 +152,14 @@ def _make(op, out_data, inputs, vjp):
     naming the op.
     """
     out = Tensor.__new__(Tensor)  # skips __init__'s per-tensor finiteness check
-    out.data = _floating(out_data)
+    if type(out_data) is not np.ndarray or out_data.dtype.kind != "f":
+        out_data = _floating(out_data)
+    out.data = out_data
     out.requires_grad = False
     out._tape = out._node = None
-    tape = _active_tape()
-    if tape is not None:
+    stack = _TLS.stack
+    if stack:
+        tape = stack[-1]
         parents = [t._node_on(tape) if t.requires_grad or t._tape is tape else None for t in inputs]
         if any(p is not None for p in parents):
             out._tape = tape
@@ -173,6 +172,8 @@ def _make(op, out_data, inputs, vjp):
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Sum g down to `shape` (reverse of numpy broadcasting)."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for i, s in enumerate(shape):
@@ -227,16 +228,6 @@ def matmul(a, b) -> Tensor:
     return _make("matmul", out, [a, b], vjp)
 
 
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    try:
-        out = a.data.reshape(shape)
-    except ValueError:
-        raise TensorError(f"cannot reshape {a.shape} to {shape}") from None
-    in_shape = a.shape
-    return _make("reshape", out, [a], lambda g: [g.reshape(in_shape)])
-
-
 def swapaxes(a, axis1: int, axis2: int) -> Tensor:
     a = as_tensor(a)
     try:
@@ -244,6 +235,24 @@ def swapaxes(a, axis1: int, axis2: int) -> Tensor:
     except ValueError:
         raise TensorError(f"cannot swap axes {axis1}, {axis2} of {a.shape}") from None
     return _make("swapaxes", out, [a], lambda g: [g.swapaxes(axis1, axis2)])
+
+
+def split_heads(a, heads: int) -> Tensor:
+    """(..., T, d) -> (..., heads, T, d/heads) as one tape node: head h reads
+    columns [h * d/heads, (h + 1) * d/heads) of every row. A view, not a copy."""
+    a = as_tensor(a)
+    shape = a.shape
+    out = a.data.reshape(shape[:-1] + (heads, shape[-1] // heads)).swapaxes(-3, -2)
+    return _make("split_heads", out, [a], lambda g: [g.swapaxes(-3, -2).reshape(shape)])
+
+
+def merge_heads(a) -> Tensor:
+    """(..., heads, T, dh) -> (..., T, heads * dh) as one tape node; the
+    inverse of split_heads."""
+    a = as_tensor(a)
+    rows = a.data.swapaxes(-3, -2)
+    out = rows.reshape(rows.shape[:-2] + (rows.shape[-2] * rows.shape[-1],))
+    return _make("merge_heads", out, [a], lambda g: [g.reshape(rows.shape).swapaxes(-3, -2)])
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
@@ -322,15 +331,28 @@ def sigmoid(a) -> Tensor:
     return _make("sigmoid", out, [a], lambda g: [g * out * (1.0 - out)])
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+def softmax(a) -> Tensor:
+    """exp(a - max) / sum(exp(a - max)) along the last axis.
 
-    def vjp(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return [out * (g - dot)]
+    The row max is taken over a transposed contiguous copy, where numpy
+    reduces whole rows at once instead of one short row at a time; a max is
+    exact in any order, so the bits are those of `a.max(axis=-1)`. The
+    exponent and the normalisation then work in place on one fresh array,
+    and the vjp on one more, in the formula's order.
+    """
+    a = as_tensor(a)
+    x = a.data
+    row_max = x.reshape(-1, x.shape[-1]).T.copy().max(axis=0)
+    out = x - row_max.reshape(x.shape[:-1] + (1,))
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+
+    def vjp(g):  # out * (g - sum(g * out))
+        gx = g * out
+        dot = gx.sum(axis=-1, keepdims=True)
+        np.subtract(g, dot, out=gx)
+        gx *= out
+        return [gx]
 
     return _make("softmax", out, [a], vjp)
 
@@ -404,13 +426,27 @@ def l1_loss(pred, target) -> Tensor:
     return _make("l1_loss", out, [pred, target], lambda g: [g * sgn, -g * sgn])
 
 
+@functools.lru_cache(maxsize=64)
+def _rope_tables(positions: bytes, d: int, dtype: np.dtype):
+    """rope's read-only (T, d/2) cos and sin tables for float64 `positions`
+    (as bytes), computed in float64 and rounded to `dtype`; cached, so a
+    model's every call with its positions shares one pair."""
+    freqs = ROPE_BASE ** (-2.0 * np.arange(d // 2) / d)
+    ang = np.frombuffer(positions)[:, None] * freqs[None, :]  # (T, d/2)
+    tables = np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def rope(a, positions) -> Tensor:
     """Rotary position embedding on the last axis.
 
     Adjacent coordinate pairs (2i, 2i+1) of the row at sequence position m
     are rotated by m * ROPE_BASE^(-2i/d). Requires an even last axis. positions
     has one entry per row along the second-to-last axis. The angles are
-    computed in float64; their cos/sin tables take the input's dtype.
+    computed in float64; their cos/sin tables take the input's dtype and are
+    built once per (positions, d, dtype).
     """
     a = as_tensor(a)
     d = a.shape[-1]
@@ -421,10 +457,8 @@ def rope(a, positions) -> Tensor:
         raise TensorError(
             f"rope positions shape {positions.shape} does not match sequence length {a.shape[-2]}"
         )
-    freqs = ROPE_BASE ** (-2.0 * np.arange(d // 2) / d)
-    ang = positions[:, None] * freqs[None, :]  # (T, d/2)
     x = a.data
-    cos, sin = np.cos(ang).astype(x.dtype), np.sin(ang).astype(x.dtype)
+    cos, sin = _rope_tables(positions.tobytes(), d, x.dtype)
     xe, xo = x[..., 0::2], x[..., 1::2]
     out = np.empty_like(x)
     out[..., 0::2] = xe * cos - xo * sin
@@ -446,6 +480,8 @@ def linear(x, w, b=None) -> Tensor:
     w is a (d_in, d_out) weight and b a (d_out,) bias; x has any leading
     axes, which the forward folds into one GEMM. The one vjp does the same
     per gradient: d_x = g @ w.T, d_w = x.T @ g and d_b = g summed over rows.
+    d_x is not computed for an x no tape tracks (the encoder's observation
+    tokens): the vjp returns None in its place.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim < 2 or w.data.ndim != 2:
@@ -463,9 +499,11 @@ def linear(x, w, b=None) -> Tensor:
         out += b.data
         inputs.append(b)
 
+    x_tracked = x.requires_grad or x._tape is not None
+
     def vjp(g):
         g2 = g.reshape(-1, g.shape[-1])
-        grads = [(g2 @ wd.T).reshape(xd.shape), x2.T @ g2]
+        grads = [(g2 @ wd.T).reshape(xd.shape) if x_tracked else None, x2.T @ g2]
         if b is not None:
             grads.append(g2.sum(axis=0))
         return grads
@@ -491,31 +529,28 @@ def multi_head_attention(
 
     Self-attention when q_in is kv_in, cross-attention otherwise. No causal
     mask: queries are parallel slots. All heads run as one batched
-    computation on (..., heads, T, d/heads) blocks. When `positions` is
+    computation on (..., heads, T, d/heads) blocks, which split_heads and
+    merge_heads make and undo as one tape node each. When `positions` is
     given, RoPE is applied to the query and key streams before the dot
     product (intended for self-attention, where both streams share the
     positions).
 
-    Built from recorded primitives, so gradients come with it.
+    Built from recorded primitives, so gradients come with it: per call
+    4 `linear`, 3 `split_heads`, 1 `swapaxes`, 2 `matmul`, 1 `scale`,
+    1 `softmax` and 1 `merge_heads` node, plus 2 `rope` with positions.
     """
     q_in, kv_in = as_tensor(q_in), as_tensor(kv_in)
     d = q_in.shape[-1]
     if d % heads != 0:
         raise TensorError(f"model dim {d} not divisible by {heads} heads")
-    dh = d // heads
-
-    def split_heads(x):  # (..., T, d) -> (..., heads, T, dh)
-        return swapaxes(reshape(x, x.shape[:-1] + (heads, dh)), -3, -2)
-
-    q = split_heads(linear(q_in, wq, bq))
-    k = split_heads(linear(kv_in, wk, bk))
-    v = split_heads(linear(kv_in, wv, bv))
+    q = split_heads(linear(q_in, wq, bq), heads)
+    k = split_heads(linear(kv_in, wk, bk), heads)
+    v = split_heads(linear(kv_in, wv, bv), heads)
     if positions is not None:
         q = rope(q, positions)
         k = rope(k, positions)
-    attn = softmax(scale(matmul(q, swapaxes(k, -1, -2)), 1.0 / math.sqrt(dh)), axis=-1)
-    heads_out = swapaxes(matmul(attn, v), -3, -2)
-    return linear(reshape(heads_out, heads_out.shape[:-2] + (d,)), wo, bo)
+    attn = softmax(scale(matmul(q, swapaxes(k, -1, -2)), 1.0 / math.sqrt(d // heads)))
+    return linear(merge_heads(matmul(attn, v)), wo, bo)
 
 
 # --- backward pass ---
@@ -550,19 +585,16 @@ def backward(tape: GradientTape, loss: Tensor) -> dict:
         g = grads.pop(node.node_id, None)
         if g is None:
             continue
-        if node.op == "leaf":
-            if node.tensor is not None and node.tensor.requires_grad:
+        if vjp is None:  # a leaf
+            if node.tensor.requires_grad:
                 if not np.isfinite(g).all():
                     raise NumericFaultError(f"backward produced a non-finite gradient of shape {g.shape}")
                 result[node.tensor] = g
             continue
         for parent, pg in zip(node.parents, vjp(g)):
-            if parent is None:
-                continue
-            if parent.node_id in grads:
-                grads[parent.node_id] = grads[parent.node_id] + pg
-            else:
-                grads[parent.node_id] = pg
+            if parent is not None:
+                prev = grads.get(parent.node_id)
+                grads[parent.node_id] = pg if prev is None else prev + pg
     return result
 
 
@@ -577,17 +609,37 @@ def _name_seed(seed: int, name: str) -> np.random.Generator:
 PARAM_DTYPE = np.float32
 
 
+def _views(flat: np.ndarray, shapes) -> list:
+    """Consecutive views of `flat`, one of each shape."""
+    views, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[offset:offset + size].reshape(shape))
+        offset += size
+    return views
+
+
 class ParamSet:
     """Named parameter tensors, stored as PARAM_DTYPE.
 
     Each parameter's init stream is derived from (seed, name), so values do
     not depend on creation order. Draws are made in float64 and rounded to
     PARAM_DTYPE. Names are unique and shapes immutable.
+
+    flat_data() lays the parameters out in one contiguous buffer of one
+    dtype, in registration order, and makes each parameter's `data` a view
+    into it, so that adamw_step updates them all with whole-buffer ufunc
+    calls. The buffer is built on first use, not at registration, so a model
+    that only runs inference never pays for it. A swap or a direct `data =`
+    leaves a parameter outside the buffer; the next flat_data() rebuilds the
+    buffer from the current values.
     """
 
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
         self._params = {}
+        self._flat = None
+        self._views = []  # each parameter's `data` as flat_data() last set it
 
     def _register(self, name, data):
         if name in self._params:
@@ -626,9 +678,27 @@ class ParamSet:
     def total_count(self) -> int:
         return int(sum(t.data.size for t in self._params.values()))
 
+    def flat_data(self) -> np.ndarray:
+        """The one buffer every parameter's `data` views, built or rebuilt
+        (copying each parameter's current values) when a parameter is not
+        its view. Raises TensorError when the parameters hold more than one
+        dtype."""
+        tensors = list(self._params.values())
+        if len(tensors) == len(self._views) and all(t.data is v for t, v in zip(tensors, self._views)):
+            return self._flat
+        dtypes = sorted({t.data.dtype.name for t in tensors})
+        if len(dtypes) != 1:
+            raise TensorError(f"one parameter buffer holds one dtype, got {dtypes}")
+        self._flat = np.concatenate([t.data.reshape(-1) for t in tensors])
+        self._views = _views(self._flat, [t.shape for t in tensors])
+        for t, view in zip(tensors, self._views):
+            t.data = view
+        return self._flat
+
     def swap(self, name: str, tensor: Tensor) -> Tensor:
         """Replace a parameter tensor, returning the old one (for probes and
-        finite-difference checks over parameters)."""
+        finite-difference checks over parameters). The new tensor keeps its
+        own array until the next flat_data() copies it into a rebuilt buffer."""
         old = self._params[name]
         if tensor.data.shape != old.data.shape:
             raise TensorError(f"swap shape mismatch for {name!r}")
@@ -654,7 +724,13 @@ ADAMW_WEIGHT_DECAY = 1e-4
 
 @dataclass
 class OptimizerState:
-    """An AdamW run: schedule lengths, moments by parameter name, steps taken."""
+    """An AdamW run: schedule lengths, moments, steps taken.
+
+    adamw_step keeps the moments flat, laid out like ParamSet.flat_data(),
+    and `m` and `v` map each parameter name to its view of them. It also
+    keeps one gradient buffer, which the update reuses once the moments are
+    updated, and one scratch buffer. All four take the parameters' dtype.
+    """
 
     warmup_steps: int
     total_steps: int
@@ -662,6 +738,7 @@ class OptimizerState:
     v: dict = field(init=False, default_factory=dict)
     step: int = field(init=False, default=0)
     _warned_past_total: bool = field(init=False, default=False)
+    _flat: tuple = field(init=False, default=())  # (m, v, gradient, scratch)
 
 
 def lr_at(state: OptimizerState, step: int) -> float:
@@ -676,24 +753,43 @@ def lr_at(state: OptimizerState, step: int) -> float:
 
 
 def adamw_step(params: ParamSet, grads: dict, state: OptimizerState) -> None:
-    """One decoupled-weight-decay Adam update.
+    """One decoupled-weight-decay Adam update over params.flat_data().
+
+    grads is name-keyed and must hold every parameter: a missing name raises
+    TensorError. The gradients are gathered, in registration order and cast
+    to the parameters' dtype, into the state's one gradient buffer, and one
+    update of whole-buffer ufunc calls runs over the flat parameters and
+    moments. Python-float constants do not promote the dtype.
 
     Updates in place: each parameter's `data` array and its moments in
     `state.m` and `state.v` are overwritten, not replaced, so a caller that
-    keeps a parameter's old values must copy them first. The moments take
-    their parameter's dtype, and so does the whole update for a gradient of
-    that dtype (Python-float constants do not promote it). The arithmetic
-    follows the reference formula's operation order, so results are
-    bit-identical to it:
+    keeps a parameter's old values must copy them first. (The first call,
+    or the first after a swap, also moves every parameter's `data` into the
+    flat buffer.) The arithmetic follows the reference formula's operation
+    order, element by element, so results are bit-identical to it:
 
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         p = p - lr * (m / (1 - b1^t) / (sqrt(v / (1 - b2^t)) + eps) + wd * p)
 
     with (b1, b2) = ADAMW_BETAS, eps = ADAMW_EPS and wd = ADAMW_WEIGHT_DECAY,
-    read at call time, and lr = lr_at(state, t). grads is name-keyed. Steps
-    past state.total_steps clamp the lr to 0 and warn once; the run continues.
+    read at call time, and lr = lr_at(state, t). Steps past
+    state.total_steps clamp the lr to 0 and warn once; the run continues.
     """
+    p = params.flat_data()
+    if not state._flat:
+        state._flat = tuple(np.zeros_like(p) for _ in range(4))
+        shapes = [t.shape for _, t in params.items()]
+        for moments, flat in zip((state.m, state.v), state._flat):
+            moments.update(zip(params.names(), _views(flat, shapes)))
+    m, v, g, tmp = state._flat
+    if m.dtype != p.dtype or m.size != p.size:
+        raise TensorError(f"optimizer state ({m.size} x {m.dtype}) does not fit the parameters ({p.size} x {p.dtype})")
+    try:
+        np.concatenate([grads[name].reshape(-1) for name in params.names()], out=g)
+    except KeyError as e:
+        raise TensorError(f"adamw_step: no gradient for parameter {e.args[0]!r}") from None
+
     state.step += 1
     t = state.step
     if t > state.total_steps and not state._warned_past_total:
@@ -702,31 +798,22 @@ def adamw_step(params: ParamSet, grads: dict, state: OptimizerState) -> None:
     lr = lr_at(state, t)
     b1, b2 = ADAMW_BETAS
     c1, c2 = 1.0 - b1**t, 1.0 - b2**t
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
-        tmp = g * (1.0 - b1)
-        m *= b1
-        m += tmp
-        np.multiply(g, 1.0 - b2, out=tmp)
-        tmp *= g
-        v *= b2
-        v += tmp
-        np.divide(v, c2, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += ADAMW_EPS
-        update = m / c1
-        update /= tmp
-        np.multiply(p.data, ADAMW_WEIGHT_DECAY, out=tmp)
-        update += tmp
-        update *= lr
-        p.data -= update
+    np.multiply(g, 1.0 - b1, out=tmp)
+    m *= b1
+    m += tmp
+    np.multiply(g, 1.0 - b2, out=tmp)
+    tmp *= g
+    v *= b2
+    v += tmp
+    np.divide(v, c2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAMW_EPS
+    update = np.divide(m, c1, out=g)  # g is spent: the update reuses its buffer
+    update /= tmp
+    np.multiply(p, ADAMW_WEIGHT_DECAY, out=tmp)
+    update += tmp
+    update *= lr
+    p -= update
 
 
 # --- finite-difference gradient checking ---

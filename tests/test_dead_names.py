@@ -52,7 +52,6 @@ KEPT = {
     "tensornet.sum_all": "test oracle: reduces an op's output to the scalar grad_check needs",
     "tensornet.mul": "test oracle: weights an op's output before sum_all",
     "tensornet.ParamSet.swap": "binds parameters for the finite-difference check of a whole policy",
-    "tensornet.ParamSet.names": "test probe of the parameters a variant builds",
     "tensornet.ParamSet.total_count": "the parameter count compared across variants in tests",
     "simworld.ScriptedExpert.phase": "test probe of the expert's state machine",
 }

@@ -562,3 +562,103 @@ def test_overflowing_loss_weight_raises_train_diverged(world):
                          steps=10, warmup_steps=2)
     with np.errstate(over="ignore"), pytest.raises(hs.TrainDiverged, match="step 1: op 'scale'"):
         hs.train(data, cfg)
+
+
+# --- the training loop's BLAS thread and parameter buffer ---
+
+
+class FakeBlas:
+    """A recording stand-in for the (get, set) pair of _openblas_threads."""
+
+    def __init__(self, threads):
+        self.threads, self.set_calls = threads, []
+
+    def get(self):
+        return self.threads
+
+    def set(self, n):
+        self.set_calls.append(n)
+        self.threads = n
+
+
+@pytest.fixture
+def one_demo(world):
+    scene, task, _, _ = world
+    data = ds.record_demonstrations(scene, task, 1, seed=2)
+    cfg = hs.TrainConfig(policy=pol.PolicyConfig(token_dim=sw.feature_dims(scene)[0]),
+                         steps=3, warmup_steps=1, log_every=1)
+    return data, cfg
+
+
+def threads_per_step(monkeypatch, get_threads, fault_at=None):
+    """The thread count get_threads() reads at each training step's loss;
+    the step `fault_at` raises a numeric fault."""
+    real_loss, seen = pol.Policy.loss, []
+
+    def loss(policy, batch):
+        seen.append(get_threads())
+        if len(seen) == fault_at:
+            raise tn.NumericFaultError("injected")
+        return real_loss(policy, batch)
+
+    monkeypatch.setattr(pol.Policy, "loss", loss)
+    return seen
+
+
+@pytest.mark.parametrize("fault_at", [None, 2], ids=["returns", "diverges"])
+def test_training_runs_at_one_blas_thread_and_restores_the_callers(monkeypatch, one_demo, fault_at):
+    blas = FakeBlas(2)
+    monkeypatch.setattr(hs, "_openblas_threads", lambda: (blas.get, blas.set))
+    seen = threads_per_step(monkeypatch, blas.get, fault_at)
+    if fault_at is None:
+        hs.train(*one_demo)
+    else:
+        with pytest.raises(hs.TrainDiverged, match=f"step {fault_at}"):
+            hs.train(*one_demo)
+    assert seen == [1] * (fault_at or 3)
+    assert blas.set_calls == [1, 2] and blas.threads == 2
+
+
+def test_without_an_openblas_training_sets_no_thread_count(monkeypatch, one_demo):
+    real = hs._openblas_threads()
+    get_threads = real[0] if real is not None else (lambda: None)
+    before = get_threads()
+    monkeypatch.setattr(hs, "_openblas_threads", lambda: None)
+    seen = threads_per_step(monkeypatch, get_threads)
+    hs.train(*one_demo)
+    assert seen == [before] * 3 and get_threads() == before
+
+
+def test_a_curve_is_bit_identical_at_two_and_one_blas_threads(monkeypatch, world):
+    # The pin of train(), and the pooled study's serial-loop equality, rest
+    # on the thread count not changing a result.
+    real = hs._openblas_threads()
+    if real is None:
+        pytest.skip("numpy ships no OpenBLAS to set")
+    get_threads, set_threads = real
+    caller = get_threads()
+    scene, task, _, _ = world
+    data = ds.record_demonstrations(scene, task, 2, seed=4)
+    cfg = hs.TrainConfig(policy=pol.PolicyConfig(token_dim=sw.feature_dims(scene)[0]),
+                         steps=5, warmup_steps=1, log_every=1)
+    monkeypatch.setattr(hs, "_openblas_threads", lambda: None)  # train keeps the count set here
+    runs = {}
+    try:
+        for threads in (2, 1):
+            set_threads(threads)
+            if get_threads() != threads:
+                pytest.skip(f"OpenBLAS runs at most {get_threads()} thread(s) here")
+            policy, curve = hs.train(data, cfg)
+            runs[threads] = curve, [t.data.tobytes() for _, t in policy.params.items()]
+    finally:
+        set_threads(caller)
+    assert runs[2] == runs[1]
+
+
+def test_trained_parameters_are_views_of_one_buffer(one_demo):
+    policy, _ = hs.train(*one_demo)
+    params = policy.params
+    buffer = params["dec.head.w"].data.base
+    assert buffer is not None and buffer.size == params.total_count()
+    assert all(np.shares_memory(t.data, buffer) for _, t in params.items())
+    assert params.flat_data() is buffer

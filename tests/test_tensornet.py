@@ -32,6 +32,22 @@ class TestForwardPrimitives:
         out = tn.softmax(tn.Tensor(rnd(rng, 5, 7) * 10))
         npt.assert_allclose(out.data.sum(axis=-1), np.ones(5), atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_softmax_matches_the_reference_formula_bit_for_bit(self, dtype):
+        # Rows of large magnitude, with the row max tied between two columns.
+        rng = np.random.default_rng(29)
+        x = rng.normal(size=(3, 2, 4, 7)) * np.array([1.0, 1e2, 1e4])[:, None, None, None]
+        x[..., 5] = x[..., 1] = x.max(axis=-1)
+        x, g = x.astype(dtype), rnd(rng, 3, 2, 4, 7).astype(dtype)
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        ref = e / e.sum(axis=-1, keepdims=True)
+        a = tn.Tensor(x, requires_grad=True)
+        with tn.GradientTape() as tape:
+            out = tn.softmax(a)
+            loss = tn.sum_all(tn.mul(out, tn.Tensor(g)))
+        npt.assert_array_equal(out.data, ref)
+        npt.assert_array_equal(tn.backward(tape, loss)[a], ref * (g - (g * ref).sum(axis=-1, keepdims=True)))
+
     def test_l1_loss_offset_example(self):
         # +0.01 offset in all 6 dims -> 0.06 at any horizon (up to fp rounding)
         for horizon in [1, 4, 8]:
@@ -78,10 +94,8 @@ class TestForwardPrimitives:
         cat = tn.concat([tn.Tensor(a), tn.Tensor(b)], axis=-1)
         npt.assert_array_equal(tn.narrow(cat, -1, 2, 5).data, b)
 
-    def test_reshape_and_swapaxes_reject_bad_shapes(self):
+    def test_swapaxes_rejects_bad_axes(self):
         x = tn.Tensor(np.zeros((2, 3)))
-        with pytest.raises(tn.TensorError):
-            tn.reshape(x, (4, 2))
         with pytest.raises(tn.TensorError):
             tn.swapaxes(x, 0, 2)
         with pytest.raises(tn.TensorError):
@@ -123,6 +137,29 @@ class TestRope:
 
         assert abs(dot(2, 5) - dot(5, 8)) < 1e-10
         assert abs(dot(0, 7) - dot(3, 10)) < 1e-10
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_the_uncached_formula_and_reuses_its_tables(self, dtype):
+        rng = np.random.default_rng(30)
+        x, g = rnd(rng, 2, 3, 5, 8).astype(dtype), rnd(rng, 2, 3, 5, 8).astype(dtype)
+        positions = np.arange(1, 6)
+        ang = positions[:, None] * tn.ROPE_BASE ** (-2.0 * np.arange(4) / 8)
+        cos, sin = np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
+        expect, expect_grad = np.empty_like(x), np.empty_like(g)
+        expect[..., 0::2] = x[..., 0::2] * cos - x[..., 1::2] * sin
+        expect[..., 1::2] = x[..., 0::2] * sin + x[..., 1::2] * cos
+        expect_grad[..., 0::2] = g[..., 0::2] * cos + g[..., 1::2] * sin
+        expect_grad[..., 1::2] = -g[..., 0::2] * sin + g[..., 1::2] * cos
+        tn._rope_tables.cache_clear()
+        for _ in range(2):
+            a = tn.Tensor(x, requires_grad=True)
+            with tn.GradientTape() as tape:
+                out = tn.rope(a, positions)
+                loss = tn.sum_all(tn.mul(out, tn.Tensor(g)))
+            npt.assert_array_equal(out.data, expect)
+            npt.assert_array_equal(tn.backward(tape, loss)[a], expect_grad)
+        info = tn._rope_tables.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_odd_head_dim_rejected(self):
         with pytest.raises(tn.TensorError):
@@ -168,7 +205,7 @@ def per_head_attention(q_in, kv_in, heads, wq, wk, wv, wo, bq, bk, bv, bo, posit
         if positions is not None:
             qh, kh = tn.rope(qh, positions), tn.rope(kh, positions)
         scores = tn.scale(tn.matmul(qh, tn.swapaxes(kh, -1, -2)), 1.0 / math.sqrt(dh))
-        outs.append(tn.matmul(tn.softmax(scores, axis=-1), vh))
+        outs.append(tn.matmul(tn.softmax(scores), vh))
     return tn.linear(tn.concat(outs, axis=-1), wo, bo)
 
 
@@ -215,6 +252,36 @@ class TestFusedOps:
             tn.linear(x, tn.Tensor(rnd(rng, 4, 5)), tn.Tensor(rnd(rng, 5)))
         assert [n.op for n in tape.nodes] == ["leaf", "linear"]
 
+    def test_linear_skips_the_gradient_of_an_untracked_input(self):
+        rng = np.random.default_rng(31)
+        x, w, b, weight = rnd(rng, 2, 3, 4), rnd(rng, 4, 5), rnd(rng, 5), rnd(rng, 2, 3, 5)
+
+        def vjp_outputs(x_tracked):
+            leaves = [tn.Tensor(x, requires_grad=x_tracked), tn.Tensor(w, requires_grad=True),
+                      tn.Tensor(b, requires_grad=True)]
+            with tn.GradientTape() as tape:
+                loss = tn.sum_all(tn.mul(tn.linear(*leaves), tn.Tensor(weight)))
+            node = next(n for n in tape.nodes if n.op == "linear")
+            returned, vjp = [], node.vjp
+            node.vjp = lambda g: returned.append(vjp(g)) or returned[-1]
+            tn.backward(tape, loss)
+            return returned[0]
+
+        dx, dw, db = vjp_outputs(x_tracked=False)
+        ref_dx, ref_dw, ref_db = vjp_outputs(x_tracked=True)
+        assert dx is None and ref_dx is not None
+        npt.assert_array_equal(dw, ref_dw)
+        npt.assert_array_equal(db, ref_db)
+
+    def test_head_split_and_merge_are_one_node_each(self):
+        x = tn.Tensor(np.arange(24.0).reshape(3, 8), requires_grad=True)
+        with tn.GradientTape() as tape:
+            heads = tn.split_heads(x, 2)
+            merged = tn.merge_heads(heads)
+        assert [n.op for n in tape.nodes] == ["leaf", "split_heads", "merge_heads"]
+        npt.assert_array_equal(heads.data, x.data.reshape(3, 2, 4).swapaxes(0, 1))
+        npt.assert_array_equal(merged.data, x.data)
+
     def test_linear_rejects_bad_shapes(self):
         with pytest.raises(tn.TensorError, match=r"\(2, 3\) @ \(4, 2\)"):
             tn.linear(tn.Tensor(np.zeros((2, 3))), tn.Tensor(np.zeros((4, 2))))
@@ -230,8 +297,8 @@ def softmax_outputs(monkeypatch):
     each multi_head_attention call, one (..., heads, T, Tk) array each."""
     outputs, softmax = [], tn.softmax
 
-    def recording(a, axis=-1):
-        out = softmax(a, axis=axis)
+    def recording(a):
+        out = softmax(a)
         outputs.append(out.data)
         return out
 
@@ -443,7 +510,8 @@ OPS_FOR_GRADCHECK = [
     ("normalize_rows", lambda ts: tn.sum_all(tn.mul(tn.normalize_rows(ts[0]), tn.Tensor(_W33))), 1),
     ("concat", lambda ts: tn.sum_all(tn.mul(tn.concat(ts, axis=-1), tn.Tensor(_W36))), 2),
     ("narrow", lambda ts: tn.sum_all(tn.mul(tn.narrow(ts[0], -1, 1, 2), tn.Tensor(_W32))), 1),
-    ("reshape", lambda ts: tn.sum_all(tn.mul(tn.reshape(ts[0], (9,)), tn.Tensor(_W9))), 1),
+    ("split_heads", lambda ts: tn.sum_all(tn.mul(tn.split_heads(ts[0], 2), tn.Tensor(_W223))), 1),
+    ("merge_heads", lambda ts: tn.sum_all(tn.mul(tn.merge_heads(ts[0]), tn.Tensor(_W34))), 1),
     ("swapaxes", lambda ts: tn.sum_all(tn.mul(tn.swapaxes(ts[0], 0, 1), tn.Tensor(_W33))), 1),
     ("rope", lambda ts: tn.sum_all(tn.mul(tn.rope(ts[0], [1, 2, 3]), tn.Tensor(_W34))), 1),
     ("l1_loss", lambda ts: tn.l1_loss(ts[0], ts[1]), 2),
@@ -454,14 +522,14 @@ _W33 = _rng.normal(size=(3, 3))
 _W36 = _rng.normal(size=(3, 6))
 _W32 = _rng.normal(size=(3, 2))
 _W34 = _rng.normal(size=(3, 4))
-_W9 = _rng.normal(size=9)
+_W223 = _rng.normal(size=(2, 3, 2))
 
 
 class TestGradCheckPerOp:
     @pytest.mark.parametrize("name,fn,arity", OPS_FOR_GRADCHECK, ids=[o[0] for o in OPS_FOR_GRADCHECK])
     def test_op_gradient(self, name, fn, arity):
         rng = np.random.default_rng(hash(name) % 2**32)
-        shape = (3, 4) if name == "rope" else (3, 3)
+        shape = {"rope": (3, 4), "split_heads": (3, 4), "merge_heads": (2, 3, 2)}.get(name, (3, 3))
         inputs = [rng.normal(size=shape) for _ in range(arity)]
         res = tn.grad_check(fn, inputs)
         assert res.max_rel_error < 1e-6, f"{name}: {res}"
@@ -618,6 +686,60 @@ class TestAdamW:
                 npt.assert_array_equal(params[name].data, p)
                 npt.assert_array_equal(state.m[name], m)
                 npt.assert_array_equal(state.v[name], v)
+
+    @staticmethod
+    def small_params():
+        params = tn.ParamSet(seed=3)
+        params.linear_weight("w", 4, 5)
+        params.ones("g", (5,))
+        return params
+
+    @staticmethod
+    def assert_views_of_one_buffer(params):
+        """Every parameter's data views the buffer that flat_data() returns
+        without rebuilding it."""
+        buffer = params["w"].data.base
+        assert buffer is not None and buffer.size == params.total_count()
+        assert all(np.shares_memory(t.data, buffer) for _, t in params.items())
+        assert params.flat_data() is buffer
+
+    def test_a_swapped_parameter_is_moved_into_a_rebuilt_buffer(self):
+        params = self.small_params()
+        grads = {"w": np.ones((4, 5), np.float32), "g": np.ones(5, np.float32)}
+        state = tn.OptimizerState(warmup_steps=1, total_steps=10)
+        tn.adamw_step(params, grads, state)
+        self.assert_views_of_one_buffer(params)
+        first = params.flat_data()
+        swapped_in = tn.Tensor(np.full(5, 2.0, np.float32), requires_grad=True)
+        old = params.swap("g", swapped_in)
+        old_values = old.data.copy()
+        tn.adamw_step(params, grads, state)
+        self.assert_views_of_one_buffer(params)
+        assert params.flat_data() is not first and params["g"] is swapped_in
+        assert np.all(swapped_in.data < 2.0)  # the step reached the swapped-in values
+        npt.assert_array_equal(old.data, old_values)
+
+    def test_a_missing_gradient_names_the_parameter(self):
+        params = self.small_params()
+        state = tn.OptimizerState(warmup_steps=1, total_steps=10)
+        with pytest.raises(tn.TensorError, match="no gradient for parameter 'g'"):
+            tn.adamw_step(params, {"w": np.ones((4, 5), np.float32)}, state)
+        assert state.step == 0
+
+    def test_moments_of_another_dtype_are_refused(self):
+        params = self.small_params()
+        state = tn.OptimizerState(warmup_steps=1, total_steps=10)
+        tn.adamw_step(params, {"w": np.ones((4, 5)), "g": np.ones(5)}, state)
+        for name, t in list(params.items()):
+            params.swap(name, tn.Tensor(t.data.astype(np.float64), requires_grad=True))
+        with pytest.raises(tn.TensorError, match="does not fit"):
+            tn.adamw_step(params, {"w": np.ones((4, 5)), "g": np.ones(5)}, state)
+
+    def test_the_buffer_holds_one_dtype(self):
+        params = self.small_params()
+        params.swap("g", tn.Tensor(np.ones(5), requires_grad=True))  # float64 beside float32
+        with pytest.raises(tn.TensorError, match="one dtype"):
+            params.flat_data()
 
     def test_warns_once_past_total(self, monkeypatch):
         monkeypatch.setattr(tn, "ADAMW_LR", 0.1)
