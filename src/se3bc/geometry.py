@@ -140,6 +140,15 @@ def _as_vec3(v, name: str) -> np.ndarray:
     return v
 
 
+def norm(v) -> float:
+    """Euclidean norm of one real vector, bit for bit np.linalg.norm's of it
+    as float64, without that function's dispatch: the same dot product,
+    square-rooted. The vector is made contiguous first, because BLAS sums a
+    strided 4-vector's squares in another order."""
+    v = np.ascontiguousarray(v, dtype=np.float64)
+    return math.sqrt(v.dot(v))
+
+
 def skew(v) -> np.ndarray:
     """Skew-symmetric matrix [v]_x such that [v]_x w = v x w."""
     x, y, z = _as_vec3(v, "v")
@@ -207,7 +216,7 @@ def exp_so3(theta) -> np.ndarray:
     I + [theta]_x + [theta]_x^2 / 2 is used.
     """
     theta = _as_vec3(theta, "theta")
-    angle = float(np.linalg.norm(theta))
+    angle = norm(theta)
     k = skew(theta)
     if angle < EXP_SMALL_ANGLE:
         return np.eye(3) + k + 0.5 * (k @ k)
@@ -227,7 +236,7 @@ def log_so3(r: np.ndarray) -> np.ndarray:
     sym_vec = unskew(r - r.T) / 2.0  # sin(angle) * axis
     cos_angle = (np.trace(r) - 1.0) / 2.0
     # atan2 keeps the angle well conditioned near both 0 and pi.
-    angle = math.atan2(float(np.linalg.norm(sym_vec)), cos_angle)
+    angle = math.atan2(norm(sym_vec), cos_angle)
 
     if angle < LOG_SMALL_ANGLE:
         # theta = sin(angle)*axis up to O(angle^3): error < 1.7e-19 here.
@@ -237,7 +246,7 @@ def log_so3(r: np.ndarray) -> np.ndarray:
         b = (r + np.eye(3)) / 2.0
         i = int(np.argmax(np.diag(b)))
         axis = b[:, i] / math.sqrt(max(b[i, i], 0.0))
-        axis /= np.linalg.norm(axis)
+        axis /= norm(axis)
         if _first_nonzero_negative(axis):
             axis = -axis
         return angle * axis
@@ -331,7 +340,7 @@ def quat_to_matrix(q) -> np.ndarray:
         raise GeometryError(f"quaternion must be a 4-vector, got shape {q.shape}")
     if not all(map(math.isfinite, q.tolist())):
         raise GeometryError("quaternion has non-finite components")
-    if abs(np.linalg.norm(q) - 1.0) > ORTHO_ATOL:
+    if abs(norm(q) - 1.0) > ORTHO_ATOL:
         raise GeometryError("quaternion is not unit norm")
     w, x, y, z = q
     return np.array(
@@ -371,7 +380,7 @@ def matrix_to_quat(r: np.ndarray) -> np.ndarray:
         q = np.array(
             [(r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s, (r[1, 2] + r[2, 1]) / s, 0.25 * s]
         )
-    q /= np.linalg.norm(q)
+    q /= norm(q)
     if q[0] < 0.0 or (q[0] == 0.0 and _first_nonzero_negative(q[1:])):
         q = -q
     return q

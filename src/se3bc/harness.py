@@ -11,7 +11,10 @@ gripper latency, which models the actuator rather than either controller.
 Both controllers execute in chunks: predict H steps, execute them, predict
 again (the chunked execution of ACT). All live episodes share a step count,
 so every H steps one batched `Policy.act` call plans the next chunk of every
-live episode.
+live episode. An evaluation holds its policy frozen (`Policy.frozen`), so
+each query stack's block-0 self-attention over its queries, which reads no
+observation, is computed at the first `Policy.act` call and reused by the
+later ones.
 Paired comparisons consume identical episode seeds and identical
 perturbation draws, both derived from the root seed by counter-based
 splitting.
@@ -29,6 +32,7 @@ to pin, the jobs run in the calling process. Rows come back in serial (seed, cel
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import csv
 import ctypes
@@ -348,13 +352,16 @@ def rollout(
     from seed, the same draws closed_form_baseline() uses (see _Learned),
     and sw.drive executes the decoder's gripper commands
     PERTURB_GRIPPER_LATENCY steps late. Episode seeds match
-    closed_form_baseline()'s, so comparisons are paired.
+    closed_form_baseline()'s, so comparisons are paired. The policy is held
+    frozen throughout (Policy.frozen): each query stack's block-0 prefix is
+    computed once per evaluation.
     Raises HarnessError when episodes < 1.
     """
     seeds = _episode_seeds(episodes, seed)
     learned = _Learned(policy, scene, task, camera or sw.default_camera(), perturb, seed)
-    success, finals = sw.drive(learned, scene, task, seeds,
-                               PERTURB_GRIPPER_LATENCY if perturb else 0)
+    with policy.frozen():
+        success, finals = sw.drive(learned, scene, task, seeds,
+                                   PERTURB_GRIPPER_LATENCY if perturb else 0)
     return _report(
         success, finals,
         chart_violation_rate=(learned.violating_rows / learned.pred_rows
@@ -371,9 +378,9 @@ def _privileged_gripper(state: sw.SimState, scene: sw.SceneSpec, task: sw.TaskSp
     """Simulator-state gripper rule unavailable to the learned policy."""
     ee = state.ee_pose[:3, 3]
     cont = scene.container(task.target_container_id)
-    if np.linalg.norm(ee - cont.center) <= sw.ACCEPT_RADIUS:
+    if geo.norm(ee - cont.center) <= sw.ACCEPT_RADIUS:
         return 0.0
-    if np.linalg.norm(ee - state.object_poses[task.target_object_id]) <= sw.GRASP_RADIUS:
+    if geo.norm(ee - state.object_poses[task.target_object_id]) <= sw.GRASP_RADIUS:
         return 1.0
     return prev
 
@@ -467,7 +474,9 @@ def closed_form_baseline(
     episode, and the report lists episodes in episode order. With
     perturb=True, tau is corrupted and sw.drive executes the gripper commands
     PERTURB_GRIPPER_LATENCY steps late, as in rollout(). Episode seeds and
-    perturbation draws match rollout()'s, so comparisons are paired.
+    perturbation draws match rollout()'s, so comparisons are paired. A given
+    policy is held frozen throughout, as in rollout(): each query stack's
+    block-0 prefix is computed once per evaluation.
     Raises HarnessError when episodes < 1.
     """
     seeds = _episode_seeds(episodes, seed)
@@ -475,8 +484,9 @@ def closed_form_baseline(
         raise HarnessError("closed-form baseline needs a camera-frame axis-angle policy")
     controller = _ClosedForm(policy, scene, task, camera or sw.default_camera(), perturb, seed,
                              oracle)
-    return _report(*sw.drive(controller, scene, task, seeds,
-                             PERTURB_GRIPPER_LATENCY if perturb else 0))
+    with policy.frozen() if policy is not None else contextlib.nullcontext():
+        return _report(*sw.drive(controller, scene, task, seeds,
+                                 PERTURB_GRIPPER_LATENCY if perturb else 0))
 
 
 # --- studies ---

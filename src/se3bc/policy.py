@@ -25,10 +25,18 @@ that observation alone returns. The policy computes in its parameters' dtype
 (float32 from ParamSet): it casts every array it receives (features, state,
 loss targets, hidden-state noise) to that dtype, and `act` returns float64,
 so callers see float64 only.
+
+An evaluation holds the policy frozen (`Policy.frozen`). Block 0 of each
+query stack reads the stack's H queries and no observation, up to its
+cross-attention: its self-attention sublayer with RoPE, the residual add and
+ln2, whose output is the cross-attention's query input. Inside the scope the
+first untaped call computes that prefix once per stack, and every later call
+reuses it, with the same bits.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -101,6 +109,7 @@ class Policy:
         p.zeros("state.b", (D_MODEL,))
         self._stack_params("dec", DECODER_BLOCKS, 7)
         self._positions = np.arange(1, cfg.horizon + 1, dtype=float)
+        self._prefixes = None  # stack -> its block-0 prefix, a dict inside frozen()
 
     def _stack_params(self, prefix: str, blocks: int, out_dim: int):
         """A query stack: H queries, `blocks` blocks, a final norm and a linear head."""
@@ -156,22 +165,40 @@ class Policy:
             positions=positions,
         )
 
-    def _block(self, prefix, x, kv):
+    def _self_attend(self, prefix, x):
+        """Block `prefix` up to its cross-attention: the residual stream after
+        the self-attention sublayer, and its ln2, the cross-attention's query input."""
         normed = self._ln(x, f"{prefix}.ln1")
         x = tn.add(x, self._attn(f"{prefix}.self", normed, normed, positions=self._positions))
-        x = tn.add(
-            x,
-            self._attn(f"{prefix}.cross", self._ln(x, f"{prefix}.ln2"), self._ln(kv, f"{prefix}.lnkv")),
-        )
+        return x, self._ln(x, f"{prefix}.ln2")
+
+    def _query_prefix(self, stack):
+        """_self_attend of block 0 on the stack's queries. It reads parameters
+        only, so inside frozen() an untaped call computes it once per stack."""
+        prefixes = self._prefixes
+        if prefixes is None or tn.recording():
+            return self._self_attend(f"{stack}.b0", self.params[f"{stack}.q"])
+        if stack not in prefixes:
+            prefixes[stack] = self._self_attend(f"{stack}.b0", self.params[f"{stack}.q"])
+        return prefixes[stack]
+
+    def _block(self, prefix, attended, kv):
+        """The rest of block `prefix`, from _self_attend's pair `attended`."""
+        # Both dels free the query input before the feed-forward, the peak of
+        # an untaped forward over a large batch.
+        x, q_in = attended
+        del attended
+        x = tn.add(x, self._attn(f"{prefix}.cross", q_in, self._ln(kv, f"{prefix}.lnkv")))
+        del q_in
         h = tn.linear(self._ln(x, f"{prefix}.ln3"), self.params[f"{prefix}.ffn.w1"], self.params[f"{prefix}.ffn.b1"])
         h = tn.linear(tn.gelu(h), self.params[f"{prefix}.ffn.w2"], self.params[f"{prefix}.ffn.b2"])
         return tn.add(x, h)
 
     def _run_stack(self, prefix, blocks, kv):
         """A stack's queries refined against kv by its blocks, then its final norm."""
-        x = self.params[f"{prefix}.q"]
-        for i in range(blocks):
-            x = self._block(f"{prefix}.b{i}", x, kv)
+        x = self._block(f"{prefix}.b0", self._query_prefix(prefix), kv)
+        for i in range(1, blocks):
+            x = self._block(f"{prefix}.b{i}", self._self_attend(f"{prefix}.b{i}", x), kv)
         return self._ln(x, f"{prefix}.lnf")
 
     def encode(self, lang, visual, depth) -> tn.Tensor:
@@ -231,6 +258,26 @@ class Policy:
         return tn.concat([rigid, grip], axis=-1)
 
     # --- training/inference entry points ---
+
+    @contextlib.contextmanager
+    def frozen(self):
+        """Hold the parameters fixed for the scope, as an evaluation does.
+
+        Each query stack's block-0 prefix (_query_prefix) is then computed at
+        the first untaped call and reused by the later ones; a taped call
+        computes it afresh, so its gradients reach every parameter. Changing a
+        parameter inside the scope leaves the reused prefix stale. The prefixes
+        are dropped on exit, on a raise too; a nested scope keeps the outer
+        one's.
+        """
+        if self._prefixes is not None:
+            yield
+            return
+        self._prefixes = {}
+        try:
+            yield
+        finally:
+            self._prefixes = None
 
     def forward(self, lang, visual, depth, state_vec, h_noise=None):
         """Full pass; returns a dict of the tau and chunk tensors (tau is None

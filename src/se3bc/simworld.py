@@ -166,7 +166,7 @@ class SimState:
 
 
 def _clip_norm(v: np.ndarray, limit: float) -> np.ndarray:
-    n = float(np.linalg.norm(v))
+    n = geo.norm(v)
     if n > limit:
         return v * (limit / n)
     return v
@@ -233,7 +233,7 @@ class Simulator:
         elif attached is None and state.gripper < 0.5 <= g_new:
             best, best_d = None, None
             for obj in self.scene.objects:
-                d = float(np.linalg.norm(poses[obj.id] - ee_p))
+                d = geo.norm(poses[obj.id] - ee_p)
                 if d <= GRASP_RADIUS and (best_d is None or d < best_d):
                     best, best_d = obj.id, d
             if best is not None:
@@ -244,7 +244,7 @@ class Simulator:
 
         latch = state.latch_visited
         if self.task.family == "long" and not latch:
-            latch = float(np.linalg.norm(ee_p - self.task.latch_center)) <= LATCH_RADIUS
+            latch = geo.norm(ee_p - self.task.latch_center) <= LATCH_RADIUS
 
         return SimState(
             ee_pose=ee,
@@ -266,7 +266,7 @@ class Simulator:
         if task.family == "long" and not state.latch_visited:
             return False
         container = self.scene.container(task.target_container_id)
-        dist = float(np.linalg.norm(state.object_poses[task.target_object_id] - container.center))
+        dist = geo.norm(state.object_poses[task.target_object_id] - container.center)
         return dist <= ACCEPT_RADIUS
 
 
@@ -381,9 +381,9 @@ class ScriptedExpert:
             return self.task.latch_center, None, 0.0, state.latch_visited
         if phase == "approach":
             wp = obj_p + APPROACH_HEIGHT * _UP
-            return wp, grasp, 0.0, np.linalg.norm(ee_p - wp) <= WAYPOINT_TOL
+            return wp, grasp, 0.0, geo.norm(ee_p - wp) <= WAYPOINT_TOL
         if phase == "descend":
-            return obj_p, grasp, 0.0, np.linalg.norm(ee_p - obj_p) <= DESCEND_TOL
+            return obj_p, grasp, 0.0, geo.norm(ee_p - obj_p) <= DESCEND_TOL
         if phase == "close":
             return obj_p, grasp, 1.0, state.attached == target
         if phase == "lift":
@@ -391,12 +391,12 @@ class ScriptedExpert:
             return wp, grasp, 1.0, ee_p[2] >= wp[2] - WAYPOINT_TOL
         if phase == "traverse":
             wp = self._cont_c + LIFT_HEIGHT * _UP
-            return wp, carry, 1.0, np.linalg.norm(ee_p - wp) <= WAYPOINT_TOL
+            return wp, carry, 1.0, geo.norm(ee_p - wp) <= WAYPOINT_TOL
         if phase == "retreat":
             return self._cont_c + RETREAT_HEIGHT * _UP, None, 0.0, False
         place = self._cont_c + PLACE_HEIGHT * _UP
         if phase == "place":
-            return place, carry, 1.0, np.linalg.norm(ee_p - place) <= DESCEND_TOL
+            return place, carry, 1.0, geo.norm(ee_p - place) <= DESCEND_TOL
         return place, carry, 0.0, state.attached is None and state.gripper < 0.5  # open
 
 

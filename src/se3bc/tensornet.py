@@ -102,6 +102,11 @@ class GradientTape:
         return node
 
 
+def recording() -> bool:
+    """Whether a GradientTape is active on this thread."""
+    return bool(_TLS.stack)
+
+
 class Tensor:
     """Dense array with an optional tape node.
 

@@ -473,3 +473,20 @@ def test_validators_decide_as_numpy_reference(check, reference, cases):
             decisions["raised"] += 1
     # Both outcomes are exercised on every validator.
     assert min(decisions.values()) > 20, decisions
+
+
+def test_norm_equals_numpy_bit_for_bit():
+    rng = np.random.default_rng(0)
+    vectors = []
+    for n in (3, 4):
+        for scale in 10.0 ** rng.uniform(-8, 2, size=2000):
+            block = rng.normal(size=(n, 2)) * scale
+            vectors += [block[:, 0].copy(), block[:, 1]]  # contiguous, and strided
+    vectors += [[3, 4, 12], np.array([1e200, 1.0, 0.0]), np.zeros(3), np.array([-0.0, 0.0, 0.0])]
+    vectors += [np.array(v) for v in ([np.inf, 1.0, 2.0], [1.0, -np.inf, 0.0, 0.5],
+                                      [np.nan, 1.0, 2.0], [np.inf, np.nan, 1.0])]
+    for v in vectors:
+        with np.errstate(over="ignore", invalid="ignore"):  # both warn on the overflow case
+            want, got = np.linalg.norm(v), geo.norm(v)
+        assert type(got) is float
+        assert got == want or (math.isnan(got) and math.isnan(want)), (v, got, want)

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import math
@@ -38,14 +39,17 @@ def assert_same(actual, expected):
         assert type(actual) is type(expected) and actual == expected, (actual, expected)
 
 
-@pytest.fixture(scope="module")
-def world():
-    scene, task = sw.default_scene("goal")
-    policy = pol.build_variant(pol.PolicyConfig(
+def fresh_policy(scene):
+    return pol.build_variant(pol.PolicyConfig(
         token_dim=sw.feature_dims(scene)[0], variant=ds.SupervisionVariant("traj_camera_se3"),
         seed=7,
     ))
-    return scene, task, replace(task, horizon_limit=40), policy
+
+
+@pytest.fixture(scope="module")
+def world():
+    scene, task = sw.default_scene("goal")
+    return scene, task, replace(task, horizon_limit=40), fresh_policy(scene)
 
 
 # --- characterization: EvalReport.to_json() of fixed-seed evaluations ---
@@ -189,17 +193,84 @@ class TestStaggeredEpisodes:
                                                             run):
         # The step count of each episode in each Policy.act call: every live
         # episode, every H = 8 steps, until episodes 1 and 0 end at 19 and 29.
-        calls = []
-        act = hs._act
+        # Each stack's block-0 prefix is computed at the first call only.
+        calls, prefixes = [], []
+        act, self_attend = hs._act, pol.Policy._self_attend
 
         def spy(policy, task, scene, camera, states, h_noise=None):
             calls.append([state.step_count for state in states])
             return act(policy, task, scene, camera, states, h_noise)
 
+        def spy_prefix(policy, prefix, x):
+            if prefix.endswith(".b0"):
+                prefixes.append((len(calls), prefix))
+            return self_attend(policy, prefix, x)
+
         monkeypatch.setattr(hs, "_act", spy)
+        monkeypatch.setattr(pol.Policy, "_self_attend", spy_prefix)
         scene, _, short, policy = world
         run(policy, scene, short)
         assert calls == [[0, 0, 0], [8, 8, 8], [16, 16, 16], [24, 24], [32]]
+        assert prefixes == [(1, "pred.b0"), (1, "dec.b0")]
+
+
+EVALUATIONS = TestStaggeredEpisodes.RUNS
+
+
+@pytest.mark.parametrize("evaluate", list(EVALUATIONS.values()), ids=list(EVALUATIONS))
+def test_an_evaluation_after_training_steps_sees_the_new_parameters(monkeypatch, world, evaluate):
+    # Evaluate, step AdamW, evaluate again: every Policy.act output of the
+    # second evaluation equals that of a twin, copied before the first
+    # evaluation and stepped alike, in its first evaluation.
+    outputs = []
+    act = hs._act
+
+    def spy(*args):
+        out = act(*args)
+        outputs.append(out)
+        return out
+
+    monkeypatch.setattr(hs, "_act", spy)
+    scene, _, short, _ = world
+    policy = fresh_policy(scene)
+    twin = copy.deepcopy(policy)
+    evaluate(policy, scene, short)
+    rng = np.random.default_rng(3)
+    grads = [{name: rng.normal(size=t.shape) for name, t in policy.params.items()}
+             for _ in range(3)]
+    for model in (policy, twin):
+        opt = tn.OptimizerState(warmup_steps=1, total_steps=10)
+        for step_grads in grads:
+            tn.adamw_step(model.params, step_grads, opt)
+    outputs.clear()
+    again = evaluate(policy, scene, short).to_json()
+    stepped = outputs[:]
+    outputs.clear()
+    assert evaluate(twin, scene, short).to_json() == again
+    assert len(stepped) == len(outputs) > 1
+    for got, want in zip(stepped, outputs):
+        np.testing.assert_array_equal(got.chunk, want.chunk)
+        np.testing.assert_array_equal(got.tau, want.tau)
+
+
+@pytest.mark.parametrize("evaluate", list(EVALUATIONS.values()), ids=list(EVALUATIONS))
+def test_an_evaluation_leaves_no_prefixes_behind(monkeypatch, world, evaluate):
+    scene, _, short, _ = world
+    policy = fresh_policy(scene)
+    assert policy._prefixes is None
+    evaluate(policy, scene, short)
+    assert policy._prefixes is None
+    act = hs._act
+
+    def second_call_raises(policy, *args):
+        if policy._prefixes:
+            raise RuntimeError("second call")
+        return act(policy, *args)
+
+    monkeypatch.setattr(hs, "_act", second_call_raises)
+    with pytest.raises(RuntimeError, match="second call"):
+        evaluate(policy, scene, short)
+    assert policy._prefixes is None
 
 
 @pytest.mark.parametrize("episodes", [0, -1])

@@ -221,6 +221,89 @@ def test_batched_act_rows_equal_one_row_calls(world, batch, target, rotation, de
         assert (out.tau is None and one.tau is None) or np.array_equal(out.tau[b], one.tau[0])
 
 
+class TestFrozen:
+    """Policy.frozen(): each stack's block-0 prefix is computed once and reused."""
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("noisy", [False, True], ids=["plain", "h_noise"])
+    def test_act_inside_equals_act_outside(self, world, batch, noisy):
+        scene, task, data, windows = world
+        policy = make_policy(scene)
+        picked = windows[::9][:batch]
+        features, states = [w.features for w in picked], [w.state_vec for w in picked]
+        h_noise = None
+        if noisy:
+            h_noise = np.random.default_rng(1).normal(0.0, 0.1, (batch, 8, pol.D_MODEL))
+        outside = policy.act(features, states, h_noise)
+        with policy.frozen():
+            inside = [policy.act(features, states, h_noise) for _ in range(2)]
+            rows = [policy.act([features[b]], [states[b]],
+                               None if h_noise is None else h_noise[b:b + 1])
+                    for b in range(batch)]
+        for out in inside:
+            npt.assert_array_equal(out.chunk, outside.chunk)
+            npt.assert_array_equal(out.tau, outside.tau)
+        for b, one in enumerate(rows):
+            npt.assert_array_equal(one.chunk[0], outside.chunk[b])
+            npt.assert_array_equal(one.tau[0], outside.tau[b])
+
+    def test_each_prefix_is_computed_once(self, monkeypatch, world):
+        scene, task, data, windows = world
+        policy = make_policy(scene)
+        calls = collections.Counter()
+        self_attend = pol.Policy._self_attend
+
+        def spy(self, prefix, x):
+            calls[prefix] += 1
+            return self_attend(self, prefix, x)
+
+        monkeypatch.setattr(pol.Policy, "_self_attend", spy)
+        features, states = [windows[0].features], [windows[0].state_vec]
+        with policy.frozen():
+            for _ in range(3):
+                policy.act(features, states)
+        assert calls == {"pred.b0": 1, "pred.b1": 3, "dec.b0": 1}
+
+    def test_a_loss_taped_inside_gets_every_gradient(self, world):
+        scene, task, data, windows = world
+        policy = make_policy(scene)
+        batch = pol.collate(windows[:4], ds.SupervisionVariant(), data.camera, scene)
+
+        def grads():
+            with tn.GradientTape() as tape:
+                total, _, _ = policy.loss(batch)
+            return policy.params.grads_by_name(tn.backward(tape, total))
+
+        outside = grads()
+        with policy.frozen():
+            policy.act([windows[0].features], [windows[0].state_vec])  # fills the prefixes
+            inside = grads()
+        assert inside.keys() == outside.keys() == set(policy.params.names())
+        for name in outside:
+            npt.assert_array_equal(inside[name], outside[name], err_msg=name)
+        for name in ["pred.q", "pred.b0.self.wq", "pred.b0.ln2.g", "dec.q", "dec.b0.self.wv"]:
+            assert np.abs(inside[name]).sum() > 0, name
+
+    def test_prefixes_live_only_inside_the_outermost_scope(self, world):
+        scene, task, data, windows = world
+        policy = make_policy(scene)
+        assert policy._prefixes is None
+        features, states = [windows[0].features], [windows[0].state_vec]
+        with policy.frozen():
+            policy.act(features, states)
+            kept = dict(policy._prefixes)
+            assert kept.keys() == {"pred", "dec"}
+            with policy.frozen():
+                policy.act(features, states)
+            assert policy._prefixes == kept
+        assert policy._prefixes is None
+        with pytest.raises(RuntimeError, match="inside"):
+            with policy.frozen():
+                policy.act(features, states)
+                raise RuntimeError("inside")
+        assert policy._prefixes is None
+
+
 class TestDecoder:
     def test_chunk_has_h_rows_and_bounded_gripper(self, world):
         scene, task, data, windows = world
