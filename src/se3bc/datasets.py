@@ -1,7 +1,8 @@
 """Demonstration recording, horizon windowing and supervision synthesis.
 
 Demos are scripted-expert episodes of sw.drive, the loop that also evaluates
-policies; a record's gripper label is the command its step executed.
+policies: each demo is built from the states sw.drive returns for its episode,
+and a record's gripper label is the command its step executed.
 A demonstration is a sequence of per-timestep records; the last record is the
 final state with a zero rigid action and held gripper command, so every
 record carries the same fields. It is also the stationary pad that
@@ -122,10 +123,10 @@ def record_demonstrations(
 
     Attempt a resets with derive_seed(seed, "episode", a). Attempts run
     through sw.drive in lockstep batches of one per demo still missing, with
-    gripper commands RECORD_GRIPPER_LATENCY steps late; the demos are the
-    first n successes in attempt order. The attempt budget allows a 20%
-    failure rate; exhausting it raises DatasetError (the configuration, not
-    the draw, is at fault).
+    gripper commands RECORD_GRIPPER_LATENCY steps late; the demos are built
+    from the states sw.drive returns for the first n successes in attempt
+    order. The attempt budget allows a 20% failure rate; exhausting it
+    raises DatasetError (the configuration, not the draw, is at fault).
     """
     if n <= 0:
         raise DatasetError("n must be > 0")
@@ -141,11 +142,11 @@ def record_demonstrations(
         batch = range(attempt, min(attempt + n - len(dataset.demos), max_attempts))
         seeds = [derive_seed(seed, "episode", a) for a in batch]
         attempt += len(seeds)
-        experts = _Experts(scene, task, len(seeds))
-        success, finals = sw.drive(experts, scene, task, seeds, RECORD_GRIPPER_LATENCY)
-        for ep_seed, ok, shown, final in zip(seeds, success, experts.states, finals):
+        success, episodes = sw.drive(_Experts(scene, task, len(seeds)), scene, task, seeds,
+                                     RECORD_GRIPPER_LATENCY)
+        for ep_seed, ok, states in zip(seeds, success, episodes):
             if ok:
-                dataset.demos.append(_demonstration(shown + [final], task, scene, camera, ep_seed))
+                dataset.demos.append(_demonstration(states, task, scene, camera, ep_seed))
     dataset.n_discarded = attempt - len(dataset.demos)
     if dataset.n_discarded:
         log.info("discarded %d failed expert episodes", dataset.n_discarded)
@@ -153,15 +154,12 @@ def record_demonstrations(
 
 
 class _Experts:
-    """sw.drive's controller for a recording batch: per episode, an expert and the states shown."""
+    """sw.drive's controller for a recording batch: one expert per episode."""
 
     def __init__(self, scene: sw.SceneSpec, task: sw.TaskSpec, episodes: int):
         self._experts = [sw.ScriptedExpert(scene, task) for _ in range(episodes)]
-        self.states = [[] for _ in range(episodes)]
 
     def actions(self, episodes: list, states: list) -> list:
-        for i, state in zip(episodes, states):
-            self.states[i].append(state)
         cmds = [self._experts[i].action(state) for i, state in zip(episodes, states)]
         return [(cmd.dp, cmd.dtheta, cmd.gripper) for cmd in cmds]
 

@@ -267,10 +267,6 @@ def se3_to_pose(t: np.ndarray) -> np.ndarray:
     return np.concatenate([t[:3, 3], log_so3(t[:3, :3])])
 
 
-def se3_compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return check_se3(a) @ check_se3(b)
-
-
 def se3_inverse(t: np.ndarray) -> np.ndarray:
     """Closed-form inverse [[R^T, -R^T p], [0, 1]] (stays on the manifold)."""
     t = check_se3(t)
@@ -304,15 +300,6 @@ def at_chart_boundary(theta) -> np.ndarray:
 def apply_action(t: np.ndarray, a: RelativeAction) -> np.ndarray:
     """Right-compose a relative action onto a pose; inverse of relative_action."""
     return check_se3(t) @ pose_to_se3(np.concatenate([a.dp, a.dtheta]))
-
-
-def world_to_camera(t_world: np.ndarray, extrinsic: np.ndarray) -> np.ndarray:
-    """Map a world-frame pose into the camera frame: extrinsic^-1 @ t_world.
-
-    extrinsic is the camera-to-world transform, so this readout equals the
-    world pose up to the fixed rigid offset extrinsic^-1.
-    """
-    return se3_inverse(extrinsic) @ check_se3(t_world)
 
 
 def camera_to_world(t_cam: np.ndarray, extrinsic: np.ndarray) -> np.ndarray:

@@ -6,8 +6,10 @@ that also records demos: `_Learned` (the policy's own decoder, behind
 `closed_form_baseline`). `sw.drive` steps all of a run's episodes in
 lockstep, and a controller's one method, `actions(episodes, states)`,
 answers one (dp, dtheta, gripper) command per live episode before every
-round of simulator steps. `sw.drive` alone applies the perturbed protocol's
-gripper latency, which models the actuator rather than either controller.
+round of simulator steps. Controllers only plan: a report's episode lengths
+and `rollout`'s tau error are read after the run from the episode states
+`sw.drive` returns. `sw.drive` alone applies the perturbed protocol's gripper
+latency, which models the actuator rather than either controller.
 Both controllers execute in chunks: predict H steps, execute them, predict
 again (the chunked execution of ACT). All live episodes share a step count,
 so every H steps one batched `Policy.act` call plans the next chunk of every
@@ -188,11 +190,13 @@ REPORT_COLUMNS = [
 ]
 
 
-def _report(success: list, finals: list, chart_violation_rate: float = 0.0,
+def _report(success: list, episodes: list, chart_violation_rate: float = 0.0,
             mean_traj_error: float | None = None) -> EvalReport:
-    """The report of a run whose episodes succeeded as flagged and ended in `finals`."""
+    """The report of a run whose episodes succeeded as flagged and passed
+    through the states `episodes` lists (sw.drive's return); an episode's
+    length is its last state's step count."""
     successes = sum(success)
-    lengths = [state.step_count for state in finals]
+    lengths = [states[-1].step_count for states in episodes]
     lo, hi = wilson_interval(successes, len(lengths))
     return EvalReport(
         successes=successes,
@@ -257,10 +261,10 @@ class _Learned:
     Each prediction's tau rows count toward the chart-violation rate; a row
     violates when its axis-angle rotation (SE(3) targets only) is at the
     chart boundary (geo.at_chart_boundary).
-    For camera-frame axis-angle policies, tau is also scored online: row h of
-    the chunk that starts at step t0 against the camera-frame ee pose reached
-    at step t0 + h + 1, while the episode lasts. mean_traj_error sums those
-    errors in episode order.
+    For camera-frame axis-angle policies, each episode's tau chunks are kept
+    in step order, and after the run mean_traj_error scores them against the
+    episodes sw.drive returned: the camera-frame ee pose of state t >= 1
+    against row t - 1 of the episode's chunks laid end to end.
 
     With perturb=True, the pose-space noise eps is mapped into the hidden
     states through the linear head's pseudo-inverse, so head(h_traj + dh) =
@@ -285,38 +289,27 @@ class _Learned:
         self.perturb, self.root_seed = perturb, root_seed
         self._horizon = policy.cfg.horizon
         self.pred_rows = self.violating_rows = 0
-        # Per episode: the current chunk, the current tau when it is scored
-        # and the scored tau errors in step order.
-        self._chunks, self._taus, self._traj_errors = {}, {}, defaultdict(list)
+        # Per episode: the current action chunk, and its tau chunks in step order.
+        self._chunks, self._taus = {}, defaultdict(list)
 
     def actions(self, episodes: list, states: list) -> list:
         t = states[0].step_count
-        if t > 0 and self._tracks_tau:
-            self._score(episodes, states)
         if t % self._horizon == 0:
             self._predict(episodes, states, t // self._horizon)
         rows = [self._chunks[i][t % self._horizon] for i in episodes]
         return [(row[:3], row[3:6], 1.0 if row[6] > 0.5 else 0.0) for row in rows]
 
-    def mean_traj_error(self, finals: list) -> float | None:
-        """Mean scored tau error per row, summed in episode order. `finals`
-        are the episodes' final states, which score each one's last row."""
+    def mean_traj_error(self, episodes: list) -> float | None:
+        """Mean tau error per executed row of sw.drive's `episodes`, summed
+        in episode order, then step order."""
         if not self._tracks_tau:
             return None
-        self._score(range(len(finals)), finals)
         total, n = 0.0, 0
-        for i in range(len(finals)):
-            for err in self._traj_errors[i]:
-                total += err
+        for i, states in enumerate(episodes):
+            for row, state in zip(np.concatenate(self._taus[i]), states[1:]):
+                total += float(np.abs(row - geo.se3_to_pose(self.camera.t_wc @ state.ee_pose)).sum())
                 n += 1
-        return total / n if n else None
-
-    def _score(self, episodes, states):
-        """Score the tau row each episode just executed against the pose it reached."""
-        for i, state in zip(episodes, states):
-            row = self._taus[i][(state.step_count - 1) % self._horizon]
-            pose = geo.se3_to_pose(self.camera.t_wc @ state.ee_pose)
-            self._traj_errors[i].append(float(np.abs(row - pose).sum()))
+        return total / n
 
     def _predict(self, episodes: list, states: list, chunk: int):
         h_noise = None
@@ -330,7 +323,8 @@ class _Learned:
             if self._counts_chart:
                 self.violating_rows += int(np.sum(geo.at_chart_boundary(out.tau[..., 3:6])))
             if self._tracks_tau:
-                self._taus.update(zip(episodes, out.tau))
+                for i, tau in zip(episodes, out.tau):
+                    self._taus[i].append(tau)
 
 
 def rollout(
@@ -347,7 +341,8 @@ def rollout(
     The policy predicts an H-step action chunk, the simulator executes all of
     it, and prediction repeats until success or the horizon limit. The
     episodes run in lockstep, so one Policy.act call every H steps plans the
-    next chunk of every live episode; the report is reduced in episode order.
+    next chunk of every live episode; the report is reduced in episode order
+    from the episode states sw.drive returns.
     With perturb=True, the predictor output is corrupted by draws derived
     from seed, the same draws closed_form_baseline() uses (see _Learned),
     and sw.drive executes the decoder's gripper commands
@@ -360,13 +355,13 @@ def rollout(
     seeds = _episode_seeds(episodes, seed)
     learned = _Learned(policy, scene, task, camera or sw.default_camera(), perturb, seed)
     with policy.frozen():
-        success, finals = sw.drive(learned, scene, task, seeds,
-                                   PERTURB_GRIPPER_LATENCY if perturb else 0)
+        success, runs = sw.drive(learned, scene, task, seeds,
+                                 PERTURB_GRIPPER_LATENCY if perturb else 0)
     return _report(
-        success, finals,
+        success, runs,
         chart_violation_rate=(learned.violating_rows / learned.pred_rows
                               if learned.pred_rows else 0.0),
-        mean_traj_error=learned.mean_traj_error(finals),
+        mean_traj_error=learned.mean_traj_error(runs),
     )
 
 

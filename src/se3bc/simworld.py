@@ -218,7 +218,7 @@ class Simulator:
         ee = geo.apply_action(state.ee_pose, RelativeAction(dp, dtheta))
         ee[:3, 3] = np.clip(ee[:3, 3], self.scene.table_lo, self.scene.table_hi)
 
-        g_cmd = min(1.0, max(0.0, action.gripper))
+        g_cmd = action.gripper  # RelativeAction holds it in [0, 1]
         delta = max(-GRIPPER_RATE, min(GRIPPER_RATE, g_cmd - state.gripper))
         g_new = state.gripper + delta
 
@@ -275,29 +275,32 @@ class Simulator:
 
 def drive(controller, scene: SceneSpec, task: TaskSpec, seeds: list, gripper_latency: int):
     """The one episode loop: episode i starts from reset(seeds[i]), and all
-    step in lockstep; returns (success flags, final states) in seed order.
+    step in lockstep; returns (success flags, episodes) in seed order, where
+    episodes[i] lists episode i's states from its reset to its last state.
 
     Each round, controller.actions(live episodes, their states) answers one
     (dp, dtheta, gripper) command per live episode and each steps once, so
     live states share a step count; an episode leaves on success or at the
     horizon. Gripper commands execute gripper_latency steps late, the first
     ones open (0.0): the delay models the actuator, whatever the controller.
+    Controllers only plan; recording and evaluation read the episodes after.
     """
     sim = Simulator(scene, task)
-    states = [sim.reset(seed) for seed in seeds]
+    episodes = [[sim.reset(seed)] for seed in seeds]
     grips = [deque([0.0] * gripper_latency) for _ in seeds]
     success, live = [False] * len(seeds), list(range(len(seeds)))
     while live:
-        commands = controller.actions(live, [states[i] for i in live])
+        commands = controller.actions(live, [episodes[i][-1] for i in live])
         still = []
         for i, (dp, dtheta, grip) in zip(live, commands):
             grips[i].append(grip)
-            states[i] = sim.step(states[i], RelativeAction(dp, dtheta, grips[i].popleft()))
-            success[i] = sim.check_success(states[i])
-            if not success[i] and states[i].step_count < task.horizon_limit:
+            state = sim.step(episodes[i][-1], RelativeAction(dp, dtheta, grips[i].popleft()))
+            episodes[i].append(state)
+            success[i] = sim.check_success(state)
+            if not success[i] and state.step_count < task.horizon_limit:
                 still.append(i)
         live = still
-    return success, states
+    return success, episodes
 
 
 # --- scripted expert ---

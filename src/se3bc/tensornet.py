@@ -680,9 +680,6 @@ class ParamSet:
     def items(self):
         return self._params.items()
 
-    def total_count(self) -> int:
-        return int(sum(t.data.size for t in self._params.values()))
-
     def flat_data(self) -> np.ndarray:
         """The one buffer every parameter's `data` views, built or rebuilt
         (copying each parameter's current values) when a parameter is not

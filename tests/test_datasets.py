@@ -49,7 +49,7 @@ class TestRecording:
         data = small_dataset
         for demo in data.demos:
             for t, step in enumerate(demo.steps):
-                cam_expect = geo.world_to_camera(step.ee_pose_world, data.camera.extrinsic)
+                cam_expect = geo.se3_inverse(data.camera.extrinsic) @ step.ee_pose_world
                 assert np.max(np.abs(step.ee_pose_cam - cam_expect)) < 1e-10
                 if t + 1 < len(demo.steps):
                     nxt = geo.apply_action(step.ee_pose_world, step.action)
@@ -69,7 +69,7 @@ class TestRecording:
                 cur = geo.apply_action(cur, step.action)
                 target = demo.steps[t + 1].ee_pose_world
                 assert np.max(np.abs(cur - target)) < 1e-8
-                cam = geo.world_to_camera(cur, data.camera.extrinsic)
+                cam = geo.se3_inverse(data.camera.extrinsic) @ cur
                 assert np.max(np.abs(cam - demo.steps[t + 1].ee_pose_cam)) < 1e-8
 
     def test_failure_rate_raises(self):
@@ -122,7 +122,7 @@ class TestWindows:
                 for h in range(8):
                     a = geo.RelativeAction(w.target_actions[h, :3], w.target_actions[h, 3:6])
                     cur = geo.apply_action(cur, a)
-                    pose_cam = geo.world_to_camera(cur, data.camera.extrinsic)
+                    pose_cam = geo.se3_inverse(data.camera.extrinsic) @ cur
                     npt.assert_allclose(
                         geo.se3_to_pose(pose_cam), w.target_poses_cam[h], atol=1e-8
                     )

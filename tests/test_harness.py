@@ -730,6 +730,6 @@ def test_trained_parameters_are_views_of_one_buffer(one_demo):
     policy, _ = hs.train(*one_demo)
     params = policy.params
     buffer = params["dec.head.w"].data.base
-    assert buffer is not None and buffer.size == params.total_count()
+    assert buffer is not None and buffer.size == sum(t.data.size for _, t in params.items())
     assert all(np.shares_memory(t.data, buffer) for _, t in params.items())
     assert params.flat_data() is buffer

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -21,16 +22,15 @@ EXPERT_PINS = {
 
 
 class OneExpert:
-    """sw.drive's controller for one episode of one expert, keeping each state
-    it is shown and the phase and command the expert answered it with."""
+    """sw.drive's controller for one episode of one expert, keeping the phase
+    and command the expert answered each state with."""
 
     def __init__(self, expert):
-        self.expert, self.states, self.phases, self.commands = expert, [], [], []
+        self.expert, self.phases, self.commands = expert, [], []
 
     def actions(self, episodes, states):
         (state,) = states
         a = self.expert.action(state)
-        self.states.append(state)
         self.phases.append(self.expert.phase)
         self.commands.append(a)
         return [(a.dp, a.dtheta, a.gripper)]
@@ -40,8 +40,8 @@ def drive_expert(scene, task, seed, latency=ds.RECORD_GRIPPER_LATENCY):
     """One expert episode through sw.drive at the recording latency; returns
     the controller and every state, the final one included."""
     controller = OneExpert(sw.ScriptedExpert(scene, task))
-    _, (final,) = sw.drive(controller, scene, task, [seed], latency)
-    return controller, controller.states + [final]
+    _, (states,) = sw.drive(controller, scene, task, [seed], latency)
+    return controller, states
 
 
 def run_episode(sim, seed):
@@ -227,6 +227,40 @@ class TestExpert:
         assert sim.check_success(states[-1])
 
 
+def state_fields(state):
+    """Every field of a SimState, arrays as bytes, for exact comparison."""
+    def key(value):
+        if isinstance(value, np.ndarray):
+            return value.tobytes()
+        if isinstance(value, dict):
+            return sorted((k, key(v)) for k, v in value.items())
+        return value
+    return [key(getattr(state, f.name)) for f in dataclasses.fields(state)]
+
+
+class TestDrive:
+    def test_returns_every_state_of_each_episode(self):
+        # A lockstep batch of expert episodes with the horizon cut to 27
+        # steps: spatial seed 2 succeeds at step 26, seeds 0 and 1 at step
+        # 27, and seeds 3 to 5 (28 steps uncut) end at the horizon.
+        scene, task = sw.default_scene("spatial")
+        task.horizon_limit = 27
+        sim = sw.Simulator(scene, task)
+        seeds = list(range(6))
+        latency = ds.RECORD_GRIPPER_LATENCY
+        success, episodes = sw.drive(ds._Experts(scene, task, len(seeds)), scene, task, seeds,
+                                     latency)
+        assert success == [True, True, True, False, False, False]
+        assert [len(states) for states in episodes] == [28, 28, 27, 28, 28, 28]
+        for seed, ok, states in zip(seeds, success, episodes):
+            assert state_fields(states[0]) == state_fields(sim.reset(seed))
+            assert [s.step_count for s in states] == list(range(len(states)))
+            assert [sim.check_success(s) for s in states] == [False] * (len(states) - 1) + [ok]
+            assert ok or states[-1].step_count == task.horizon_limit
+            _, (alone,) = sw.drive(ds._Experts(scene, task, 1), scene, task, [seed], latency)
+            assert [state_fields(s) for s in states] == [state_fields(s) for s in alone]
+
+
 class TestSuccess:
     def test_detached_at_center_is_success(self, goal_world):
         scene, task, sim = goal_world
@@ -258,7 +292,7 @@ class TestFeaturize:
         state = sim.reset(0)
         f = sw.featurize(state, task, scene, cam)
         _, n_kp, _ = sw.feature_dims(scene)
-        ee_cam = geo.world_to_camera(state.ee_pose, cam.extrinsic)
+        ee_cam = geo.se3_inverse(cam.extrinsic) @ state.ee_pose
         # last keypoint is the end-effector; payload column holds z
         assert f.depth[-1, n_kp + 2] == pytest.approx(ee_cam[2, 3], abs=1e-12)
 

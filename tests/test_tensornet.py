@@ -699,7 +699,7 @@ class TestAdamW:
         """Every parameter's data views the buffer that flat_data() returns
         without rebuilding it."""
         buffer = params["w"].data.base
-        assert buffer is not None and buffer.size == params.total_count()
+        assert buffer is not None and buffer.size == sum(t.data.size for _, t in params.items())
         assert all(np.shares_memory(t.data, buffer) for _, t in params.items())
         assert params.flat_data() is buffer
 
