@@ -98,9 +98,6 @@ class Demonstration:
     steps: list
     seed: int
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
 
 @dataclass
 class DemoDataset:

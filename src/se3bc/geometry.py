@@ -5,9 +5,8 @@ Conventions:
     - Axis-angle (exponential coordinates): a 3-vector whose direction is the
       rotation axis and whose norm is the angle in radians. The canonical
       chart covers ||theta|| <= pi and is ambiguous at pi; at_chart_boundary
-      tests rows for ||theta|| >= pi - CHART_MARGIN. relative_action flags
-      such rotations, datasets rejects such targets, and rollouts count such
-      predicted rows.
+      tests rows for ||theta|| >= pi - CHART_MARGIN. datasets rejects such
+      targets, and rollouts count such predicted rows.
     - SE(3) transforms are 4x4 homogeneous matrices [[R, p], [0, 1]] with
       translation p in meters.
     - Pose vectors are 6-vectors [p, theta].
@@ -29,8 +28,6 @@ invariants, and raises on the first that fails:
       the rotation block.
     - 3-vector arguments (GeometryError): exactly three values once
       flattened, all finite. RelativeAction checks dp and dtheta this way.
-    - quat_to_matrix (GeometryError): four values, all finite, with unit norm
-      within ORTHO_ATOL.
 The checks read each input once with tolist() and run in Python-float
 arithmetic (R^T R by its six distinct entries, det by cofactor expansion):
 a numpy call per test would cost more than the arithmetic on nine numbers.
@@ -60,8 +57,8 @@ LOG_NEAR_PI = 1e-6
 # chains.
 ORTHO_ATOL = 1e-8
 
-# Relative rotations at or beyond pi - CHART_MARGIN are flagged as chart
-# violations (the axis-angle chart is ambiguous at the boundary).
+# Rotations at or beyond pi - CHART_MARGIN are chart violations (the
+# axis-angle chart is ambiguous at the boundary).
 CHART_MARGIN = 1e-6
 
 # Euler pitch within this distance of +-pi/2 is rejected as gimbal lock.
@@ -92,14 +89,12 @@ class RelativeAction:
     """6-DoF relative motion plus a gripper command in [0, 1].
 
     The rigid part (dp, dtheta) lives in SE(3); the gripper channel does not
-    and is excluded from all group operations. chart_violation marks relative
-    rotations at the axis-angle chart boundary.
+    and is excluded from all group operations.
     """
 
     dp: np.ndarray
     dtheta: np.ndarray
     gripper: float = 0.0
-    chart_violation: bool = False
 
     def __post_init__(self):
         self.dp = _as_vec3(self.dp, "dp")
@@ -281,18 +276,16 @@ def relative_action(t_a: np.ndarray, t_b: np.ndarray) -> RelativeAction:
     """Rigid motion taking t_a to t_b, as translation + axis-angle deltas.
 
     Returns the rigid part only; the gripper channel is left at 0 for the
-    caller to fill. Flags chart_violation when the relative rotation is at
-    the chart boundary (at_chart_boundary).
+    caller to fill.
     """
     rel = se3_inverse(t_a) @ check_se3(t_b)
-    dtheta = log_so3(rel[:3, :3])
-    return RelativeAction(rel[:3, 3], dtheta, 0.0, chart_violation=bool(at_chart_boundary(dtheta)))
+    return RelativeAction(rel[:3, 3], log_so3(rel[:3, :3]), 0.0)
 
 
 def at_chart_boundary(theta) -> np.ndarray:
     """Whether each axis-angle row of `theta` (..., 3) reaches pi - CHART_MARGIN,
     where the chart is ambiguous; a bool array of shape (...)."""
-    # Recording calls this once per step (relative_action); on one 3-vector,
+    # datasets calls this on one 3-vector per target row, where
     # np.linalg.norm(theta, axis=-1) costs more than this sum of squares.
     return np.sqrt(np.square(theta).sum(axis=-1)) >= math.pi - CHART_MARGIN
 
@@ -319,24 +312,6 @@ def project_pinhole(p_cam, intr: CameraIntrinsic):
 
 
 # --- rotation chart conversions, each to or from the matrix form ---
-
-
-def quat_to_matrix(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float).reshape(-1)
-    if q.shape != (4,):
-        raise GeometryError(f"quaternion must be a 4-vector, got shape {q.shape}")
-    if not all(map(math.isfinite, q.tolist())):
-        raise GeometryError("quaternion has non-finite components")
-    if abs(norm(q) - 1.0) > ORTHO_ATOL:
-        raise GeometryError("quaternion is not unit norm")
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-        ]
-    )
 
 
 def matrix_to_quat(r: np.ndarray) -> np.ndarray:

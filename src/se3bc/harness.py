@@ -105,6 +105,10 @@ class TrainConfig:
             raise HarnessError("steps must exceed warmup_steps")
         if self.batch_size < 1:
             raise HarnessError("batch_size must be >= 1")
+        if self.warmup_steps < 0:
+            raise HarnessError("warmup_steps must be >= 0")
+        if self.log_every < 1:
+            raise HarnessError("log_every must be >= 1")
 
 
 def train(dataset: ds.DemoDataset, cfg: TrainConfig):
@@ -149,8 +153,7 @@ def train(dataset: ds.DemoDataset, cfg: TrainConfig):
             try:
                 with tn.GradientTape() as tape:
                     total, traj, act = policy.loss(batch)
-                grads = policy.params.grads_by_name(tn.backward(tape, total))
-                tn.adamw_step(policy.params, grads, opt)
+                tn.adamw_step(policy.params, tn.backward(tape, total), opt)
             except tn.NumericFaultError as e:
                 raise TrainDiverged(f"numeric fault at step {step}: {e}") from e
             if step == 1 or step % cfg.log_every == 0 or step == cfg.steps:

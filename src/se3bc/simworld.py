@@ -353,10 +353,6 @@ class ScriptedExpert:
         self.task = task
         self._phase = 0 if task.family == "long" else 1
 
-    @property
-    def phase(self) -> str:
-        return _PHASES[self._phase]
-
     def action(self, state: SimState) -> RelativeAction:
         wp, facing, g, arrived = self._goal(state)
         if arrived:

@@ -3,7 +3,8 @@
 A Tensor wraps a floating ndarray. It keeps a floating input's dtype and
 makes anything else float64, and ops compute in the dtype numpy promotes
 their inputs to. ParamSet stores its parameters as float32, so a model trains
-in float32; finite-difference checks pass float64 arrays and stay float64.
+in float32; ops on float64 arrays stay float64, as finite-difference checks of
+the gradients need.
 Ops executed while a GradientTape is active append nodes to it in creation
 order, which is already a topological order, so backward() is a single
 reverse sweep. A tape supports exactly one backward pass.
@@ -195,18 +196,6 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
     return _make(
         "add", out, [a, b], lambda g: [_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)]
-    )
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data * b.data
-    ad, bd = a.data, b.data
-    return _make(
-        "mul",
-        out,
-        [a, b],
-        lambda g: [_unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)],
     )
 
 
@@ -406,12 +395,6 @@ def normalize_rows(a) -> Tensor:
         return [(g - y * dot) / norm]
 
     return _make("normalize_rows", y, [a], vjp)
-
-
-def sum_all(a) -> Tensor:
-    a = as_tensor(a)
-    shape = a.shape
-    return _make("sum_all", np.asarray(a.data.sum()), [a], lambda g: [np.broadcast_to(g, shape).copy()])
 
 
 def l1_loss(pred, target) -> Tensor:
@@ -635,9 +618,9 @@ class ParamSet:
     dtype, in registration order, and makes each parameter's `data` a view
     into it, so that adamw_step updates them all with whole-buffer ufunc
     calls. The buffer is built on first use, not at registration, so a model
-    that only runs inference never pays for it. A swap or a direct `data =`
-    leaves a parameter outside the buffer; the next flat_data() rebuilds the
-    buffer from the current values.
+    that only runs inference never pays for it. A direct `data =` leaves a
+    parameter outside the buffer; the next flat_data() rebuilds the buffer
+    from the current values.
     """
 
     def __init__(self, seed: int = 0):
@@ -671,12 +654,6 @@ class ParamSet:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def names(self):
-        return list(self._params)
-
     def items(self):
         return self._params.items()
 
@@ -697,24 +674,6 @@ class ParamSet:
             t.data = view
         return self._flat
 
-    def swap(self, name: str, tensor: Tensor) -> Tensor:
-        """Replace a parameter tensor, returning the old one (for probes and
-        finite-difference checks over parameters). The new tensor keeps its
-        own array until the next flat_data() copies it into a rebuilt buffer."""
-        old = self._params[name]
-        if tensor.data.shape != old.data.shape:
-            raise TensorError(f"swap shape mismatch for {name!r}")
-        self._params[name] = tensor
-        return old
-
-    def grads_by_name(self, grad_map: dict) -> dict:
-        """Convert a backward() result to name-keyed grads (zeros if absent)."""
-        out = {}
-        for name, t in self._params.items():
-            g = grad_map.get(t)
-            out[name] = np.zeros_like(t.data) if g is None else g
-        return out
-
 
 # --- AdamW with linear warmup + cosine decay ---
 
@@ -728,19 +687,19 @@ ADAMW_WEIGHT_DECAY = 1e-4
 class OptimizerState:
     """An AdamW run: schedule lengths, moments, steps taken.
 
-    adamw_step keeps the moments flat, laid out like ParamSet.flat_data(),
-    and `m` and `v` map each parameter name to its view of them. It also
-    keeps one gradient buffer, which the update reuses once the moments are
-    updated, and one scratch buffer. All four take the parameters' dtype.
+    adamw_step makes the moments `m` and `v` on its first call, as flat
+    buffers laid out like ParamSet.flat_data(). It also keeps one gradient
+    buffer, which the update reuses once the moments are updated, and one
+    scratch buffer. All four take the parameters' dtype.
     """
 
     warmup_steps: int
     total_steps: int
-    m: dict = field(init=False, default_factory=dict)
-    v: dict = field(init=False, default_factory=dict)
+    m: np.ndarray | None = field(init=False, default=None)
+    v: np.ndarray | None = field(init=False, default=None)
     step: int = field(init=False, default=0)
     _warned_past_total: bool = field(init=False, default=False)
-    _flat: tuple = field(init=False, default=())  # (m, v, gradient, scratch)
+    _buffers: tuple = field(init=False, default=())  # (gradient, scratch)
 
 
 def lr_at(state: OptimizerState, step: int) -> float:
@@ -757,18 +716,20 @@ def lr_at(state: OptimizerState, step: int) -> float:
 def adamw_step(params: ParamSet, grads: dict, state: OptimizerState) -> None:
     """One decoupled-weight-decay Adam update over params.flat_data().
 
-    grads is name-keyed and must hold every parameter: a missing name raises
-    TensorError. The gradients are gathered, in registration order and cast
-    to the parameters' dtype, into the state's one gradient buffer, and one
-    update of whole-buffer ufunc calls runs over the flat parameters and
-    moments. Python-float constants do not promote the dtype.
+    grads is backward()'s result, keyed by parameter Tensor, and must hold
+    every parameter: a missing one raises TensorError naming it. The
+    gradients are gathered, in registration order and cast to the
+    parameters' dtype, into the state's one gradient buffer, and one update
+    of whole-buffer ufunc calls runs over the flat parameters and moments.
+    Python-float constants do not promote the dtype.
 
-    Updates in place: each parameter's `data` array and its moments in
+    Updates in place: each parameter's `data` array and the moments
     `state.m` and `state.v` are overwritten, not replaced, so a caller that
     keeps a parameter's old values must copy them first. (The first call,
-    or the first after a swap, also moves every parameter's `data` into the
-    flat buffer.) The arithmetic follows the reference formula's operation
-    order, element by element, so results are bit-identical to it:
+    or the first after a parameter's `data` is reassigned, also moves every
+    parameter's `data` into the flat buffer.) The arithmetic follows the
+    reference formula's operation order, element by element, so results are
+    bit-identical to it:
 
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
@@ -779,18 +740,18 @@ def adamw_step(params: ParamSet, grads: dict, state: OptimizerState) -> None:
     state.total_steps clamp the lr to 0 and warn once; the run continues.
     """
     p = params.flat_data()
-    if not state._flat:
-        state._flat = tuple(np.zeros_like(p) for _ in range(4))
-        shapes = [t.shape for _, t in params.items()]
-        for moments, flat in zip((state.m, state.v), state._flat):
-            moments.update(zip(params.names(), _views(flat, shapes)))
-    m, v, g, tmp = state._flat
+    if state.m is None:
+        state.m, state.v = np.zeros_like(p), np.zeros_like(p)
+        state._buffers = (np.zeros_like(p), np.zeros_like(p))
+    m, v = state.m, state.v
+    g, tmp = state._buffers
     if m.dtype != p.dtype or m.size != p.size:
         raise TensorError(f"optimizer state ({m.size} x {m.dtype}) does not fit the parameters ({p.size} x {p.dtype})")
     try:
-        np.concatenate([grads[name].reshape(-1) for name in params.names()], out=g)
+        np.concatenate([grads[t].reshape(-1) for _, t in params.items()], out=g)
     except KeyError as e:
-        raise TensorError(f"adamw_step: no gradient for parameter {e.args[0]!r}") from None
+        name = next(name for name, t in params.items() if t is e.args[0])
+        raise TensorError(f"adamw_step: no gradient for parameter {name!r}") from None
 
     state.step += 1
     t = state.step
@@ -816,66 +777,3 @@ def adamw_step(params: ParamSet, grads: dict, state: OptimizerState) -> None:
     update += tmp
     update *= lr
     p -= update
-
-
-# --- finite-difference gradient checking ---
-
-GRAD_CHECK_STEP = 1e-6
-# A coordinate whose second difference grows like h (instead of h^2) sits on
-# a subgradient kink; it is reported, not failed.
-_KINK_CURVATURE = 0.1
-
-
-@dataclass
-class GradCheckResult:
-    max_rel_error: float
-    n_checked: int
-    excluded: list
-
-    def __repr__(self):
-        return (
-            f"GradCheckResult(max_rel_error={self.max_rel_error:.3e}, "
-            f"n_checked={self.n_checked}, excluded={len(self.excluded)})"
-        )
-
-
-def grad_check(fn, inputs) -> GradCheckResult:
-    """Central finite differences vs tape gradients for a scalar function.
-
-    fn maps a list of Tensors to a scalar Tensor and must be deterministic.
-    Returns the worst relative error over all input coordinates, excluding
-    (and reporting) coordinates detected on an l1-style kink.
-    """
-    h = GRAD_CHECK_STEP
-    tensors = [Tensor(np.asarray(x, dtype=float), requires_grad=True) for x in inputs]
-    with GradientTape() as tape:
-        loss = fn(tensors)
-    grad_map = backward(tape, loss)
-    analytic = [grad_map.get(t, np.zeros_like(t.data)) for t in tensors]
-
-    def eval_at(arrays):
-        return float(fn([Tensor(a) for a in arrays]).data)
-
-    base = [t.data.copy() for t in tensors]
-    f0 = eval_at(base)
-    worst = 0.0
-    n_checked = 0
-    excluded = []
-    for i, arr in enumerate(base):
-        flat = arr.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + h
-            fp = eval_at(base)
-            flat[j] = orig - h
-            fm = eval_at(base)
-            flat[j] = orig
-            fd = (fp - fm) / (2.0 * h)
-            an = float(analytic[i].reshape(-1)[j])
-            if abs(fp - 2.0 * f0 + fm) / h > _KINK_CURVATURE:
-                excluded.append((i, j))
-                continue
-            err = abs(fd - an) / max(1.0, abs(fd), abs(an))
-            worst = max(worst, err)
-            n_checked += 1
-    return GradCheckResult(worst, n_checked, excluded)

@@ -91,7 +91,7 @@ class TestRecording:
             derive_seed(0, "episode", a) for a in (1, 4, 6, 8)] == [
             14072491465829651844, 12530750581696857067, 10640821213751540758, 3039458007533898160]
         assert data.n_discarded == 5
-        assert [len(d) for d in data.demos] == [28, 28, 27, 28]
+        assert [len(d.steps) for d in data.demos] == [28, 28, 27, 28]
         with pytest.raises(ds.DatasetError) as err:
             ds.record_demonstrations(scene, task, n=4, seed=3)
         assert str(err.value) == "expert failure rate above 20%: 3 successes in 10 attempts"

@@ -17,9 +17,11 @@ defaulted dataclass field that the generated `__init__` takes (not
 `field(init=False)`) counts as set when a call in src/ or perfbench/ outside
 its own class, to a callable of the class's name, passes it by keyword or by
 position, or when a `replace(...)` call passes it by keyword; a value that
-no such call sets is a module constant, not a field. Tests do not count, so
-a name, field or parameter only tests need must be listed in KEPT,
-KEPT_FIELDS, KEPT_PARAMS or KEPT_FIELDS_SET with the reason it stays.
+no such call sets is a module constant, not a field. Tests do not count: code
+only tests run lives in tests/oracles.py, each of whose public names a test
+module must use, and a name, field or parameter that stays in src/ for the
+tests must be listed in KEPT, KEPT_FIELDS, KEPT_PARAMS or KEPT_FIELDS_SET
+with the reason it stays.
 
 A parameter of a function, method or lambda of src/se3bc, nested ones
 included, counts as read when its body loads the name, a nested function's
@@ -45,20 +47,12 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 KEPT = {
     "harness.emit_report": "entry point: writes a study's CSV and JSON report",
-    "geometry.quat_to_matrix": "test oracle: inverts matrix_to_quat",
-    "tensornet.grad_check": "test oracle: finite-difference check of every tape op",
-    "tensornet.sum_all": "test oracle: reduces an op's output to the scalar grad_check needs",
-    "tensornet.mul": "test oracle: weights an op's output before sum_all",
-    "tensornet.ParamSet.swap": "binds parameters for the finite-difference check of a whole policy",
-    "simworld.ScriptedExpert.phase": "test probe of the expert's state machine",
 }
 
 # "module.Class.field", or "module.Class" for all of a class's fields.
 KEPT_FIELDS = {
     "datasets.StepRecord.ee_pose_world": "test reference: recorded actions replayed against it must land on it",
     "datasets.Demonstration.seed": "tests replay a demo from it, and the recorded-demo hash covers it",
-    "geometry.RelativeAction.chart_violation": "fault flag: a relative rotation at the chart boundary",
-    "tensornet.GradCheckResult": "the result of a test oracle, read by the tests that call grad_check",
 }
 
 # "module.function.param", "module.Class.method.param", or "module.Class.param"
@@ -290,6 +284,14 @@ def test_every_public_name_has_a_caller():
     dead, stale = sorted(unused - set(KEPT)), sorted(set(KEPT) - unused)
     assert not dead, f"no caller in src/ or perfbench/; delete them or add them to KEPT: {dead}"
     assert not stale, f"KEPT names that are gone or now have a caller: {stale}"
+
+
+def test_every_test_oracle_has_a_caller():
+    # tests/oracles.py holds the code only tests run; a test module calls each of its names.
+    tests = ROOT / "tests"
+    users = [ast.parse(p.read_text(), str(p)) for p in sorted(tests.glob("test_*.py"))]
+    unused = _unreferenced({"oracles": ast.parse((tests / "oracles.py").read_text())}, users)
+    assert not unused, f"no test module uses them; delete them from tests/oracles.py: {sorted(unused)}"
 
 
 FIELDS_MODULE = """

@@ -241,7 +241,7 @@ def test_an_evaluation_after_training_steps_sees_the_new_parameters(monkeypatch,
     for model in (policy, twin):
         opt = tn.OptimizerState(warmup_steps=1, total_steps=10)
         for step_grads in grads:
-            tn.adamw_step(model.params, step_grads, opt)
+            tn.adamw_step(model.params, {t: step_grads[name] for name, t in model.params.items()}, opt)
     outputs.clear()
     again = evaluate(policy, scene, short).to_json()
     stepped = outputs[:]
@@ -428,11 +428,11 @@ def test_recorded_and_evaluated_numbers_are_pinned(world):
     data = ds.record_demonstrations(long_scene, long_task, 3, 11)
     put(np.array([data.n_discarded]))
     for demo in data.demos:
-        put(np.array([demo.seed, len(demo)]))
+        put(np.array([demo.seed, len(demo.steps)]))
         for step in demo.steps:
             f, a = step.features, step.action
             for arr in (f.lang, f.visual, f.depth, step.ee_pose_world, step.ee_pose_cam,
-                        step.state_vec, a.dp, a.dtheta, np.array([a.gripper, a.chart_violation])):
+                        step.state_vec, a.dp, a.dtheta, np.array([a.gripper, False])):
                 put(arr)
     scene, task, short, policy = world
     for report in (hs.closed_form_baseline(None, scene, task, EPISODES, EVAL_SEED, oracle=True),
@@ -633,6 +633,15 @@ def test_overflowing_loss_weight_raises_train_diverged(world):
                          steps=10, warmup_steps=2)
     with np.errstate(over="ignore"), pytest.raises(hs.TrainDiverged, match="step 1: op 'scale'"):
         hs.train(data, cfg)
+
+
+@pytest.mark.parametrize("field,value,match", [
+    ("log_every", 0, "log_every must be >= 1"),
+    ("warmup_steps", -1, "warmup_steps must be >= 0"),
+], ids=["log_every_zero", "negative_warmup"])
+def test_train_config_rejects_a_bad_value(field, value, match):
+    with pytest.raises(hs.HarnessError, match=match):
+        hs.TrainConfig(policy=pol.PolicyConfig(token_dim=7), **{field: value})
 
 
 # --- the training loop's BLAS thread and parameter buffer ---

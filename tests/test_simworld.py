@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import oracles
 from se3bc import datasets as ds
 from se3bc import geometry as geo
 from se3bc import simworld as sw
@@ -31,7 +32,7 @@ class OneExpert:
     def actions(self, episodes, states):
         (state,) = states
         a = self.expert.action(state)
-        self.phases.append(self.expert.phase)
+        self.phases.append(oracles.phase(self.expert))
         self.commands.append(a)
         return [(a.dp, a.dtheta, a.gripper)]
 

@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import oracles
 from se3bc import tensornet as tn
 
 
@@ -44,7 +45,7 @@ class TestForwardPrimitives:
         a = tn.Tensor(x, requires_grad=True)
         with tn.GradientTape() as tape:
             out = tn.softmax(a)
-            loss = tn.sum_all(tn.mul(out, tn.Tensor(g)))
+            loss = oracles.sum_all(oracles.mul(out, tn.Tensor(g)))
         npt.assert_array_equal(out.data, ref)
         npt.assert_array_equal(tn.backward(tape, loss)[a], ref * (g - (g * ref).sum(axis=-1, keepdims=True)))
 
@@ -84,7 +85,7 @@ class TestForwardPrimitives:
         x = tn.Tensor(x_arr, requires_grad=True)
         with tn.GradientTape() as tape:
             out = tn.gelu(x)
-            loss = tn.sum_all(tn.mul(out, tn.Tensor(g)))
+            loss = oracles.sum_all(oracles.mul(out, tn.Tensor(g)))
         npt.assert_array_equal(out.data, 0.5 * x_arr * (1.0 + t))
         npt.assert_array_equal(tn.backward(tape, loss)[x], g * (0.5 * (1.0 + t) + 0.5 * x_arr * (1.0 - t * t) * dinner))
 
@@ -105,7 +106,7 @@ class TestForwardPrimitives:
         huge = np.exp(700.0) * np.ones(1)
         with np.errstate(over="ignore"):
             with pytest.raises(tn.NumericFaultError, match="'mul'"):
-                tn.mul(tn.Tensor(huge), tn.Tensor(huge))  # -> inf
+                oracles.mul(tn.Tensor(huge), tn.Tensor(huge))  # -> inf
 
 
 class TestRope:
@@ -155,7 +156,7 @@ class TestRope:
             a = tn.Tensor(x, requires_grad=True)
             with tn.GradientTape() as tape:
                 out = tn.rope(a, positions)
-                loss = tn.sum_all(tn.mul(out, tn.Tensor(g)))
+                loss = oracles.sum_all(oracles.mul(out, tn.Tensor(g)))
             npt.assert_array_equal(out.data, expect)
             npt.assert_array_equal(tn.backward(tape, loss)[a], expect_grad)
         info = tn._rope_tables.cache_info()
@@ -218,7 +219,7 @@ class TestFusedOps:
         with tn.GradientTape() as tape:
             out = fn(*leaves)
             weight = np.linspace(-1.0, 1.0, out.data.size).reshape(out.shape)
-            loss = tn.sum_all(tn.mul(out, tn.Tensor(weight)))
+            loss = oracles.sum_all(oracles.mul(out, tn.Tensor(weight)))
         grads = tn.backward(tape, loss)
         return out.data, [grads[t] for t in leaves]
 
@@ -241,7 +242,7 @@ class TestFusedOps:
         x, g, b = rnd(rng, 2, 3, 6), rnd(rng, 6), rnd(rng, 6)
 
         def composed(x, g, b):
-            return tn.add(tn.mul(tn.layer_norm(x, np.ones(6), np.zeros(6)), g), b)
+            return tn.add(oracles.mul(tn.layer_norm(x, np.ones(6), np.zeros(6)), g), b)
 
         self.assert_same(tn.layer_norm, composed, [x, g, b])
 
@@ -260,7 +261,7 @@ class TestFusedOps:
             leaves = [tn.Tensor(x, requires_grad=x_tracked), tn.Tensor(w, requires_grad=True),
                       tn.Tensor(b, requires_grad=True)]
             with tn.GradientTape() as tape:
-                loss = tn.sum_all(tn.mul(tn.linear(*leaves), tn.Tensor(weight)))
+                loss = oracles.sum_all(oracles.mul(tn.linear(*leaves), tn.Tensor(weight)))
             node = next(n for n in tape.nodes if n.op == "linear")
             returned, vjp = [], node.vjp
             node.vjp = lambda g: returned.append(vjp(g)) or returned[-1]
@@ -325,7 +326,7 @@ class TestAttention:
             with tn.GradientTape() as tape:
                 out = attention(q_in, kv, heads, **leaves, positions=positions)
                 out_weight = np.linspace(-1.0, 1.0, out.data.size).reshape(out.shape)
-                loss = tn.sum_all(tn.mul(out, tn.Tensor(out_weight)))
+                loss = oracles.sum_all(oracles.mul(out, tn.Tensor(out_weight)))
             leaves.update(q_in=q_in, kv_in=kv_in)
             grads = tn.backward(tape, loss)
             return out.data, {name: grads.get(t) for name, t in leaves.items()}
@@ -414,7 +415,7 @@ class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = tn.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         with tn.GradientTape() as tape:
-            loss = tn.sum_all(x)
+            loss = oracles.sum_all(x)
         grads = tn.backward(tape, loss)
         npt.assert_array_equal(grads[x], np.ones((2, 3)))
 
@@ -427,15 +428,15 @@ class TestBackward:
             w, x = ts
             return tn.l1_loss(tn.matmul(x, w), tn.Tensor(target))
 
-        res = tn.grad_check(fn, [w0, x0])
+        res = oracles.grad_check(fn, [w0, x0])
         assert res.max_rel_error < 1e-6
         assert not res.excluded
 
     def test_two_losses_on_one_tape_error(self):
         x = tn.Tensor(np.ones(3), requires_grad=True)
         with tn.GradientTape() as tape:
-            l1 = tn.sum_all(x)
-            l2 = tn.sum_all(tn.mul(x, x))
+            l1 = oracles.sum_all(x)
+            l2 = oracles.sum_all(oracles.mul(x, x))
         tn.backward(tape, l1)
         with pytest.raises(tn.TapeError):
             tn.backward(tape, l2)
@@ -443,17 +444,17 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         x = tn.Tensor(np.ones(3), requires_grad=True)
         with tn.GradientTape() as tape:
-            y = tn.mul(x, x)
+            y = oracles.mul(x, x)
         with pytest.raises(tn.TensorError):
             tn.backward(tape, y)
 
     def test_foreign_loss_rejected(self):
         x = tn.Tensor(np.ones(3), requires_grad=True)
         with tn.GradientTape():
-            _ = tn.sum_all(x)
+            _ = oracles.sum_all(x)
         with tn.GradientTape() as tape2:
             pass
-        y = tn.sum_all(tn.Tensor(np.ones(2)))
+        y = oracles.sum_all(tn.Tensor(np.ones(2)))
         with pytest.raises(tn.TapeError):
             tn.backward(tape2, y)
 
@@ -462,8 +463,8 @@ class TestBackward:
         # holds its tape; backward must break that cycle itself.
         x = tn.Tensor(np.arange(3.0), requires_grad=True)
         with tn.GradientTape() as tape:
-            y = tn.mul(x, x)
-            loss = tn.sum_all(tn.mul(y, y))
+            y = oracles.mul(x, x)
+            loss = oracles.sum_all(oracles.mul(y, y))
         y_data = weakref.ref(y.data)
         tn.backward(tape, loss)
         del y, loss
@@ -473,8 +474,8 @@ class TestBackward:
         x = tn.Tensor(np.exp(700.0) * np.ones(1), requires_grad=True)
         with np.errstate(over="ignore"):
             with tn.GradientTape() as tape:
-                y = tn.mul(x, x)  # -> inf, recorded without a check
-                loss = tn.sum_all(tn.scale(y, 2.0))
+                y = oracles.mul(x, x)  # -> inf, recorded without a check
+                loss = oracles.sum_all(tn.scale(y, 2.0))
             assert not np.isfinite(y.data).all()
             with pytest.raises(tn.NumericFaultError, match="op 'mul' produced non-finite values"):
                 tn.backward(tape, loss)
@@ -484,7 +485,7 @@ class TestBackward:
         # gradient of x is 1e300 * 1e300, which overflows.
         x = tn.Tensor(np.full(2, 1e-300), requires_grad=True)
         with tn.GradientTape() as tape:
-            loss = tn.sum_all(tn.mul(tn.mul(x, tn.Tensor(np.full(2, 1e300))), tn.Tensor(np.full(2, 1e300))))
+            loss = oracles.sum_all(oracles.mul(oracles.mul(x, tn.Tensor(np.full(2, 1e300))), tn.Tensor(np.full(2, 1e300))))
         assert np.isfinite(loss.data)
         with np.errstate(over="ignore"):
             with pytest.raises(tn.NumericFaultError, match="gradient"):
@@ -493,27 +494,27 @@ class TestBackward:
     def test_grad_accumulates_on_reused_tensor(self):
         x = tn.Tensor(np.array([2.0]), requires_grad=True)
         with tn.GradientTape() as tape:
-            loss = tn.sum_all(tn.mul(x, x))  # d/dx x^2 = 2x
+            loss = oracles.sum_all(oracles.mul(x, x))  # d/dx x^2 = 2x
         grads = tn.backward(tape, loss)
         npt.assert_allclose(grads[x], [4.0], atol=1e-12)
 
 
 OPS_FOR_GRADCHECK = [
-    ("add", lambda ts: tn.sum_all(tn.mul(tn.add(ts[0], ts[1]), tn.Tensor(_W33))), 2),
-    ("mul", lambda ts: tn.sum_all(tn.mul(tn.mul(ts[0], ts[1]), tn.Tensor(_W33))), 2),
-    ("scale", lambda ts: tn.sum_all(tn.mul(tn.scale(ts[0], 1.7), tn.Tensor(_W33))), 1),
-    ("matmul", lambda ts: tn.sum_all(tn.mul(tn.matmul(ts[0], ts[1]), tn.Tensor(_W33))), 2),
-    ("gelu", lambda ts: tn.sum_all(tn.mul(tn.gelu(ts[0]), tn.Tensor(_W33))), 1),
-    ("sigmoid", lambda ts: tn.sum_all(tn.mul(tn.sigmoid(ts[0]), tn.Tensor(_W33))), 1),
-    ("softmax", lambda ts: tn.sum_all(tn.mul(tn.softmax(ts[0]), tn.Tensor(_W33))), 1),
-    ("layer_norm", lambda ts: tn.sum_all(tn.mul(tn.layer_norm(ts[0], np.ones(3), np.zeros(3)), tn.Tensor(_W33))), 1),
-    ("normalize_rows", lambda ts: tn.sum_all(tn.mul(tn.normalize_rows(ts[0]), tn.Tensor(_W33))), 1),
-    ("concat", lambda ts: tn.sum_all(tn.mul(tn.concat(ts, axis=-1), tn.Tensor(_W36))), 2),
-    ("narrow", lambda ts: tn.sum_all(tn.mul(tn.narrow(ts[0], -1, 1, 2), tn.Tensor(_W32))), 1),
-    ("split_heads", lambda ts: tn.sum_all(tn.mul(tn.split_heads(ts[0], 2), tn.Tensor(_W223))), 1),
-    ("merge_heads", lambda ts: tn.sum_all(tn.mul(tn.merge_heads(ts[0]), tn.Tensor(_W34))), 1),
-    ("swapaxes", lambda ts: tn.sum_all(tn.mul(tn.swapaxes(ts[0], 0, 1), tn.Tensor(_W33))), 1),
-    ("rope", lambda ts: tn.sum_all(tn.mul(tn.rope(ts[0], [1, 2, 3]), tn.Tensor(_W34))), 1),
+    ("add", lambda ts: oracles.sum_all(oracles.mul(tn.add(ts[0], ts[1]), tn.Tensor(_W33))), 2),
+    ("mul", lambda ts: oracles.sum_all(oracles.mul(oracles.mul(ts[0], ts[1]), tn.Tensor(_W33))), 2),
+    ("scale", lambda ts: oracles.sum_all(oracles.mul(tn.scale(ts[0], 1.7), tn.Tensor(_W33))), 1),
+    ("matmul", lambda ts: oracles.sum_all(oracles.mul(tn.matmul(ts[0], ts[1]), tn.Tensor(_W33))), 2),
+    ("gelu", lambda ts: oracles.sum_all(oracles.mul(tn.gelu(ts[0]), tn.Tensor(_W33))), 1),
+    ("sigmoid", lambda ts: oracles.sum_all(oracles.mul(tn.sigmoid(ts[0]), tn.Tensor(_W33))), 1),
+    ("softmax", lambda ts: oracles.sum_all(oracles.mul(tn.softmax(ts[0]), tn.Tensor(_W33))), 1),
+    ("layer_norm", lambda ts: oracles.sum_all(oracles.mul(tn.layer_norm(ts[0], np.ones(3), np.zeros(3)), tn.Tensor(_W33))), 1),
+    ("normalize_rows", lambda ts: oracles.sum_all(oracles.mul(tn.normalize_rows(ts[0]), tn.Tensor(_W33))), 1),
+    ("concat", lambda ts: oracles.sum_all(oracles.mul(tn.concat(ts, axis=-1), tn.Tensor(_W36))), 2),
+    ("narrow", lambda ts: oracles.sum_all(oracles.mul(tn.narrow(ts[0], -1, 1, 2), tn.Tensor(_W32))), 1),
+    ("split_heads", lambda ts: oracles.sum_all(oracles.mul(tn.split_heads(ts[0], 2), tn.Tensor(_W223))), 1),
+    ("merge_heads", lambda ts: oracles.sum_all(oracles.mul(tn.merge_heads(ts[0]), tn.Tensor(_W34))), 1),
+    ("swapaxes", lambda ts: oracles.sum_all(oracles.mul(tn.swapaxes(ts[0], 0, 1), tn.Tensor(_W33))), 1),
+    ("rope", lambda ts: oracles.sum_all(oracles.mul(tn.rope(ts[0], [1, 2, 3]), tn.Tensor(_W34))), 1),
     ("l1_loss", lambda ts: tn.l1_loss(ts[0], ts[1]), 2),
 ]
 
@@ -531,7 +532,7 @@ class TestGradCheckPerOp:
         rng = np.random.default_rng(hash(name) % 2**32)
         shape = {"rope": (3, 4), "split_heads": (3, 4), "merge_heads": (2, 3, 2)}.get(name, (3, 3))
         inputs = [rng.normal(size=shape) for _ in range(arity)]
-        res = tn.grad_check(fn, inputs)
+        res = oracles.grad_check(fn, inputs)
         assert res.max_rel_error < 1e-6, f"{name}: {res}"
 
     @pytest.mark.parametrize("b_shape", [(4, 5), (2, 4, 5)], ids=["weight", "batched"])
@@ -540,9 +541,9 @@ class TestGradCheckPerOp:
         w = rnd(rng, 2, 3, 5)
 
         def fn(ts):
-            return tn.sum_all(tn.mul(tn.matmul(ts[0], ts[1]), tn.Tensor(w)))
+            return oracles.sum_all(oracles.mul(tn.matmul(ts[0], ts[1]), tn.Tensor(w)))
 
-        res = tn.grad_check(fn, [rnd(rng, 2, 3, 4), rnd(rng, *b_shape)])
+        res = oracles.grad_check(fn, [rnd(rng, 2, 3, 4), rnd(rng, *b_shape)])
         assert res.max_rel_error < 1e-6, res
 
     @pytest.mark.parametrize("x_shape", [(2, 3, 4), (3, 4)], ids=["batched", "unbatched"])
@@ -552,10 +553,10 @@ class TestGradCheckPerOp:
         out_weight = rnd(rng, *x_shape[:-1], 5)
 
         def fn(ts):
-            return tn.sum_all(tn.mul(tn.linear(*ts), tn.Tensor(out_weight)))
+            return oracles.sum_all(oracles.mul(tn.linear(*ts), tn.Tensor(out_weight)))
 
         inputs = [rnd(rng, *x_shape), rnd(rng, 4, 5)] + ([rnd(rng, 5)] if bias else [])
-        res = tn.grad_check(fn, inputs)
+        res = oracles.grad_check(fn, inputs)
         assert res.max_rel_error < 1e-6, res
 
     def test_linear_untracked_input_gradient(self):
@@ -564,9 +565,9 @@ class TestGradCheckPerOp:
         x, out_weight = rnd(rng, 2, 3, 4), rnd(rng, 2, 3, 5)
 
         def fn(ts):
-            return tn.sum_all(tn.mul(tn.linear(tn.Tensor(x), *ts), tn.Tensor(out_weight)))
+            return oracles.sum_all(oracles.mul(tn.linear(tn.Tensor(x), *ts), tn.Tensor(out_weight)))
 
-        res = tn.grad_check(fn, [rnd(rng, 4, 5), rnd(rng, 5)])
+        res = oracles.grad_check(fn, [rnd(rng, 4, 5), rnd(rng, 5)])
         assert res.max_rel_error < 1e-6, res
 
     def test_layer_norm_affine_gradient(self):
@@ -574,9 +575,9 @@ class TestGradCheckPerOp:
         out_weight = rnd(rng, 2, 3, 4)
 
         def fn(ts):
-            return tn.sum_all(tn.mul(tn.layer_norm(*ts), tn.Tensor(out_weight)))
+            return oracles.sum_all(oracles.mul(tn.layer_norm(*ts), tn.Tensor(out_weight)))
 
-        res = tn.grad_check(fn, [rnd(rng, 2, 3, 4), rnd(rng, 4), rnd(rng, 4)])
+        res = oracles.grad_check(fn, [rnd(rng, 2, 3, 4), rnd(rng, 4), rnd(rng, 4)])
         assert res.max_rel_error < 1e-6, res
 
     def test_attention_gradient(self):
@@ -589,7 +590,7 @@ class TestGradCheckPerOp:
             out = tn.multi_head_attention(tn.Tensor(q_in), tn.Tensor(kv_in), heads, wq, wk, wv, wo)
             return tn.l1_loss(out, tn.Tensor(np.zeros((2, d))))
 
-        res = tn.grad_check(fn, [rnd(rng, d, d) for _ in range(4)])
+        res = oracles.grad_check(fn, [rnd(rng, d, d) for _ in range(4)])
         assert res.max_rel_error < 1e-6
 
     def test_linear_function_error_tiny(self, monkeypatch):
@@ -597,11 +598,11 @@ class TestGradCheckPerOp:
         w = rnd(rng, 3, 3)
 
         def fn(ts):
-            return tn.sum_all(tn.matmul(ts[0], tn.Tensor(w)))
+            return oracles.sum_all(tn.matmul(ts[0], tn.Tensor(w)))
 
         # Linear: zero truncation error, so a coarser step leaves only roundoff.
-        monkeypatch.setattr(tn, "GRAD_CHECK_STEP", 1e-4)
-        res = tn.grad_check(fn, [rnd(rng, 2, 3)])
+        monkeypatch.setattr(oracles, "GRAD_CHECK_STEP", 1e-4)
+        res = oracles.grad_check(fn, [rnd(rng, 2, 3)])
         assert res.max_rel_error < 1e-10
 
     def test_l1_kink_excluded_not_failed(self):
@@ -611,10 +612,8 @@ class TestGradCheckPerOp:
         def fn(ts):
             return tn.l1_loss(ts[0], tn.Tensor(x))
 
-        res = tn.grad_check(fn, [x.copy()])
-        assert len(res.excluded) == 6
-        assert res.n_checked == 0
-        assert res.max_rel_error == 0.0
+        res = oracles.grad_check(fn, [x.copy()])
+        assert res == oracles.GradCheckResult(max_rel_error=0.0, n_checked=0, excluded=[(0, j) for j in range(6)])
 
 
 class TestAdamW:
@@ -625,7 +624,7 @@ class TestAdamW:
         w = params.linear_weight("w", 4, 4)
         before = w.data.copy()
         state = tn.OptimizerState(warmup_steps=1, total_steps=10)
-        tn.adamw_step(params, {"w": np.zeros((4, 4))}, state)
+        tn.adamw_step(params, {w: np.zeros((4, 4))}, state)
         npt.assert_array_equal(w.data, before)
 
     def test_lr_at_warmup_boundary(self, monkeypatch):
@@ -653,7 +652,7 @@ class TestAdamW:
             mhat = m / (1 - b1**t)
             vhat = v / (1 - b2**t)
             ref_p = ref_p - sched * (mhat / (math.sqrt(vhat) + eps) + wd * ref_p)
-            tn.adamw_step(params, {"p": np.ones(1)}, state)
+            tn.adamw_step(params, {p: np.ones(1)}, state)
         npt.assert_allclose(p.data, [ref_p], atol=1e-12)
 
     def test_in_place_steps_match_the_reference_formula_bit_for_bit(self, monkeypatch):
@@ -665,27 +664,28 @@ class TestAdamW:
             params.linear_weight("w", 4, 5)
             params.ones("g", (5,))
             for name, t in list(params.items()):
-                params.swap(name, tn.Tensor(t.data.astype(dtype), requires_grad=True))
+                oracles.swap(params, name, tn.Tensor(t.data.astype(dtype), requires_grad=True))
             state = tn.OptimizerState(warmup_steps=2, total_steps=10)
             ref = {name: [t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data)] for name, t in params.items()}
             rng = np.random.default_rng(27)
             for t in range(1, 6):
-                grads = {name: rng.normal(size=p.data.shape).astype(dtype) for name, p in params.items()}
+                grads = {p: rng.normal(size=p.data.shape).astype(dtype) for _, p in params.items()}
                 tn.adamw_step(params, grads, state)
                 lr = tn.lr_at(state, t)
                 for name, (p, m, v) in ref.items():
-                    g = grads[name]
+                    g = grads[params[name]]
                     m = b1 * m + (1.0 - b1) * g
                     v = b2 * v + (1.0 - b2) * g * g
                     mhat = m / (1.0 - b1**t)
                     vhat = v / (1.0 - b2**t)
                     p = p - lr * (mhat / (np.sqrt(vhat) + tn.ADAMW_EPS) + tn.ADAMW_WEIGHT_DECAY * p)
                     ref[name] = [p, m, v]
+            assert state.m.dtype == state.v.dtype == dtype
             for name, (p, m, v) in ref.items():
-                assert params[name].data.dtype == state.m[name].dtype == state.v[name].dtype == dtype
+                assert params[name].data.dtype == dtype
                 npt.assert_array_equal(params[name].data, p)
-                npt.assert_array_equal(state.m[name], m)
-                npt.assert_array_equal(state.v[name], v)
+            npt.assert_array_equal(state.m, np.concatenate([m.reshape(-1) for _, m, _ in ref.values()]))
+            npt.assert_array_equal(state.v, np.concatenate([v.reshape(-1) for _, _, v in ref.values()]))
 
     @staticmethod
     def small_params():
@@ -705,15 +705,18 @@ class TestAdamW:
 
     def test_a_swapped_parameter_is_moved_into_a_rebuilt_buffer(self):
         params = self.small_params()
-        grads = {"w": np.ones((4, 5), np.float32), "g": np.ones(5, np.float32)}
+
+        def ones():  # a gradient of ones for each current parameter
+            return {t: np.ones(t.shape, np.float32) for _, t in params.items()}
+
         state = tn.OptimizerState(warmup_steps=1, total_steps=10)
-        tn.adamw_step(params, grads, state)
+        tn.adamw_step(params, ones(), state)
         self.assert_views_of_one_buffer(params)
         first = params.flat_data()
         swapped_in = tn.Tensor(np.full(5, 2.0, np.float32), requires_grad=True)
-        old = params.swap("g", swapped_in)
+        old = oracles.swap(params, "g", swapped_in)
         old_values = old.data.copy()
-        tn.adamw_step(params, grads, state)
+        tn.adamw_step(params, ones(), state)
         self.assert_views_of_one_buffer(params)
         assert params.flat_data() is not first and params["g"] is swapped_in
         assert np.all(swapped_in.data < 2.0)  # the step reached the swapped-in values
@@ -723,30 +726,30 @@ class TestAdamW:
         params = self.small_params()
         state = tn.OptimizerState(warmup_steps=1, total_steps=10)
         with pytest.raises(tn.TensorError, match="no gradient for parameter 'g'"):
-            tn.adamw_step(params, {"w": np.ones((4, 5), np.float32)}, state)
+            tn.adamw_step(params, {params["w"]: np.ones((4, 5), np.float32)}, state)
         assert state.step == 0
 
     def test_moments_of_another_dtype_are_refused(self):
         params = self.small_params()
         state = tn.OptimizerState(warmup_steps=1, total_steps=10)
-        tn.adamw_step(params, {"w": np.ones((4, 5)), "g": np.ones(5)}, state)
+        tn.adamw_step(params, {params["w"]: np.ones((4, 5)), params["g"]: np.ones(5)}, state)
         for name, t in list(params.items()):
-            params.swap(name, tn.Tensor(t.data.astype(np.float64), requires_grad=True))
+            oracles.swap(params, name, tn.Tensor(t.data.astype(np.float64), requires_grad=True))
         with pytest.raises(tn.TensorError, match="does not fit"):
-            tn.adamw_step(params, {"w": np.ones((4, 5)), "g": np.ones(5)}, state)
+            tn.adamw_step(params, {params["w"]: np.ones((4, 5)), params["g"]: np.ones(5)}, state)
 
     def test_the_buffer_holds_one_dtype(self):
         params = self.small_params()
-        params.swap("g", tn.Tensor(np.ones(5), requires_grad=True))  # float64 beside float32
+        oracles.swap(params, "g", tn.Tensor(np.ones(5), requires_grad=True))  # float64 beside float32
         with pytest.raises(tn.TensorError, match="one dtype"):
             params.flat_data()
 
     def test_warns_once_past_total(self, monkeypatch):
         monkeypatch.setattr(tn, "ADAMW_LR", 0.1)
         params = tn.ParamSet(seed=0)
-        params.zeros("p", (1,))
+        p = params.zeros("p", (1,))
         state = tn.OptimizerState(warmup_steps=1, total_steps=2)
-        g = {"p": np.ones(1)}
+        g = {p: np.ones(1)}
         for _ in range(2):
             tn.adamw_step(params, g, state)
         with warnings.catch_warnings(record=True) as caught:
