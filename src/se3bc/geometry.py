@@ -10,22 +10,24 @@ Conventions:
     - SE(3) transforms are 4x4 homogeneous matrices [[R, p], [0, 1]] with
       translation p in meters.
     - Pose vectors are 6-vectors [p, theta].
-    - Relative actions compose on the right: apply_action(T, a) = T @ exp(a),
-      so the translation/rotation deltas are expressed in the moving frame.
+    - Relative actions compose on the right, T' = T @ exp(a), so the
+      translation/rotation deltas are expressed in the moving frame.
     - Quaternions are (w, x, y, z), unit norm, canonical sign w >= 0.
     - Euler angles are (roll, pitch, yaw) in the intrinsic ZYX convention,
       R = Rz(yaw) @ Ry(pitch) @ Rx(roll), with pitch in (-pi/2, pi/2).
 
 All computation is double precision.
 
-Validation contract. Each check tests shape first, then finiteness, then the
-invariants, and raises on the first that fails:
+Validation contract: each value is checked once. A public function checks
+its arguments, and the functions it calls on what it checked skip the check
+(log_so3's body is _log_so3). Each check tests shape first, then finiteness,
+then the invariants, and raises on the first that fails:
     - check_rotation (InvalidRotationError): a 3x3 shape; all nine entries
       finite; every entry of R^T R - I within ORTHO_ATOL; |det(R) - 1| within
       ORTHO_ATOL, so reflections are rejected.
     - check_se3 (GeometryError): a 4x4 shape; all sixteen entries finite; the
-      bottom row within ORTHO_ATOL of [0, 0, 0, 1]; then check_rotation on
-      the rotation block.
+      bottom row within ORTHO_ATOL of [0, 0, 0, 1]; then check_rotation's
+      invariant tests on the rotation block, raising InvalidRotationError.
     - 3-vector arguments (GeometryError): exactly three values once
       flattened, all finite. RelativeAction checks dp and dtheta this way.
 The checks read each input once with tolist() and run in Python-float
@@ -144,12 +146,6 @@ def norm(v) -> float:
     return math.sqrt(v.dot(v))
 
 
-def skew(v) -> np.ndarray:
-    """Skew-symmetric matrix [v]_x such that [v]_x w = v x w."""
-    x, y, z = _as_vec3(v, "v")
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-
-
 def unskew(m: np.ndarray) -> np.ndarray:
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
@@ -159,9 +155,19 @@ def check_rotation(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.shape != (3, 3):
         raise InvalidRotationError(f"expected 3x3 matrix, got {r.shape}")
-    (a, b, c), (d, e, f), (g, h, i) = r.tolist()
-    if not all(map(math.isfinite, (a, b, c, d, e, f, g, h, i))):
+    rows = r.tolist()
+    if not all(map(math.isfinite, rows[0] + rows[1] + rows[2])):
         raise InvalidRotationError("rotation has non-finite entries")
+    _check_rotation_rows(*rows)
+    return r
+
+
+def _check_rotation_rows(row0, row1, row2):
+    """check_rotation's invariant tests on the rows of a finite 3x3 block,
+    given as lists (a transform's rows may carry a fourth entry)."""
+    a, b, c = row0[:3]
+    d, e, f = row1[:3]
+    g, h, i = row2[:3]
     # The six distinct entries of R^T R - I, diagonal first: a diagonal entry
     # is never NaN, so an overflowed (NaN) off-diagonal entry cannot win max()
     # over the infinite diagonal entry that comes with it.
@@ -176,7 +182,6 @@ def check_rotation(r: np.ndarray) -> np.ndarray:
         raise InvalidRotationError("matrix is not orthonormal")
     if abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) - 1.0) > ORTHO_ATOL:
         raise InvalidRotationError("matrix determinant is not +1")
-    return r
 
 
 def check_se3(t: np.ndarray) -> np.ndarray:
@@ -190,7 +195,7 @@ def check_se3(t: np.ndarray) -> np.ndarray:
     x, y, z, w = rows[3]
     if max(abs(x), abs(y), abs(z), abs(w - 1.0)) > ORTHO_ATOL:
         raise GeometryError("last homogeneous row is not [0, 0, 0, 1]")
-    check_rotation(t[:3, :3])
+    _check_rotation_rows(*rows[:3])
     return t
 
 
@@ -212,7 +217,8 @@ def exp_so3(theta) -> np.ndarray:
     """
     theta = _as_vec3(theta, "theta")
     angle = norm(theta)
-    k = skew(theta)
+    x, y, z = theta.tolist()
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])  # [theta]_x
     if angle < EXP_SMALL_ANGLE:
         return np.eye(3) + k + 0.5 * (k @ k)
     axis_k = k / angle
@@ -227,7 +233,11 @@ def log_so3(r: np.ndarray) -> np.ndarray:
     diagonal, with the sign convention that the first nonzero axis component
     is positive (the chart is two-valued at exactly pi).
     """
-    r = check_rotation(r)
+    return _log_so3(check_rotation(r))
+
+
+def _log_so3(r: np.ndarray) -> np.ndarray:
+    """log_so3 of a float64 rotation matrix already validated."""
     sym_vec = unskew(r - r.T) / 2.0  # sin(angle) * axis
     cos_angle = (np.trace(r) - 1.0) / 2.0
     # atan2 keeps the angle well conditioned near both 0 and pi.
@@ -259,7 +269,7 @@ def pose_to_se3(pose) -> np.ndarray:
 def se3_to_pose(t: np.ndarray) -> np.ndarray:
     """4x4 transform to the 6-vector [p, theta]."""
     t = check_se3(t)
-    return np.concatenate([t[:3, 3], log_so3(t[:3, :3])])
+    return np.concatenate([t[:3, 3], _log_so3(t[:3, :3])])
 
 
 def se3_inverse(t: np.ndarray) -> np.ndarray:
@@ -288,11 +298,6 @@ def at_chart_boundary(theta) -> np.ndarray:
     # datasets calls this on one 3-vector per target row, where
     # np.linalg.norm(theta, axis=-1) costs more than this sum of squares.
     return np.sqrt(np.square(theta).sum(axis=-1)) >= math.pi - CHART_MARGIN
-
-
-def apply_action(t: np.ndarray, a: RelativeAction) -> np.ndarray:
-    """Right-compose a relative action onto a pose; inverse of relative_action."""
-    return check_se3(t) @ pose_to_se3(np.concatenate([a.dp, a.dtheta]))
 
 
 def camera_to_world(t_cam: np.ndarray, extrinsic: np.ndarray) -> np.ndarray:

@@ -26,6 +26,12 @@ that observation alone returns. The policy computes in its parameters' dtype
 loss targets, hidden-state noise) to that dtype, and `act` returns float64,
 so callers see float64 only.
 
+Inference checks its numerics at `act`'s boundary, not per op: the forward
+runs with the per-op finiteness check deferred (`tn.deferred_checks`) and
+`act` tests the chunk and tau once; on a fault it runs the forward again
+with every op checked, so the NumericFaultError names the op that made the
+first non-finite value. A taped forward is checked by `tn.backward`.
+
 An evaluation holds the policy frozen (`Policy.frozen`). Block 0 of each
 query stack reads the stack's H queries and no observation, up to its
 cross-attention: its self-attention sublayer with RoPE, the residual add and
@@ -312,11 +318,29 @@ class Policy:
         B ObservationFeatures and `state_vecs` is (B, 7). h_noise is
         predict_trajectory's, (B, H, D_MODEL): row b perturbs observation b.
         Returns (B, H, ·) float64 arrays; row b equals the row a batch of
-        observation b alone gives, bit for bit (tests pin this)."""
-        out = self.forward(np.stack([f.lang for f in features]),
-                           np.stack([f.visual for f in features]),
-                           np.stack([f.depth for f in features]),
-                           np.reshape(state_vecs, (-1, 1, 7)), h_noise)
+        observation b alone gives, bit for bit (tests pin this).
+
+        Numerics are checked once, at this boundary: the forward runs inside
+        tn.deferred_checks(), and then the chunk and tau are tested. On any
+        fault the frozen prefixes are dropped and the forward runs again
+        with every op's output checked, which raises the NumericFaultError
+        naming the first op that made a non-finite value. The deferred pass
+        ignores NumPy's invalid-value warnings, which only arise from
+        non-finite operands, so that the checked pass reports the fault."""
+        inputs = (np.stack([f.lang for f in features]),
+                  np.stack([f.visual for f in features]),
+                  np.stack([f.depth for f in features]),
+                  np.reshape(state_vecs, (-1, 1, 7)), h_noise)
+        try:
+            with tn.deferred_checks(), np.errstate(invalid="ignore"):
+                out = self.forward(*inputs)
+            healthy = all(t is None or np.isfinite(t.data).all() for t in out.values())
+        except tn.NumericFaultError:
+            healthy = False
+        if not healthy:
+            if self._prefixes:
+                self._prefixes.clear()
+            out = self.forward(*inputs)  # raises, naming the op
         tau = None if out["tau"] is None else out["tau"].data.astype(np.float64)
         return PolicyOutput(chunk=out["chunk"].data.astype(np.float64), tau=tau)
 

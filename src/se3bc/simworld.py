@@ -215,7 +215,7 @@ class Simulator:
         dp = _clip_norm(action.dp, MAX_DP)
         dtheta = _clip_norm(action.dtheta, MAX_DTHETA)
 
-        ee = geo.apply_action(state.ee_pose, RelativeAction(dp, dtheta))
+        ee = geo.check_se3(state.ee_pose) @ geo.pose_to_se3(np.concatenate([dp, dtheta]))
         ee[:3, 3] = np.clip(ee[:3, 3], self.scene.table_lo, self.scene.table_hi)
 
         g_cmd = action.gripper  # RelativeAction holds it in [0, 1]

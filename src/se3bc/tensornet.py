@@ -15,9 +15,10 @@ backward() raises NumericFaultError when the loss is not finite, naming the
 first recorded op whose output is not, and when a leaf gradient it returns is
 not finite. A non-finite value that cannot reach the loss therefore no longer
 raises. Op outputs made outside a tape (inference, untracked inputs) are
-checked as they are made, and so is every Tensor built directly. backward()
-drops each op's vjp and output once it has run, which frees the op's saved
-arrays without the garbage collector.
+checked as they are made, except inside deferred_checks(), whose caller
+checks the outputs of its whole computation once; every Tensor built
+directly is checked. backward() drops each op's vjp and output once it has
+run, which frees the op's saved arrays without the garbage collector.
 
 Threading: a tape and the tensors recorded on it belong to one thread
 (the active-tape stack is thread-local); independent tapes may run
@@ -26,6 +27,7 @@ concurrently.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import threading
@@ -63,6 +65,7 @@ def _floating(data) -> np.ndarray:
 class _ThreadState(threading.local):
     def __init__(self):
         self.stack = []
+        self.deferred = False  # inside deferred_checks()
 
 
 _TLS = _ThreadState()
@@ -106,6 +109,27 @@ class GradientTape:
 def recording() -> bool:
     """Whether a GradientTape is active on this thread."""
     return bool(_TLS.stack)
+
+
+@contextlib.contextmanager
+def deferred_checks():
+    """Skip the per-op finiteness check of untaped outputs on this thread.
+
+    For a caller that checks the outputs of its whole computation once at
+    the end and, on a fault, runs it again outside the scope to learn which
+    op made the first non-finite value. Every op carries a non-finite input
+    value into its output, except that narrow drops what it does not select
+    and softmax and sigmoid can map it to a finite value (exp of -inf,
+    saturation). So inside the scope softmax and sigmoid check their input
+    and raise NumericFaultError, and what a narrow drops must reach the
+    caller's outputs by another path. Taped ops and Tensor construction are
+    checked as outside the scope.
+    """
+    outer, _TLS.deferred = _TLS.deferred, True
+    try:
+        yield
+    finally:
+        _TLS.deferred = outer
 
 
 class Tensor:
@@ -155,7 +179,8 @@ def _make(op, out_data, inputs, vjp):
     A recorded output is not checked here: its array stays on its node, and
     backward() checks the loss and names this op if the fault reached it. An
     output that is not recorded is checked now and raises NumericFaultError
-    naming the op.
+    naming the op, except inside deferred_checks(), whose caller checks its
+    computation's outputs instead.
     """
     out = Tensor.__new__(Tensor)  # skips __init__'s per-tensor finiteness check
     if type(out_data) is not np.ndarray or out_data.dtype.kind != "f":
@@ -171,9 +196,16 @@ def _make(op, out_data, inputs, vjp):
             out._tape = tape
             out._node = tape._record(op, parents, vjp, out=out.data)
             return out
-    if not np.isfinite(out.data).all():
+    if not _TLS.deferred and not np.isfinite(out.data).all():
         raise NumericFaultError(f"op {op!r} produced non-finite values")
     return out
+
+
+def _check_masking_input(op, x: np.ndarray):
+    """Inside deferred_checks(), raise when the input x of an op that can map
+    a non-finite value to a finite one is not finite."""
+    if _TLS.deferred and not np.isfinite(x).all():
+        raise NumericFaultError(f"op {op!r} received non-finite values")
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -321,6 +353,7 @@ def gelu(a) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
+    _check_masking_input("sigmoid", a.data)
     out = 1.0 / (1.0 + np.exp(-a.data))
     return _make("sigmoid", out, [a], lambda g: [g * out * (1.0 - out)])
 
@@ -336,6 +369,7 @@ def softmax(a) -> Tensor:
     """
     a = as_tensor(a)
     x = a.data
+    _check_masking_input("softmax", x)
     row_max = x.reshape(-1, x.shape[-1]).T.copy().max(axis=0)
     out = x - row_max.reshape(x.shape[:-1] + (1,))
     np.exp(out, out=out)

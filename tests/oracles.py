@@ -3,7 +3,9 @@
 - `mul` and `sum_all` are tape ops that weight an op's output and reduce it
   to the scalar a gradient check needs; the program records neither.
 - `grad_check` compares tape gradients against central finite differences.
-- `quat_to_matrix` inverts `geometry.matrix_to_quat`.
+- `quat_to_matrix` inverts `geometry.matrix_to_quat`; `skew` is the
+  matrix `geometry.exp_so3` builds, and `apply_action` right-composes a
+  `RelativeAction` as `Simulator.step` composes its clamped motion.
 - `swap` binds a parameter of a ParamSet to another tensor.
 - `phase` names the state of a scripted expert's state machine.
 
@@ -120,6 +122,17 @@ def quat_to_matrix(q) -> np.ndarray:
             [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
         ]
     )
+
+
+def skew(v) -> np.ndarray:
+    """Skew-symmetric matrix [v]_x such that [v]_x w = v x w."""
+    x, y, z = geo._as_vec3(v, "v")
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def apply_action(t: np.ndarray, a: geo.RelativeAction) -> np.ndarray:
+    """Right-compose a relative action onto a pose; inverse of geometry.relative_action."""
+    return geo.check_se3(t) @ geo.pose_to_se3(np.concatenate([a.dp, a.dtheta]))
 
 
 # --- probes of program state ---

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import oracles
 from se3bc import datasets as ds
 from se3bc import geometry as geo
 from se3bc import simworld as sw
@@ -52,7 +53,7 @@ class TestRecording:
                 cam_expect = geo.se3_inverse(data.camera.extrinsic) @ step.ee_pose_world
                 assert np.max(np.abs(step.ee_pose_cam - cam_expect)) < 1e-10
                 if t + 1 < len(demo.steps):
-                    nxt = geo.apply_action(step.ee_pose_world, step.action)
+                    nxt = oracles.apply_action(step.ee_pose_world, step.action)
                     assert np.max(np.abs(nxt - demo.steps[t + 1].ee_pose_world)) < 1e-9
             # final record is the stationary pad: no motion, the held gripper command
             last = demo.steps[-1]
@@ -66,7 +67,7 @@ class TestRecording:
         for demo in data.demos:
             cur = demo.steps[0].ee_pose_world.copy()
             for t, step in enumerate(demo.steps[:-1]):
-                cur = geo.apply_action(cur, step.action)
+                cur = oracles.apply_action(cur, step.action)
                 target = demo.steps[t + 1].ee_pose_world
                 assert np.max(np.abs(cur - target)) < 1e-8
                 cam = geo.se3_inverse(data.camera.extrinsic) @ cur
@@ -121,7 +122,7 @@ class TestWindows:
                 cur = demo.steps[t].ee_pose_world.copy()
                 for h in range(8):
                     a = geo.RelativeAction(w.target_actions[h, :3], w.target_actions[h, 3:6])
-                    cur = geo.apply_action(cur, a)
+                    cur = oracles.apply_action(cur, a)
                     pose_cam = geo.se3_inverse(data.camera.extrinsic) @ cur
                     npt.assert_allclose(
                         geo.se3_to_pose(pose_cam), w.target_poses_cam[h], atol=1e-8

@@ -308,6 +308,62 @@ class TestFrozen:
                 raise RuntimeError("inside")
         assert policy._prefixes is None
 
+    def test_a_fault_in_a_prefix_raises_as_outside_and_is_not_kept(self, world):
+        scene, task, data, windows = world
+        policy = make_policy(scene)
+        features, states = [windows[0].features], [windows[0].state_vec]
+        healthy = policy.act(features, states)
+        gain = policy.params["pred.b0.ln2.g"].data  # ln2 ends the prefix, after its softmax
+        gain[0] = np.inf
+        with pytest.raises(tn.NumericFaultError) as outside:
+            policy.act(features, states)
+        with policy.frozen():
+            with pytest.raises(tn.NumericFaultError) as inside:
+                policy.act(features, states)
+            assert str(inside.value) == str(outside.value) == "op 'layer_norm' produced non-finite values"
+            assert all(np.isfinite(t.data).all() for pair in policy._prefixes.values() for t in pair)
+            gain[0] = 1.0
+            again = policy.act(features, states)
+        npt.assert_array_equal(again.chunk, healthy.chunk)
+        npt.assert_array_equal(again.tau, healthy.tau)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_a_fault_in_any_op_of_act_raises_naming_it(monkeypatch, world, value):
+    """Poisoning one element of the k-th op output of every forward makes
+    act raise naming that op, for every op of a B=2 act. It covers the two
+    ops that can hide a fault: the gripper logit reaching sigmoid and an
+    attention score row reaching softmax, where -inf becomes finite."""
+    scene, task, data, windows = world
+    policy = make_policy(scene)
+    features, states = [w.features for w in windows[:2]], [w.state_vec for w in windows[:2]]
+    ops, target = [], [None]
+    make, forward = tn._make, pol.Policy.forward
+
+    def poisoning_make(op, out_data, inputs, vjp):
+        ops.append(op)
+        if len(ops) == target[0]:
+            out_data = np.array(out_data)  # a copy: an op's output may view its input
+            out_data.flat[0] = value
+        return make(op, out_data, inputs, vjp)
+
+    def counting_forward(self, *args):
+        ops.clear()
+        return forward(self, *args)
+
+    monkeypatch.setattr(tn, "_make", poisoning_make)
+    monkeypatch.setattr(pol.Policy, "forward", counting_forward)
+    policy.act(features, states)
+    names = list(ops)
+    assert len(names) == 128  # 36 of them in the block-0 prefixes frozen() computes once
+    pairs = set(zip(names, names[1:]))
+    assert ("narrow", "sigmoid") in pairs and ("scale", "softmax") in pairs
+    for k, op in enumerate(names, start=1):
+        target[0] = k
+        with pytest.raises(tn.NumericFaultError, match=f"^op '{op}' produced non-finite values$"):
+            policy.act(features, states)
+
 
 class TestDecoder:
     def test_chunk_has_h_rows_and_bounded_gripper(self, world):

@@ -108,6 +108,19 @@ class TestForwardPrimitives:
             with pytest.raises(tn.NumericFaultError, match="'mul'"):
                 oracles.mul(tn.Tensor(huge), tn.Tensor(huge))  # -> inf
 
+    def test_deferred_checks_skip_outputs_and_test_masking_inputs(self):
+        """Inside the scope an untaped op's non-finite output passes, while
+        softmax and sigmoid, which map -inf to a finite value, raise on it as
+        an input; the scope ends with its block."""
+        with tn.deferred_checks():
+            bad = tn.scale(tn.Tensor([0.5, -1.0]), np.inf)
+            npt.assert_array_equal(bad.data, [np.inf, -np.inf])
+            for op in [tn.softmax, tn.sigmoid]:
+                with pytest.raises(tn.NumericFaultError, match=f"'{op.__name__}' received"):
+                    op(bad)
+        with pytest.raises(tn.NumericFaultError, match="'scale' produced"):
+            tn.scale(tn.Tensor(np.ones(2)), np.inf)
+
 
 class TestRope:
     def test_position_zero_unchanged(self):
