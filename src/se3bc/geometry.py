@@ -259,11 +259,15 @@ def _log_so3(r: np.ndarray) -> np.ndarray:
 
 
 def pose_to_se3(pose) -> np.ndarray:
-    """6-vector [p, theta] to a 4x4 transform (rotation via exp_so3)."""
+    """6-vector [p, theta] to a 4x4 transform (rotation via exp_so3): theta is
+    checked, then p; exp_so3's rotation is orthonormal by construction."""
     pose = np.asarray(pose, dtype=float).reshape(-1)
     if pose.shape != (6,):
         raise GeometryError(f"pose must be a 6-vector, got shape {pose.shape}")
-    return se3(exp_so3(pose[3:]), pose[:3])
+    t = np.eye(4)
+    t[:3, :3] = exp_so3(pose[3:])
+    t[:3, 3] = _as_vec3(pose[:3], "translation")
+    return t
 
 
 def se3_to_pose(t: np.ndarray) -> np.ndarray:

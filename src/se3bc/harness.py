@@ -10,16 +10,10 @@ round of simulator steps. Controllers only plan: a report's episode lengths
 and `rollout`'s tau error are read after the run from the episode states
 `sw.drive` returns. `sw.drive` alone applies the perturbed protocol's gripper
 latency, which models the actuator rather than either controller.
-Both controllers execute in chunks: predict H steps, execute them, predict
-again (the chunked execution of ACT). All live episodes share a step count,
-so every H steps one batched `Policy.act` call plans the next chunk of every
-live episode. An evaluation holds its policy frozen (`Policy.frozen`), so
-each query stack's block-0 self-attention over its queries, which reads no
-observation, is computed at the first `Policy.act` call and reused by the
-later ones.
-Paired comparisons consume identical episode seeds and identical
-perturbation draws, both derived from the root seed by counter-based
-splitting.
+Both controllers execute on one chunk schedule, `_ChunkSchedule`, which also
+draws the perturbation, and share one evaluation shell, `_evaluate`. Paired
+comparisons consume identical episode seeds and identical perturbation
+draws, both derived from the root seed by counter-based splitting.
 
 A study is a list of (cell, seed) jobs, each one call of `_study_job`: record
 that seed's demos, train the cell, and return one row per evaluation arm of
@@ -251,15 +245,58 @@ def _perturbation(root_seed: int, episode: int, chunk: int, horizon: int):
     return eps
 
 
+# --- chunked execution, shared by both evaluation arms ---
+
+
+class _ChunkSchedule:
+    """The one chunk schedule of evaluation: predict H rows, execute them,
+    predict again (the chunked execution of ACT).
+
+    Live episodes share a step count, so at every step t with t % H == 0 one
+    plan(episodes, states, eps) call plans chunk t // H of every live
+    episode, H rows each, and step t reads row t % H of each episode's
+    current chunk. eps is None in an unperturbed run; else it lists episode
+    i's _perturbation(perturb_seed, i, t // H, H) draw, so every controller
+    driven with one seed draws the same noise for the same (episode, chunk).
+    The controller passes its plan to every rows() call: a schedule holding
+    it would close a reference cycle, and each finished controller would
+    then live until a full garbage collection.
+    """
+
+    def __init__(self, horizon: int, perturb_seed: int | None):
+        self.horizon, self._perturb_seed = horizon, perturb_seed
+        self._rows = {}  # per episode: its current chunk's rows
+
+    def rows(self, plan, episodes: list, states: list) -> list:
+        chunk, h = divmod(states[0].step_count, self.horizon)
+        if h == 0:
+            eps = None if self._perturb_seed is None else [
+                _perturbation(self._perturb_seed, i, chunk, self.horizon) for i in episodes]
+            self._rows.update(zip(episodes, plan(episodes, states, eps)))
+        return [self._rows[i][h] for i in episodes]
+
+
+def _evaluate(build, policy: pol.Policy | None, scene, task, episodes: int, seed: int,
+              perturb: bool):
+    """rollout's and closed_form_baseline's shell: sw.drive runs the
+    controller build(perturbation seed or None) over the episode seeds of
+    `seed`, gripper commands PERTURB_GRIPPER_LATENCY steps late if perturbed,
+    with a given policy frozen (Policy.frozen: each query stack's block-0
+    prefix is computed once). Returns (controller, success, episodes)."""
+    seeds = _episode_seeds(episodes, seed)
+    controller = build(seed if perturb else None)
+    with policy.frozen() if policy is not None else contextlib.nullcontext():
+        return (controller, *sw.drive(controller, scene, task, seeds,
+                                      PERTURB_GRIPPER_LATENCY if perturb else 0))
+
+
 # --- learned decoder ---
 
 
 class _Learned:
-    """The policy's own decoder: predict an H-step chunk, execute it, repeat.
-
-    In lockstep, chunk c of every episode starts at step c * H, so one
-    Policy.act call every H steps plans the next chunk of every live episode,
-    and step t commands row t % H, its gripper thresholded at 0.5 and undelayed.
+    """The policy's own decoder, executed on a _ChunkSchedule: each plan is
+    one Policy.act call, and each step commands its row with the gripper
+    thresholded at 0.5.
 
     Each prediction's tau rows count toward the chart-violation rate; a row
     violates when its axis-angle rotation (SE(3) targets only) is at the
@@ -269,7 +306,7 @@ class _Learned:
     episodes sw.drive returned: the camera-frame ee pose of state t >= 1
     against row t - 1 of the episode's chunks laid end to end.
 
-    With perturb=True, the pose-space noise eps is mapped into the hidden
+    In a perturbed run, the pose-space noise eps is mapped into the hidden
     states through the linear head's pseudo-inverse, so head(h_traj + dh) =
     tau + eps: the decoder conditions on hidden states that decode to the
     same corrupted trajectory the hardcoded pipeline reads. The pseudo-inverse
@@ -279,28 +316,23 @@ class _Learned:
     up to 5e-7 per element.
     """
 
-    def __init__(self, policy: pol.Policy, scene, task, camera, perturb: bool, root_seed: int):
+    def __init__(self, policy: pol.Policy, scene, task, camera, perturb_seed: int | None):
         self._tracks_tau = _tracks_camera_pose(policy)
         variant = policy.cfg.variant
         self._counts_chart = variant.rotation_param == "axis_angle" and variant.target_dim == 6
-        if perturb:
+        if perturb_seed is not None:
             if not self._tracks_tau:
                 raise HarnessError("perturbed protocol needs a camera-frame axis-angle policy")
             head_w = policy.params["pred.head.w"].data.astype(np.float64)  # (D, 6)
             self._head_pinv = np.linalg.pinv(head_w)  # (6, D)
         self.policy, self.scene, self.task, self.camera = policy, scene, task, camera
-        self.perturb, self.root_seed = perturb, root_seed
-        self._horizon = policy.cfg.horizon
+        self._schedule = _ChunkSchedule(policy.cfg.horizon, perturb_seed)
         self.pred_rows = self.violating_rows = 0
-        # Per episode: the current action chunk, and its tau chunks in step order.
-        self._chunks, self._taus = {}, defaultdict(list)
+        self._taus = defaultdict(list)  # per episode: its tau chunks in step order
 
     def actions(self, episodes: list, states: list) -> list:
-        t = states[0].step_count
-        if t % self._horizon == 0:
-            self._predict(episodes, states, t // self._horizon)
-        rows = [self._chunks[i][t % self._horizon] for i in episodes]
-        return [(row[:3], row[3:6], 1.0 if row[6] > 0.5 else 0.0) for row in rows]
+        return [(row[:3], row[3:6], 1.0 if row[6] > 0.5 else 0.0)
+                for row in self._schedule.rows(self._plan, episodes, states)]
 
     def mean_traj_error(self, episodes: list) -> float | None:
         """Mean tau error per executed row of sw.drive's `episodes`, summed
@@ -314,20 +346,17 @@ class _Learned:
                 n += 1
         return total / n
 
-    def _predict(self, episodes: list, states: list, chunk: int):
-        h_noise = None
-        if self.perturb:
-            h_noise = np.stack([_perturbation(self.root_seed, i, chunk, self._horizon)
-                                @ self._head_pinv for i in episodes])
+    def _plan(self, episodes: list, states: list, eps):
+        h_noise = None if eps is None else np.stack([e @ self._head_pinv for e in eps])
         out = _act(self.policy, self.task, self.scene, self.camera, states, h_noise)
-        self._chunks.update(zip(episodes, out.chunk))
         if out.tau is not None:
-            self.pred_rows += len(episodes) * self._horizon
+            self.pred_rows += len(episodes) * out.tau.shape[1]
             if self._counts_chart:
                 self.violating_rows += int(np.sum(geo.at_chart_boundary(out.tau[..., 3:6])))
             if self._tracks_tau:
                 for i, tau in zip(episodes, out.tau):
                     self._taus[i].append(tau)
+        return out.chunk
 
 
 def rollout(
@@ -339,27 +368,18 @@ def rollout(
     camera: sw.CameraModel | None = None,
     perturb: bool = False,
 ) -> EvalReport:
-    """Closed-loop evaluation of the learned decoder.
-
-    The policy predicts an H-step action chunk, the simulator executes all of
-    it, and prediction repeats until success or the horizon limit. The
-    episodes run in lockstep, so one Policy.act call every H steps plans the
-    next chunk of every live episode; the report is reduced in episode order
-    from the episode states sw.drive returns.
-    With perturb=True, the predictor output is corrupted by draws derived
-    from seed, the same draws closed_form_baseline() uses (see _Learned),
-    and sw.drive executes the decoder's gripper commands
-    PERTURB_GRIPPER_LATENCY steps late. Episode seeds match
-    closed_form_baseline()'s, so comparisons are paired. The policy is held
-    frozen throughout (Policy.frozen): each query stack's block-0 prefix is
-    computed once per evaluation.
-    Raises HarnessError when episodes < 1.
+    """Closed-loop evaluation of the learned decoder (_Learned, on the
+    schedule of _ChunkSchedule) until success or the horizon limit; the
+    report is reduced in episode order from the episode states sw.drive
+    returns. With perturb=True, the predictor output is corrupted by the
+    draws closed_form_baseline() uses and the gripper commands execute late
+    (see _evaluate). Episode seeds match closed_form_baseline()'s, so
+    comparisons are paired. Raises HarnessError when episodes < 1.
     """
-    seeds = _episode_seeds(episodes, seed)
-    learned = _Learned(policy, scene, task, camera or sw.default_camera(), perturb, seed)
-    with policy.frozen():
-        success, runs = sw.drive(learned, scene, task, seeds,
-                                 PERTURB_GRIPPER_LATENCY if perturb else 0)
+    learned, success, runs = _evaluate(
+        lambda perturb_seed: _Learned(policy, scene, task, camera or sw.default_camera(),
+                                      perturb_seed),
+        policy, scene, task, episodes, seed, perturb)
     return _report(
         success, runs,
         chart_violation_rate=(learned.violating_rows / learned.pred_rows
@@ -384,67 +404,69 @@ def _privileged_gripper(state: sw.SimState, scene: sw.SceneSpec, task: sw.TaskSp
 
 
 class _ClosedForm:
-    """Execute camera-frame poses tau through closed-form geometry.
+    """Execute camera-frame poses tau through closed-form geometry, on a
+    _ChunkSchedule whose horizon is the policy's, or ds.HORIZON_DEFAULT
+    without a policy.
 
-    Every H steps, tau for every live episode comes from one Policy.act call
-    on the policy's predictor or, with oracle=True, from an oracle: a
-    scripted expert per episode, kept in sync with the executed trajectory,
-    copied and rolled forward H steps in a noiseless shadow world (H is the
-    policy's horizon, or ds.HORIZON_DEFAULT without a policy). The optional
-    perturbation is added to tau. Each pose row is lifted to the world frame
-    via the known extrinsic and chained into relative actions with the exact
-    recovery map; step t commands move t % H. The gripper command follows
-    privileged simulator proximity at every step.
+    Each plan takes tau for every live episode from one Policy.act call on
+    the policy's predictor or, with oracle=True, from an oracle: a scripted
+    expert per episode, kept in sync with the executed trajectory at every
+    step before any plan, copied and rolled forward H steps in a noiseless
+    shadow world. A perturbed run adds its draw eps to tau. Each pose row is
+    lifted to the world frame via the known extrinsic and chained into
+    relative actions with the exact recovery map: the chunk's rows are those
+    moves. The gripper command follows privileged simulator proximity at
+    every step.
     """
 
-    def __init__(self, policy: pol.Policy | None, scene, task, camera, perturb: bool,
-                 root_seed: int, oracle: bool):
+    def __init__(self, policy: pol.Policy | None, scene, task, camera,
+                 perturb_seed: int | None, oracle: bool):
+        if not oracle and (policy is None or not _tracks_camera_pose(policy)):
+            raise HarnessError("closed-form baseline needs a camera-frame axis-angle policy")
         self.policy, self.scene, self.task, self.camera = policy, scene, task, camera
-        self.perturb, self.root_seed, self.oracle = perturb, root_seed, oracle
-        self._horizon = policy.cfg.horizon if policy is not None else ds.HORIZON_DEFAULT
+        self.oracle = oracle
+        horizon = policy.cfg.horizon if policy is not None else ds.HORIZON_DEFAULT
+        self._schedule = _ChunkSchedule(horizon, perturb_seed)
         if oracle:
             self._shadow = sw.Simulator(scene, task)
-        # Per episode: the current chunk's moves, the last privileged gripper
-        # command and the synced expert.
-        self._moves, self._grips, self._experts = {}, {}, {}
+        # Per episode: the last privileged gripper command and the synced expert.
+        self._grips, self._experts = {}, {}
 
     def actions(self, episodes: list, states: list) -> list:
-        t = states[0].step_count
         if self.oracle:
             for i, state in zip(episodes, states):
-                if t == 0:
+                if state.step_count == 0:
                     self._experts[i] = sw.ScriptedExpert(self.scene, self.task)
                 else:
                     self._experts[i].action(state)  # advance the synced expert's phase
-        if t % self._horizon == 0:
-            self._plan(episodes, states, t // self._horizon)
-        commands = []
-        for i, state in zip(episodes, states):
-            move = self._moves[i][t % self._horizon]
+        moves, commands = self._schedule.rows(self._plan, episodes, states), []
+        for i, state, move in zip(episodes, states, moves):
             self._grips[i] = _privileged_gripper(state, self.scene, self.task,
                                                  self._grips.get(i, 0.0))
             commands.append((move.dp, move.dtheta, self._grips[i]))
         return commands
 
-    def _plan(self, episodes: list, states: list, chunk: int):
+    def _plan(self, episodes: list, states: list, eps) -> list:
         if self.oracle:
             taus = [self._lookahead(self._experts[i], state) for i, state in zip(episodes, states)]
         else:
             taus = _act(self.policy, self.task, self.scene, self.camera, states).tau
-        for i, state, tau in zip(episodes, states, taus):
-            if self.perturb:
-                tau = tau + _perturbation(self.root_seed, i, chunk, self._horizon)
+        if eps is not None:
+            taus = [tau + e for tau, e in zip(taus, eps)]
+        chunks = []
+        for state, tau in zip(states, taus):
             moves, prev = [], state.ee_pose
             for row in tau:
                 pose = geo.camera_to_world(geo.pose_to_se3(row), self.camera.extrinsic)
                 moves.append(geo.relative_action(prev, pose))
                 prev = pose
-            self._moves[i] = moves
+            chunks.append(moves)
+        return chunks
 
     def _lookahead(self, expert: sw.ScriptedExpert, state: sw.SimState):
         expert = copy.copy(expert)
-        rows = np.zeros((self._horizon, 6))
-        for h in range(self._horizon):
+        rows = np.zeros((self._schedule.horizon, 6))
+        for h in range(self._schedule.horizon):
             if state.step_count < self.task.horizon_limit:
                 state = self._shadow.step(state, expert.action(state))
             rows[h] = geo.se3_to_pose(self.camera.t_wc @ state.ee_pose)
@@ -467,24 +489,18 @@ def closed_form_baseline(
     to the world and chained into relative actions, and the gripper comes
     from privileged simulator proximity (see _ClosedForm). With oracle=True
     the trajectory comes from an expert lookahead instead of the policy,
-    over the policy's horizon if one is given. The episodes run in lockstep:
-    one Policy.act call every H steps plans the next chunk of every live
-    episode, and the report lists episodes in episode order. With
-    perturb=True, tau is corrupted and sw.drive executes the gripper commands
-    PERTURB_GRIPPER_LATENCY steps late, as in rollout(). Episode seeds and
-    perturbation draws match rollout()'s, so comparisons are paired. A given
-    policy is held frozen throughout, as in rollout(): each query stack's
-    block-0 prefix is computed once per evaluation.
+    over the policy's horizon if one is given. Chunks follow rollout()'s
+    schedule (_ChunkSchedule), and the report lists episodes in episode
+    order. With perturb=True, tau is corrupted and the gripper commands
+    execute late, as in rollout(). Episode seeds and perturbation draws match
+    rollout()'s, so comparisons are paired.
     Raises HarnessError when episodes < 1.
     """
-    seeds = _episode_seeds(episodes, seed)
-    if not oracle and (policy is None or not _tracks_camera_pose(policy)):
-        raise HarnessError("closed-form baseline needs a camera-frame axis-angle policy")
-    controller = _ClosedForm(policy, scene, task, camera or sw.default_camera(), perturb, seed,
-                             oracle)
-    with policy.frozen() if policy is not None else contextlib.nullcontext():
-        return _report(*sw.drive(controller, scene, task, seeds,
-                                 PERTURB_GRIPPER_LATENCY if perturb else 0))
+    _, success, runs = _evaluate(
+        lambda perturb_seed: _ClosedForm(policy, scene, task, camera or sw.default_camera(),
+                                         perturb_seed, oracle),
+        policy, scene, task, episodes, seed, perturb)
+    return _report(success, runs)
 
 
 # --- studies ---

@@ -134,6 +134,20 @@ class TestSE3:
             pose = np.concatenate([rng.normal(size=3), random_axis_angle(rng)])
             geo.check_se3(geo.pose_to_se3(pose))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("indices,match", [
+        ([0], "translation has non-finite components"),
+        ([2], "translation has non-finite components"),
+        ([3], "theta has non-finite components"),
+        ([5], "theta has non-finite components"),
+        ([0, 3], "theta has non-finite components"),  # theta is checked first
+    ])
+    def test_rejects_non_finite(self, bad, indices, match):
+        pose = np.array([0.1, 0.2, 0.3, 0.1, 0.2, 0.3])
+        pose[indices] = bad
+        with pytest.raises(geo.GeometryError, match=match):
+            geo.pose_to_se3(pose)
+
 
 class TestRelativeAction:
     def test_same_pose_gives_zero(self):
